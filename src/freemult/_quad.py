@@ -183,3 +183,13 @@ def adaptive_quad(f, edges, rtol: float = 1e-9, atol: float = 0.0,
 
     raise NonIntegrable(
         f"quadrature did not converge within max_depth={max_depth}")
+
+
+def relaxed_retry(integrate, rtol: float):
+    """integrate(rtol), retried once at 100 * rtol when it raises
+    NonIntegrable: the kernels' cancellation floors are estimates, and an
+    underestimated floor shows up as a stalled refinement."""
+    try:
+        return integrate(rtol)
+    except NonIntegrable:
+        return integrate(rtol * 100.0)

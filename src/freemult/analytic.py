@@ -19,8 +19,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._quad import adaptive_quad, ladder_edges
-from .errors import DomainError, InvariantViolation, NonIntegrable
+from ._quad import adaptive_quad, ladder_edges, relaxed_retry
+from .errors import DomainError, InvariantViolation
 from .measures import Measure
 
 _EPS = np.finfo(float).eps
@@ -96,29 +96,20 @@ def _half_plane_rtol(z: complex, rtol: float) -> float:
 def _transform_integral(nu: Measure, kernel, z: complex, rtol: float) -> complex:
     lo, hi = nu.effective_support()
     pts, scl = _pole_seed(z, lo, hi)
-    eff = _half_plane_rtol(z, rtol)
-    try:
-        return complex(nu.integrate(kernel, points=pts, scales=scl, rtol=eff))
-    except NonIntegrable:
-        return complex(nu.integrate(kernel, points=pts, scales=scl,
-                                    rtol=eff * 100.0))
+    return complex(relaxed_retry(
+        lambda rt: nu.integrate(kernel, points=pts, scales=scl, rtol=rt),
+        _half_plane_rtol(z, rtol)))
 
 
 def psi(nu: Measure, z: complex, rtol: float = 1e-11) -> complex:
     """psi-transform of `nu` at z (z off the closed positive real axis)."""
     z = _check_off_positive_axis(z)
-    at = nu.atoms()
-    if at is not None:
-        return sum(w * (a * z) / (1.0 - a * z) for w, a in at)
     return _transform_integral(nu, lambda x: x * z / (1.0 - x * z), z, rtol)
 
 
 def psi_prime(nu: Measure, z: complex, rtol: float = 1e-11) -> complex:
     """Derivative of the psi-transform: int x / (1 - x z)^2 d nu(x)."""
     z = _check_off_positive_axis(z)
-    at = nu.atoms()
-    if at is not None:
-        return sum(w * a / (1.0 - a * z) ** 2 for w, a in at)
     return _transform_integral(nu, lambda x: x / (1.0 - x * z) ** 2, z, rtol)
 
 
@@ -185,11 +176,8 @@ class RealMeasure:
         span = max(abs(lo), abs(hi), 1.0)
         eff = max(rtol, 4e-16 * span / z.imag) if z.imag > 0 else rtol
         f = lambda u: np.asarray(kernel(u)) * dens(u)
-        try:
-            val, _ = adaptive_quad(f, edges[keep], rtol=eff)
-        except NonIntegrable:
-            val, _ = adaptive_quad(f, edges[keep], rtol=eff * 100.0)
-        return complex(val)
+        return complex(relaxed_retry(
+            lambda rt: adaptive_quad(f, edges[keep], rtol=rt)[0], eff))
 
 
 class PickValues(NamedTuple):

@@ -58,13 +58,9 @@ def effective_tolerances(overrides: dict | None = None) -> dict:
     tol = {
         "tol_root": 1e-10,
         "tol_quad": 1e-12,
-        "tol_quad_public": 1e-9,
-        "tol_tail": 1e-12,
         "tol_int": TOL_INT,
         "tol_pick": TOL_PICK,
         "hysteresis": DEFAULT_HYSTERESIS,
-        "tol_mass_atomic": 1e-6,
-        "tol_mass_grid": 1e-3,
         "tol_mean_rel": 1e-3,
         "tol_symmetry": 1e-3,
     }
@@ -326,7 +322,7 @@ def run_counterexample(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
     rule = cfg.get("rule", "zeta6")
     times = [float(t) for t in cfg.get("times") or [1.0]]
     k_max = int(cfg.get("k_max", n_atoms - 1))
-    tol = effective_tolerances(None)
+    tol = effective_tolerances(cfg.get("tolerances"))
 
     nu, spec = build_counterexample(n_atoms, rule=rule)
     results: dict = {
@@ -345,7 +341,7 @@ def run_counterexample(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
             if c.below:
                 cert = c
                 break
-        ctx = FlowContext(nu, t)
+        ctx = FlowContext(nu, t, tol_root=tol["tol_root"], tol_quad=tol["tol_quad"])
         components = len(blowup_region(ctx))
         entry = {"t": t, "support_components": components,
                  "certificate_found": cert is not None}
@@ -450,10 +446,14 @@ def _error_code(exc: Exception) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--tol-root", type=float, default=None)
-    p.add_argument("--tol-quad", type=float, default=None)
     p.add_argument("--seedless", action="store_true",
                    help="reserved; all runs are deterministic")
+
+
+def _add_flow_tolerances(p: argparse.ArgumentParser) -> None:
+    """Solver tolerances, for the subcommands that run the flow solver."""
+    p.add_argument("--tol-root", type=float, default=None)
+    p.add_argument("--tol-quad", type=float, default=None)
 
 
 def _parse_times(text: str) -> list[float]:
@@ -474,9 +474,9 @@ def _parse_window(text: str | None):
 
 def _tol_overrides(args) -> dict | None:
     over = {}
-    if getattr(args, "tol_root", None) is not None:
+    if args.tol_root is not None:
         over["tol_root"] = args.tol_root
-    if getattr(args, "tol_quad", None) is not None:
+    if args.tol_quad is not None:
         over["tol_quad"] = args.tol_quad
     return over or None
 
@@ -496,6 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="append", default=None,
                    choices=list(_ALL_CHECKS))
     _add_common(p)
+    _add_flow_tolerances(p)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("check", help="log-unimodality checks for a measure")
@@ -522,6 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="1")
     p.add_argument("--k-max", type=int, default=None)
     _add_common(p)
+    _add_flow_tolerances(p)
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("pick", help="half-plane inequality check")
@@ -576,7 +578,8 @@ def _cmd_counterexample(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     cfg = {"n_atoms": args.n_atoms, "rule": args.rule,
            "times": _parse_times(args.t),
-           "k_max": args.k_max if args.k_max is not None else args.n_atoms - 1}
+           "k_max": args.k_max if args.k_max is not None else args.n_atoms - 1,
+           "tolerances": _tol_overrides(args)}
     code, _ = run_counterexample(cfg, args.out)
     return code
 

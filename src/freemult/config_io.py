@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvariantViolation, IoError, ParseError
 from .flow import DensityCurve
-from .measures import Atomic, GridDensity, Measure, Named
+from .measures import GridDensity, Measure, Named, atomic
 
 SCHEMA_VERSION = 1
 
@@ -131,8 +131,7 @@ def measure_from_dict(d: dict) -> Measure:
             if "w" not in rec or "a" not in rec:
                 raise ParseError(f"atoms[{i}] needs both 'w' and 'a'")
             pairs.append((float(rec["w"]), float(rec["a"])))
-        pairs.sort(key=lambda p: p[1])
-        return Atomic([p[0] for p in pairs], [p[1] for p in pairs])
+        return atomic(pairs)
     if kind == "grid":
         _reject_unknown(d, {"kind", "grid", "normalize", "schema_version"},
                         "grid measure")
@@ -252,7 +251,6 @@ class Report:
     tolerances: dict
     results: dict
     warnings: list = field(default_factory=list)
-    timing: None = None
 
     def to_dict(self) -> dict:
         return {
@@ -262,7 +260,6 @@ class Report:
             "tolerances": self.tolerances,
             "results": self.results,
             "warnings": list(self.warnings),
-            "timing": None,
         }
 
 

@@ -38,7 +38,6 @@ from .measures import (
     Atomic,
     GridDensity,
     Measure,
-    atomic,
     f_blowup,
     pushforward_log,
 )
@@ -72,28 +71,24 @@ def _level_profile(nu: Measure, R: float, r_grid: np.ndarray) -> np.ndarray:
     pref = math.sin(R) / R
     at = nu.atoms()
     if at is not None:
-        w = np.array([p[0] for p in at])
-        a = np.array([p[1] for p in at])
-        u = r_grid[:, None] * a[None, :]
-        denom = (1.0 - u) ** 2 + 4.0 * u * s2
-        return pref * np.sum(w[None, :] * u / denom, axis=1)
-    lo, hi = nu.effective_support()
-    span = math.log(hi / lo)
-    n = int(min(max(513, math.ceil(10.0 * span / R)), 24001))
-    if n % 2 == 0:
-        n += 1
-    if n >= 24001:
-        # kernel too narrow for a shared node set: per-point adaptive route
-        return np.array([level_function(nu, R, float(r), rtol=1e-9)
-                         for r in r_grid])
-    y = np.linspace(math.log(lo), math.log(hi), n)
-    xi = np.exp(y)
-    wts = _simpson_weights(n, y[1] - y[0]) * xi * nu.density(xi)
+        wts, xi = at
+    else:
+        lo, hi = nu.effective_support()
+        span = math.log(hi / lo)
+        n = int(min(max(513, math.ceil(10.0 * span / R)), 24001))
+        if n % 2 == 0:
+            n += 1
+        if n >= 24001:
+            # kernel too narrow for a shared node set: per-point adaptive route
+            return np.array([level_function(nu, R, float(r), rtol=1e-9)
+                             for r in r_grid])
+        y = np.linspace(math.log(lo), math.log(hi), n)
+        xi = np.exp(y)
+        wts = _simpson_weights(n, y[1] - y[0]) * xi * nu.density(xi)
     out = np.empty(r_grid.size)
-    chunk = max(1, int(4e6 // n))
+    chunk = max(1, int(4e6 // xi.size))
     for i in range(0, r_grid.size, chunk):
-        rr = r_grid[i:i + chunk, None]
-        u = rr * xi[None, :]
+        u = r_grid[i:i + chunk, None] * xi[None, :]
         denom = (1.0 - u) ** 2 + 4.0 * u * s2
         out[i:i + chunk] = pref * (u / denom) @ wts
     return out
@@ -296,24 +291,20 @@ def mult_convolve(mu: Measure, nu: Measure, n: int = 4096) -> Measure:
         raise GridUnderflow(f"need at least 16 grid points, got {n}")
     mu_at, nu_at = mu.atoms(), nu.atoms()
     if mu_at is not None and nu_at is not None:
-        prods: dict[float, float] = {}
-        for w1, a1 in mu_at:
-            for w2, a2 in nu_at:
-                key = a1 * a2
-                prods[key] = prods.get(key, 0.0) + w1 * w2
-        return atomic(sorted(((w, a) for a, w in prods.items()),
-                             key=lambda p: p[1]))
+        # products that coincide exactly merge into one atom
+        locs, idx = np.unique(np.outer(mu_at[1], nu_at[1]), return_inverse=True)
+        return Atomic(np.bincount(idx.ravel(),
+                                  weights=np.outer(mu_at[0], nu_at[0]).ravel()),
+                      locs)
     if mu_at is not None or nu_at is not None:
-        at, dens = (mu_at, nu) if mu_at is not None else (nu_at, mu)
-        if len(at) == 1 and abs(at[0][1] - 1.0) < 1e-15:
+        (w, a), dens = (mu_at, nu) if mu_at is not None else (nu_at, mu)
+        if a.size == 1 and abs(a[0] - 1.0) < 1e-15:
             return dens  # convolving with a unit point mass is the identity
         slo, shi = dens.effective_support(1e-9)
-        lo = min(a * slo for _, a in at)
-        hi = max(a * shi for _, a in at)
-        x = np.geomspace(lo, hi, n)
+        x = np.geomspace(a[0] * slo, a[-1] * shi, n)
         f = np.zeros_like(x)
-        for w, a in at:
-            f += w * dens.density(x / a) / a
+        for wk, ak in zip(w, a):
+            f += wk * dens.density(x / ak) / ak
         return GridDensity(x, f, normalize=True)
 
     l1, h1 = (math.log(v) for v in mu.effective_support(1e-9))
@@ -356,7 +347,7 @@ def scaled_convolution_density(nu: Measure, a: float, t: float, r: float,
     at = nu.atoms()
     if at is not None:
         total = sum(w * c_b * xi / ((1.0 - r * xi) ** 2 + 4.0 * r * xi * s2)
-                    for w, xi in at)
+                    for w, xi in zip(*at))
         return r / c_b * total
 
     def kernel(xi):
@@ -429,7 +420,7 @@ def build_counterexample(n_atoms: int, rule: str = "zeta6",
     ratios = locs[:-1] * locs[1:] * (locs[:-1] + locs[1:]) / (locs[:-1] - locs[1:]) ** 2
     mids = 0.5 * (1.0 / locs[1:] + 1.0 / locs[:-1])
     weights = w_raw / w_raw.sum()
-    measure = atomic(list(zip(weights.tolist(), locs.tolist())))
+    measure = Atomic(weights[::-1], locs[::-1])
     spec = CounterexampleSpec(
         n_atoms=n_atoms,
         raw_weights=tuple(w_raw.tolist()),
@@ -463,11 +454,11 @@ def gap_certificate(nu: Measure, t: float, k: int) -> GapCertificate:
         raise DomainError("gap certificates need an atomic measure")
     if t <= 0:
         raise DomainError(f"t must be positive, got {t}")
-    locs = sorted((a for _, a in at), reverse=True)
-    if not (1 <= k <= len(locs) - 1):
+    locs = at[1][::-1]
+    if not (1 <= k <= locs.size - 1):
         raise IndexOutOfRange(
-            f"k={k} needs atoms k and k+1; measure has {len(locs)} atoms")
-    a_k, a_k1 = locs[k - 1], locs[k]
+            f"k={k} needs atoms k and k+1; measure has {locs.size} atoms")
+    a_k, a_k1 = float(locs[k - 1]), float(locs[k])
     b_k = 0.5 * (1.0 / a_k1 + 1.0 / a_k)
     f_val = f_blowup(nu, b_k)
     return GapCertificate(k, b_k, f_val, f_val < 1.0 / t)

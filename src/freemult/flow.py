@@ -26,16 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 import numpy as np
 from scipy import optimize
 
+from ._quad import relaxed_retry
 from .errors import (
     BracketFailure,
     DomainError,
     EmptyVSet,
     InvariantViolation,
-    NonIntegrable,
 )
 from .measures import Measure
 
@@ -75,13 +74,6 @@ class FlowContext:
         if self.tol_root <= 0 or self.tol_quad <= 0:
             raise InvariantViolation("flow.tol", "tolerances must be positive")
 
-    @cached_property
-    def _atom_arrays(self):
-        at = self.nu.atoms()
-        if at is None:
-            return None
-        return (np.array([p[0] for p in at]), np.array([p[1] for p in at]))
-
 
 def _kernel_rtol(rtol: float, sin_half_sq: float) -> float:
     """Achievable tolerance for the angle kernels: the cancellation noise of
@@ -91,31 +83,31 @@ def _kernel_rtol(rtol: float, sin_half_sq: float) -> float:
     return max(rtol, 1e-16 / theta)
 
 
-def poisson_kernel_integral(nu: Measure, r: float, sin_half_sq: float,
-                            rtol: float = 1e-12) -> float:
-    """int r*xi / ((1 - r*xi)^2 + 4 r*xi sin^2(theta/2)) d nu(xi)."""
-    at = nu.atoms()
-    if at is not None:
-        w = np.array([p[0] for p in at])
-        a = np.array([p[1] for p in at])
-        u = r * a
-        denom = np.maximum((1.0 - u) ** 2 + 4.0 * u * sin_half_sq, _DENOM_FLOOR)
-        return float(np.sum(w * u / denom))
+def _kernel_integral(nu: Measure, r: float, s2: float, integrand,
+                     rtol: float) -> float:
+    """int integrand(r*xi, denom) d nu(xi), denom = (1 - r*xi)^2 + 4 r*xi s2.
+
+    The one quadrature of the flow kernels: the denominator is floored, the
+    panels are seeded at the pole 1/r with the Lorentzian width, and the
+    tolerance is relaxed to the cancellation floor.  Atomic measures get the
+    exact weighted sum from their own `integrate`."""
     xs = 1.0 / r
 
     def kernel(xi):
         u = r * xi
-        denom = np.maximum((1.0 - u) ** 2 + 4.0 * u * sin_half_sq, _DENOM_FLOOR)
-        return u / denom
+        denom = np.maximum((1.0 - u) ** 2 + 4.0 * u * s2, _DENOM_FLOOR)
+        return integrand(u, denom)
 
-    scale = max(2.0 * math.sqrt(sin_half_sq) * xs, xs * 1e-14)
-    eff = _kernel_rtol(rtol, sin_half_sq)
-    try:
-        return float(nu.integrate(kernel, points=(xs,), scales=(scale,), rtol=eff))
-    except NonIntegrable:
-        # graceful retry when the noise floor was underestimated
-        return float(nu.integrate(kernel, points=(xs,), scales=(scale,),
-                                  rtol=eff * 100.0))
+    scale = max(2.0 * math.sqrt(s2) * xs, xs * 1e-14)
+    return float(relaxed_retry(
+        lambda rt: nu.integrate(kernel, points=(xs,), scales=(scale,), rtol=rt),
+        _kernel_rtol(rtol, s2)))
+
+
+def poisson_kernel_integral(nu: Measure, r: float, sin_half_sq: float,
+                            rtol: float = 1e-12) -> float:
+    """int r*xi / ((1 - r*xi)^2 + 4 r*xi sin^2(theta/2)) d nu(xi)."""
+    return _kernel_integral(nu, r, sin_half_sq, lambda u, d: u / d, rtol)
 
 
 def angle_equation_lhs(ctx: FlowContext, r: float, theta: float) -> float:
@@ -129,34 +121,14 @@ def angle_equation_lhs(ctx: FlowContext, r: float, theta: float) -> float:
         ctx.nu, r, s2, rtol=ctx.tol_quad)
 
 
-def _angle_lhs_dtheta(ctx: FlowContext, r: float, theta: float) -> float:
-    """d/d theta of the angle-equation LHS (used for root polishing)."""
-    s2 = math.sin(0.5 * theta) ** 2
+def _angle_lhs_dtheta(ctx: FlowContext, r: float, theta: float,
+                      ival: float) -> float:
+    """d/d theta of the angle-equation LHS (used for root polishing), given
+    ival = poisson_kernel_integral at (r, theta)."""
     sin_t, cos_t = math.sin(theta), math.cos(theta)
-    ival = poisson_kernel_integral(ctx.nu, r, s2, rtol=ctx.tol_quad)
-
-    arrays = ctx._atom_arrays
-    if arrays is not None:
-        w, a = arrays
-        u = r * a
-        denom = np.maximum((1.0 - u) ** 2 + 4.0 * u * s2, _DENOM_FLOOR)
-        dival = float(np.sum(-w * u * (2.0 * u * sin_t) / denom ** 2))
-    else:
-        xs = 1.0 / r
-
-        def kernel(xi):
-            u = r * xi
-            denom = np.maximum((1.0 - u) ** 2 + 4.0 * u * s2, _DENOM_FLOOR)
-            return -u * (2.0 * u * sin_t) / denom ** 2
-
-        scale = max(2.0 * math.sqrt(s2) * xs, xs * 1e-14)
-        eff = _kernel_rtol(ctx.tol_quad, s2)
-        try:
-            dival = float(ctx.nu.integrate(kernel, points=(xs,),
-                                           scales=(scale,), rtol=eff))
-        except NonIntegrable:
-            dival = float(ctx.nu.integrate(kernel, points=(xs,),
-                                           scales=(scale,), rtol=eff * 100.0))
+    dival = _kernel_integral(ctx.nu, r, math.sin(0.5 * theta) ** 2,
+                             lambda u, d: -u * (2.0 * u * sin_t) / d ** 2,
+                             ctx.tol_quad)
     return (cos_t * theta - sin_t) / theta ** 2 * ival + sin_t / theta * dival
 
 
@@ -195,10 +167,12 @@ def solve_angle(ctx: FlowContext, r: float) -> float:
     # Newton polish: brentq stops on theta resolution, the contract is on
     # the residual
     for _ in range(6):
-        res = g(root)
+        ival = poisson_kernel_integral(ctx.nu, r, math.sin(0.5 * root) ** 2,
+                                       rtol=ctx.tol_quad)
+        res = math.sin(root) / root * ival - target
         if abs(res) <= ctx.tol_root * target:
             return root
-        der = _angle_lhs_dtheta(ctx, r, root)
+        der = _angle_lhs_dtheta(ctx, r, root, ival)
         if not math.isfinite(der) or der == 0.0:
             break
         cand = root - res / der
@@ -225,28 +199,8 @@ def _angle_bracket_scan(ctx: FlowContext, r: float, target: float):
 
 def _radial_exponent(ctx: FlowContext, r: float, u: float) -> float:
     """int (r^2 xi^2 - 1) / ((1 - r*xi)^2 + 4 r*xi sin^2(u/2)) d nu(xi)."""
-    s2 = math.sin(0.5 * u) ** 2
-    arrays = ctx._atom_arrays
-    if arrays is not None:
-        w, a = arrays
-        q = r * a
-        denom = np.maximum((1.0 - q) ** 2 + 4.0 * q * s2, _DENOM_FLOOR)
-        return float(np.sum(w * (q * q - 1.0) / denom))
-    xs = 1.0 / r
-
-    def kernel(xi):
-        q = r * xi
-        denom = np.maximum((1.0 - q) ** 2 + 4.0 * q * s2, _DENOM_FLOOR)
-        return (q * q - 1.0) / denom
-
-    scale = max(2.0 * math.sqrt(s2) * xs, xs * 1e-14)
-    eff = _kernel_rtol(ctx.tol_quad, s2)
-    try:
-        return float(ctx.nu.integrate(kernel, points=(xs,), scales=(scale,),
-                                      rtol=eff))
-    except NonIntegrable:
-        return float(ctx.nu.integrate(kernel, points=(xs,), scales=(scale,),
-                                      rtol=eff * 100.0))
+    return _kernel_integral(ctx.nu, r, math.sin(0.5 * u) ** 2,
+                            lambda q, d: (q * q - 1.0) / d, ctx.tol_quad)
 
 
 def radial_map(ctx: FlowContext, r: float) -> float:
@@ -349,7 +303,7 @@ def blowup_region(ctx: FlowContext, window=None) -> list[tuple[float, float]]:
     rs = [np.geomspace(wlo, whi, ctx.scan_points)]
     at = nu.atoms()
     if at is not None:
-        recips = np.array([1.0 / a for _, a in at])
+        recips = 1.0 / at[1]
         rs.append(recips[(recips > wlo) & (recips < whi)])
     else:
         mlo, mhi = nu.effective_support()

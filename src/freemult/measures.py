@@ -306,7 +306,8 @@ class Measure:
         raise NotImplementedError
 
     def atoms(self):
-        """List of (weight, location) pairs, or None for density measures."""
+        """(weights, locations) float arrays, locations increasing, or None
+        for density measures."""
         return None
 
     def density(self, x):
@@ -343,8 +344,8 @@ class Atomic(Measure):
     kind = "atomic"
 
     def __init__(self, weights: Sequence[float], locations: Sequence[float]):
-        w = np.asarray(weights, float)
-        a = np.asarray(locations, float)
+        w = np.array(weights, float)
+        a = np.array(locations, float)
         if w.ndim != 1 or a.shape != w.shape or w.size == 0:
             raise InvariantViolation("atomic.shape", "weights and locations must "
                                      "be equal-length non-empty vectors")
@@ -365,7 +366,7 @@ class Atomic(Measure):
         return False
 
     def atoms(self):
-        return list(zip(self.w.tolist(), self.a.tolist()))
+        return self.w, self.a
 
     def cdf(self, x):
         x = np.asarray(x, float)
@@ -508,13 +509,14 @@ class Named(Measure):
         self.family = family
         self.params = params
         self._fam = fam
+        self._support_cache: dict[float, tuple[float, float]] = {}
 
     def has_density(self) -> bool:
         return self.family != "dirac"
 
     def atoms(self):
         if self.family == "dirac":
-            return [(1.0, self.params["c"])]
+            return np.ones(1), np.array([self.params["c"]])
         return None
 
     def density(self, x):
@@ -536,6 +538,11 @@ class Named(Measure):
     def effective_support(self, tail: float = TOL_TAIL):
         if self.family == "dirac":
             return self.math_support()
+        if tail not in self._support_cache:
+            self._support_cache[tail] = self._quantile_support(tail)
+        return self._support_cache[tail]
+
+    def _quantile_support(self, tail: float) -> tuple[float, float]:
         # quantiles on both sides keep endpoint-singular densities (beta with
         # p or q below 1, Marchenko-Pastur at 0, ...) off the panel edges;
         # clamp a few ulps inside finite endpoints in case the quantile
@@ -581,8 +588,8 @@ class Named(Measure):
 
 def atomic(pairs: Sequence[tuple[float, float]]) -> Atomic:
     """Atomic measure from (weight, location) pairs (any order)."""
-    pairs = sorted(pairs, key=lambda p: p[1])
-    return Atomic([p[0] for p in pairs], [p[1] for p in pairs])
+    arr = np.asarray(sorted(pairs, key=lambda p: p[1]), float).reshape(-1, 2)
+    return Atomic(arr[:, 0], arr[:, 1])
 
 
 def dirac(c: float) -> Named:
@@ -690,26 +697,16 @@ def is_mult_symmetric(nu: Measure, tol: float = 1e-9) -> bool:
     `invert_measure(nu)` on a log-symmetric grid.
     """
     if not nu.has_density():
-        mine = nu.atoms()
-        other = invert_measure_atoms(nu)
-        if len(mine) != len(other):
-            return False
-        for (w1, a1), (w2, a2) in zip(sorted(mine, key=lambda p: p[1]),
-                                      sorted(other, key=lambda p: p[1])):
-            if abs(w1 - w2) > 1e-12 or abs(a1 - a2) > 1e-12 * max(1.0, abs(a1)):
-                return False
-        return True
+        w, a = nu.atoms()
+        w_inv, a_inv = w[::-1], 1.0 / a[::-1]
+        return bool(np.all(np.abs(w - w_inv) <= 1e-12) and
+                    np.all(np.abs(a - a_inv) <= 1e-12 * np.maximum(1.0, a)))
     inv = invert_measure(nu)
     lo1, hi1 = nu.effective_support(1e-9)
     lo2, hi2 = inv.effective_support(1e-9)
     span = max(abs(math.log(v)) for v in (lo1, hi1, lo2, hi2))
     x = np.exp(np.linspace(-span, span, 1025))
     return float(np.max(np.abs(nu.cdf(x) - inv.cdf(x)))) <= tol
-
-
-def invert_measure_atoms(nu: Measure):
-    at = nu.atoms()
-    return sorted(((w, 1.0 / a) for w, a in at), key=lambda p: p[1])
 
 
 def sup_cdf_distance(mu: Measure, nu: Measure, points: int = 1025) -> float:
@@ -736,8 +733,7 @@ def f_blowup(nu: Measure, r: float) -> float:
         raise DomainError(f"r must be positive, got {r}")
     at = nu.atoms()
     if at is not None:
-        w = np.array([p[0] for p in at])
-        a = np.array([p[1] for p in at])
+        w, a = at
         u = a * r
         if np.any(np.abs(1.0 - u) <= 64 * _EPS * np.maximum(1.0, u)):
             return math.inf

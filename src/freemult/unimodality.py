@@ -211,8 +211,7 @@ def pick_inequality_check(mu: Measure, c: float, grid: HalfPlaneGrid | None = No
     zs = (grid or default_checker_grid()).points()
     at = mu.atoms()
     if at is not None:
-        w = np.array([p[0] for p in at])
-        a = np.array([p[1] for p in at])
+        w, a = at
         psi_p = np.sum(w[None, :] * a[None, :] /
                        (1.0 - a[None, :] * zs[:, None]) ** 2, axis=1)
         vals_c = zs * (1.0 - c * zs) * psi_p

@@ -90,6 +90,30 @@ def test_counterexample_command(tmp_path):
         assert entry["support_components"] >= 2
 
 
+def test_tolerance_flags_only_on_flow_commands(tmp_path):
+    out = str(tmp_path)
+    assert main(["sweep", "--measure", DIRAC1, "--t", "1", "--tol-root", "1e-3",
+                 "--out", out]) == 2
+    assert main(["pick", "--measure", GAMMA21, "--mode", "2", "--tol-quad",
+                 "1e-9", "--out", out]) == 2
+    assert main(["check", "--measure", GAMMA21, "--tol-root", "1e-3",
+                 "--out", out]) == 2
+    assert main(["counterexample", "--n-atoms", "5", "--tol-quad", "1e-9",
+                 "--out", out]) == 0
+    report = json.loads(
+        open(os.path.join(out, "counterexample_report.json")).read())
+    assert report["tolerances"]["tol_quad"] == 1e-9
+
+
+def test_unwired_tolerance_rejected(tmp_path):
+    path = str(tmp_path / "scenario.json")
+    with open(path, "w") as fh:
+        json.dump({"schema_version": 1, "runs": [
+            {"command": "density", "measure": json.loads(DIRAC1),
+             "times": [1.0], "tolerances": {"tol_tail": 1e-3}}]}, fh)
+    assert main(["scenario", path, "--out", str(tmp_path)]) == 2
+
+
 def test_pick_command(tmp_path):
     out = str(tmp_path)
     assert main(["pick", "--measure", GAMMA21, "--mode", "2", "--out", out]) == 0

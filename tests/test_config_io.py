@@ -59,7 +59,7 @@ def test_parse_unknown_kind():
 def test_atomic_sorted_on_parse():
     nu = config_io.parse_measure(
         '{"kind": "atomic", "atoms": [{"w": 0.5, "a": 4}, {"w": 0.5, "a": 1}]}')
-    assert [a for _, a in nu.atoms()] == [1.0, 4.0]
+    assert nu.atoms()[1].tolist() == [1.0, 4.0]
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,6 @@ def test_write_report_and_curve(tmp_path):
     config_io.write_report(rep, rep_path)
     loaded = json.loads(open(rep_path).read())
     assert loaded["schema_version"] == 1
-    assert loaded["timing"] is None
     config_io.write_report(rep, rep_path)
     assert json.loads(open(rep_path).read()) == loaded
     # atomic writes leave no temp files behind

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import freemult as fm
+from freemult import flow
 from freemult.errors import DomainError, EmptyVSet, InvariantViolation
 
 
@@ -49,6 +50,37 @@ def test_angle_lhs_domain():
         fm.angle_equation_lhs(ctx, 1.0, 0.0)
     with pytest.raises(DomainError):
         fm.angle_equation_lhs(ctx, -1.0, 0.5)
+
+
+@pytest.mark.parametrize("nu", [fm.gamma_measure(2.0, 1.0),
+                                fm.lambda_measure(math.pi / 2),
+                                fm.atomic([(0.5, 1.0), (0.5, 4.0)])])
+def test_angle_lhs_dtheta_matches_central_difference(nu):
+    ctx = fm.FlowContext(nu, 1.0)
+    r, h = 0.7, 1e-5
+    for theta in (0.4, 1.3, 2.5):
+        ival = flow.poisson_kernel_integral(nu, r, math.sin(theta / 2) ** 2,
+                                            rtol=ctx.tol_quad)
+        fd = (fm.angle_equation_lhs(ctx, r, theta + h)
+              - fm.angle_equation_lhs(ctx, r, theta - h)) / (2 * h)
+        assert flow._angle_lhs_dtheta(ctx, r, theta, ival) == pytest.approx(
+            fd, rel=1e-6)
+
+
+def test_atomic_kernels_match_direct_sums():
+    w, a = np.array([0.2, 0.3, 0.5]), np.array([0.5, 1.0, 3.0])
+    nu = fm.atomic(list(zip(w, a)))
+    ctx = fm.FlowContext(nu, 1.0)
+    rng = np.random.default_rng(20)
+    for r, theta in zip(rng.uniform(0.1, 5.0, 32), rng.uniform(0.01, 3.1, 32)):
+        u = r * a
+        s2 = math.sin(theta / 2) ** 2
+        denom = (1.0 - u) ** 2 + 4.0 * u * s2
+        assert flow.poisson_kernel_integral(nu, r, s2) == pytest.approx(
+            np.sum(w * u / denom), rel=1e-14)
+        terms = w * (u * u - 1.0) / denom
+        assert flow._radial_exponent(ctx, r, theta) == pytest.approx(
+            np.sum(terms), rel=1e-14, abs=1e-14 * np.sum(np.abs(terms)))
 
 
 def test_solve_angle_against_bisection_oracle():
