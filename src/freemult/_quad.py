@@ -82,20 +82,23 @@ def ladder_edges(point: float, scale: float, lo: float, hi: float) -> np.ndarray
     return pts
 
 
-def build_edges(lo: float, hi: float, points=(), scales=(),
-                per_decade: float = 6.0) -> np.ndarray:
-    """Seeded panel edges: geometric base plus ladders at known trouble points."""
-    base = geometric_edges(lo, hi, per_decade=per_decade)
-    extra = [base]
-    for p, s in zip(points, scales):
-        extra.append(ladder_edges(float(p), float(s), lo, hi))
-    edges = np.unique(np.concatenate(extra))
-    # drop edges closer than floating resolution
+def merge_edges(parts) -> np.ndarray:
+    """Sorted union of edge arrays, without edges closer than floating
+    resolution to their predecessor."""
+    edges = np.unique(np.concatenate(parts))
     keep = np.empty(edges.shape, dtype=bool)
     keep[0] = True
     tol = np.maximum(np.abs(edges[1:]), np.abs(edges[:-1])) * 4 * _EPS
     keep[1:] = np.diff(edges) > tol
     return edges[keep]
+
+
+def build_edges(lo: float, hi: float, points=(), scales=(),
+                per_decade: float = 6.0) -> np.ndarray:
+    """Seeded panel edges: geometric base plus ladders at known trouble points."""
+    return merge_edges([geometric_edges(lo, hi, per_decade=per_decade)]
+                       + [ladder_edges(float(p), float(s), lo, hi)
+                          for p, s in zip(points, scales)])
 
 
 def adaptive_quad(f, edges, rtol: float = 1e-9, atol: float = 0.0,

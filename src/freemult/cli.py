@@ -54,19 +54,33 @@ _ALL_CHECKS = ("mass", "mean", "symmetry", "logunimodal", "pick",
                "theta_sweep", "support")
 
 
-def effective_tolerances(overrides: dict | None = None) -> dict:
-    tol = {
-        "tol_root": 1e-10,
-        "tol_quad": 1e-12,
-        "tol_int": TOL_INT,
-        "tol_pick": TOL_PICK,
-        "hysteresis": DEFAULT_HYSTERESIS,
-        "tol_mean_rel": 1e-3,
-        "tol_symmetry": 1e-3,
-    }
+_TOLERANCE_DEFAULTS = {
+    "tol_root": 1e-10,
+    "tol_quad": 1e-12,
+    "tol_int": TOL_INT,
+    "tol_pick": TOL_PICK,
+    "hysteresis": DEFAULT_HYSTERESIS,
+    "tol_mean_rel": 1e-3,
+    "tol_symmetry": 1e-3,
+}
+# the tolerances each command reads, and so reports and accepts
+_COMMAND_TOLERANCES = {
+    "density": tuple(_TOLERANCE_DEFAULTS),
+    "check": ("tol_pick", "hysteresis"),
+    "sweep": (),
+    "counterexample": ("tol_root", "tol_quad"),
+    "pick": ("tol_pick",),
+}
+
+
+def effective_tolerances(command: str, overrides: dict | None = None) -> dict:
+    """The tolerances `command` reads, defaults overridden by `overrides`;
+    naming a tolerance the command does not read is a ParseError."""
+    tol = {k: _TOLERANCE_DEFAULTS[k] for k in _COMMAND_TOLERANCES[command]}
     for k, v in (overrides or {}).items():
         if k not in tol:
-            raise ParseError(f"unknown tolerance {k!r}; known: {sorted(tol)}")
+            raise ParseError(f"{command} reads no tolerance {k!r}; "
+                             f"it reads: {sorted(tol)}")
         tol[k] = float(v)
     return tol
 
@@ -128,7 +142,7 @@ def run_density(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
     for c in checks:
         if c not in _ALL_CHECKS:
             raise ParseError(f"unknown check {c!r}; known: {list(_ALL_CHECKS)}")
-    tol = effective_tolerances(cfg.get("tolerances"))
+    tol = effective_tolerances("density", cfg.get("tolerances"))
 
     warnings: list[str] = []
     per_t = []
@@ -166,15 +180,15 @@ def run_density(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
                 summary["symmetry_pass"] = defect <= tol["tol_symmetry"]
             else:
                 summary["symmetry_pass"] = "skipped"
+        if "logunimodal" in checks or "pick" in checks:
+            mode_report = is_log_unimodal(curve, hysteresis=tol["hysteresis"])
         if "logunimodal" in checks:
-            report = is_log_unimodal(curve, hysteresis=tol["hysteresis"])
-            summary["logunimodal"] = report.verdict
-            summary["modes"] = list(report.modes)
+            summary["logunimodal"] = mode_report.verdict
+            summary["modes"] = list(mode_report.modes)
         if "pick" in checks:
-            report = is_log_unimodal(curve, hysteresis=tol["hysteresis"])
-            if report.modes:
+            if mode_report.modes:
                 gcurve = GridDensity(curve.x, curve.q, normalize=True)
-                pick = pick_inequality_check(gcurve, report.modes[0],
+                pick = pick_inequality_check(gcurve, mode_report.modes[0],
                                              tol_pick=tol["tol_pick"])
                 summary["pick_holds"] = pick.holds
             else:
@@ -203,8 +217,8 @@ def run_density(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
 
 def run_check(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
     nu = _measure_of(cfg["measure"])
-    tol = effective_tolerances(cfg.get("tolerances") if "tolerances" in cfg else None)
-    hysteresis = float(cfg.get("hysteresis", tol["hysteresis"]))
+    tol = effective_tolerances("check", cfg.get("tolerances"))
+    hysteresis = tol["hysteresis"] = float(cfg.get("hysteresis", tol["hysteresis"]))
     requested = cfg.get("checks") or ["logunimodal", "pick"]
     results: dict = {}
     warnings: list[str] = []
@@ -276,7 +290,7 @@ def run_sweep(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
     times = [float(t) for t in cfg.get("times") or []]
     if not times:
         raise ParseError("sweep needs a non-empty 'times' list")
-    tol = effective_tolerances(cfg.get("tolerances") if "tolerances" in cfg else None)
+    tol = effective_tolerances("sweep", cfg.get("tolerances"))
     n_angles = int((cfg.get("angles") or {}).get("count", 64))
     grid = int(cfg.get("grid", 4096))
     window = cfg.get("window")
@@ -322,7 +336,7 @@ def run_counterexample(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
     rule = cfg.get("rule", "zeta6")
     times = [float(t) for t in cfg.get("times") or [1.0]]
     k_max = int(cfg.get("k_max", n_atoms - 1))
-    tol = effective_tolerances(cfg.get("tolerances"))
+    tol = effective_tolerances("counterexample", cfg.get("tolerances"))
 
     nu, spec = build_counterexample(n_atoms, rule=rule)
     results: dict = {
@@ -370,7 +384,7 @@ def run_counterexample(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
 
 def run_pick(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
     nu = _measure_of(cfg["measure"])
-    tol = effective_tolerances(None)
+    tol = effective_tolerances("pick", cfg.get("tolerances"))
     if "mode" in cfg and cfg["mode"] is not None:
         modes = [float(cfg["mode"])]
     elif "mode_sweep" in cfg and cfg["mode_sweep"]:
@@ -621,8 +635,10 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_NUMERIC
     except FreemultError as exc:
+        tol = (effective_tolerances(args.command)
+               if args.command in _COMMAND_TOLERANCES else {})
         print(f"numeric failure in {args.command}: {type(exc).__name__}: {exc} "
-              f"(tolerances: {effective_tolerances(None)})", file=sys.stderr)
+              f"(tolerances: {tol})", file=sys.stderr)
         return EXIT_NUMERIC
     print(f"[{args.command}] {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return code

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import optimize
 
 from .errors import (
@@ -64,34 +65,67 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w * h / 3.0
 
 
-def _level_profile(nu: Measure, R: float, r_grid: np.ndarray) -> np.ndarray:
-    """Vectorized Theta_R over an r grid -- used to locate sign structure;
-    individual roots are polished with the scalar adaptive route."""
+def _kernel_sums(r: np.ndarray, xi: np.ndarray, wts: np.ndarray, s2: float,
+                 pref: float) -> np.ndarray:
+    """pref * sum_j wts_j K(r_i xi_j) for every r_i, in chunks of about 4e6
+    kernel values."""
+    out = np.empty(r.size)
+    chunk = max(1, int(4e6 // xi.size))
+    for i in range(0, r.size, chunk):
+        u = r[i:i + chunk, None] * xi[None, :]
+        denom = (1.0 - u) ** 2 + 4.0 * u * s2
+        out[i:i + chunk] = pref * (u / denom) @ wts
+    return out
+
+
+def _level_profile(nu: Measure, R: float, wlo: float, whi: float,
+                   grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Theta_R on a log grid of at least `grid` points covering [wlo, whi]:
+    returns (r, values).  Used to locate sign structure; individual roots
+    are polished with the scalar adaptive route.
+
+    Atomic measures get the exact atom sum on geomspace(wlo, whi, grid).
+    For a density the Simpson nodes xi_j = lo * e^{j h} in log xi and the
+    radii r_i = wlo * e^{i m h} share one log lattice, so that
+    Theta_R(r_i) = pref * sum_j w_j K_{i m + j} with K_k the kernel at
+    u = wlo * lo * e^{k h}: a correlation of the kernel, sampled once, with
+    the weights, done by FFT.  When m >= n the windows of K do not overlap
+    and the n_r x n lattice samples are summed directly instead."""
     s2 = math.sin(0.5 * R) ** 2
     pref = math.sin(R) / R
     at = nu.atoms()
     if at is not None:
-        wts, xi = at
-    else:
-        lo, hi = nu.effective_support()
-        span = math.log(hi / lo)
-        n = int(min(max(513, math.ceil(10.0 * span / R)), 24001))
-        if n % 2 == 0:
-            n += 1
-        if n >= 24001:
-            # kernel too narrow for a shared node set: per-point adaptive route
-            return np.array([level_function(nu, R, float(r), rtol=1e-9)
-                             for r in r_grid])
-        y = np.linspace(math.log(lo), math.log(hi), n)
-        xi = np.exp(y)
-        wts = _simpson_weights(n, y[1] - y[0]) * xi * nu.density(xi)
-    out = np.empty(r_grid.size)
-    chunk = max(1, int(4e6 // xi.size))
-    for i in range(0, r_grid.size, chunk):
-        u = r_grid[i:i + chunk, None] * xi[None, :]
-        denom = (1.0 - u) ** 2 + 4.0 * u * s2
-        out[i:i + chunk] = pref * (u / denom) @ wts
-    return out
+        r = np.geomspace(wlo, whi, grid)
+        return r, _kernel_sums(r, at[1], at[0], s2, pref)
+    lo, hi = nu.effective_support()
+    span = math.log(hi / lo)
+    n = int(min(max(513, math.ceil(10.0 * span / R)), 24001))
+    n += 1 - n % 2
+    if n >= 24001:
+        # kernel too narrow for a shared node set: per-point adaptive route
+        r = np.geomspace(wlo, whi, grid)
+        return r, np.array([level_function(nu, R, float(rr), rtol=1e-9)
+                            for rr in r])
+    # node step no coarser than the grid step dr
+    dr = math.log(whi / wlo) / (grid - 1)
+    n = max(n, math.ceil(span / dr) + 1)
+    n += 1 - n % 2
+    y = np.linspace(math.log(lo), math.log(hi), n)
+    h = (y[-1] - y[0]) / (n - 1)
+    m = max(1, int(dr // h))
+    n_r = math.ceil(math.log(whi / wlo) / (m * h)) + 1
+    r = wlo * np.exp((m * h) * np.arange(n_r))
+    xi = np.exp(y)
+    wts = _simpson_weights(n, h) * xi * nu.density(xi)
+    if m >= n:
+        return r, _kernel_sums(r, xi, wts, s2, pref)
+    size = (n_r - 1) * m + n
+    u = np.exp((math.log(wlo) + y[0]) + h * np.arange(size))
+    kern = u / ((1.0 - u) ** 2 + 4.0 * u * s2)
+    nfft = sp_fft.next_fast_len(size, real=True)
+    corr = sp_fft.irfft(sp_fft.rfft(kern, nfft)
+                        * np.conj(sp_fft.rfft(wts, nfft)), nfft)
+    return r, pref * corr[:(n_r - 1) * m + 1:m]
 
 
 @dataclass(frozen=True)
@@ -126,6 +160,8 @@ def count_level_solutions(nu: Measure, R: float, t: float, window=None,
     caller pinned it)."""
     if t <= 0:
         raise DomainError(f"t must be positive, got {t}")
+    if grid < 64:
+        raise DomainError(f"need at least 64 grid points, got {grid}")
     target = 1.0 / t
     if window is None:
         wlo, whi = _default_level_window(nu)
@@ -135,8 +171,8 @@ def count_level_solutions(nu: Measure, R: float, t: float, window=None,
             raise DomainError(f"bad window {window}")
 
     for _ in range(80):
-        r = np.geomspace(wlo, whi, grid)
-        vals = _level_profile(nu, R, r) - target
+        r, vals = _level_profile(nu, R, wlo, whi, grid)
+        vals = vals - target
         lo_clipped = vals[0] >= 0.0
         hi_clipped = vals[-1] >= 0.0
         if not (lo_clipped or hi_clipped):
@@ -202,6 +238,8 @@ def count_level_solutions(nu: Measure, R: float, t: float, window=None,
 def default_angle_sweep(n: int = 64) -> np.ndarray:
     """Angles in (0, pi), log-spaced toward both ends where the criterion
     transitions live."""
+    if n < 2:
+        raise DomainError(f"need at least 2 angles, got {n}")
     half = np.geomspace(0.01, math.pi / 2, n // 2 + 1)[:-1]
     return np.unique(np.concatenate([half, math.pi - half]))
 
@@ -221,6 +259,8 @@ def sweep_level_counts(nu: Measure, t: float, angles=None, window=None,
     """Run the solution count across an angle sweep; the marginal at time t
     is log-unimodal exactly when every count is at most two."""
     angles = default_angle_sweep() if angles is None else np.asarray(angles, float)
+    if angles.size == 0:
+        raise DomainError("need at least one angle")
     counts, eff, roots, flags = [], [], [], []
     for R in angles:
         sol = count_level_solutions(nu, float(R), t, window=window, grid=grid)
@@ -254,24 +294,24 @@ def reciprocal_interval_check(nu: Measure, t: float, n_r: int = 64,
 
     For such angles the level equation then has no solutions between 1/hi
     and 1/lo, which closes the at-most-two count for times past the
-    threshold.  Vacuously true when no angle qualifies."""
+    threshold.  Vacuously true when no angle qualifies.  `n_r` is the
+    minimum number of radial samples over [1/hi, 1/lo]."""
     lo, hi = nu.math_support()
     if not (0.0 < lo) or math.isinf(hi):
         raise DomainError("measure must be supported on a bounded interval")
     if t <= 0:
         raise DomainError(f"t must be positive, got {t}")
+    if n_r < 2:
+        raise DomainError(f"need at least 2 radial samples, got {n_r}")
     thr = (3.0 * lo ** 4 - hi ** 4) / (2.0 * lo ** 3 * hi)
     angles = np.linspace(1e-3, math.pi - 1e-3, n_angle)
     angles = angles[np.cos(angles) > thr]
     if angles.size == 0:
         return True
-    if lo == hi:
-        r_grid = np.array([1.0 / lo])
-    else:
-        r_grid = np.geomspace(1.0 / hi, 1.0 / lo, n_r)
     target = 1.0 / t
     for R in angles:
-        if np.min(_level_profile(nu, float(R), r_grid)) <= target:
+        _r, vals = _level_profile(nu, float(R), 1.0 / hi, 1.0 / lo, n_r)
+        if np.min(vals) <= target:
             return False
     return True
 

@@ -1,6 +1,7 @@
 import json
 import os
 
+from freemult import cli
 from freemult.cli import main
 
 DIRAC1 = '{"kind": "named", "family": "dirac", "params": {"c": 1}}'
@@ -76,6 +77,54 @@ def test_sweep_command(tmp_path):
     assert report["results"]["per_t"][0]["log_unimodal"] is True
     csv = open(os.path.join(out, "sweep_t1.csv")).read()
     assert csv.startswith("R,count,effective_count,boundary,roots\n")
+
+
+def test_sweep_rejects_degenerate_sizes(tmp_path):
+    out = str(tmp_path)
+    for flags in (["--grid", "1"], ["--grid", "0"], ["--grid", "63"],
+                  ["--angles", "1"], ["--angles", "0"]):
+        assert main(["sweep", "--measure", DIRAC1, "--t", "1", "--out", out]
+                    + flags) == 2, flags
+
+
+def test_reports_list_the_tolerances_read(tmp_path):
+    out = str(tmp_path)
+    assert main(["sweep", "--measure", DIRAC1, "--t", "1", "--angles", "4",
+                 "--grid", "256", "--out", out]) == 0
+    report = json.loads(open(os.path.join(out, "sweep_report.json")).read())
+    assert report["tolerances"] == {}
+    assert main(["pick", "--measure", GAMMA21, "--mode", "2", "--out", out]) == 0
+    report = json.loads(open(os.path.join(out, "pick_report.json")).read())
+    assert report["tolerances"] == {"tol_pick": 1e-10}
+    assert main(["check", "--measure", GAMMA21, "--hysteresis", "2e-4",
+                 "--out", out]) == 0
+    report = json.loads(open(os.path.join(out, "check_report.json")).read())
+    assert report["tolerances"] == {"tol_pick": 1e-10, "hysteresis": 2e-4}
+
+
+def test_unread_tolerance_rejected_per_command(tmp_path):
+    runs = [{"command": "sweep", "measure": json.loads(DIRAC1),
+             "times": [1.0], "tolerances": {"tol_root": 1e-3}},
+            {"command": "pick", "measure": json.loads(GAMMA21), "mode": 2.0,
+             "tolerances": {"hysteresis": 1e-3}},
+            {"command": "check", "measure": json.loads(GAMMA21),
+             "tolerances": {"tol_quad": 1e-9}}]
+    for i, run in enumerate(runs):
+        path = str(tmp_path / f"scenario{i}.json")
+        with open(path, "w") as fh:
+            json.dump({"schema_version": 1, "runs": [run]}, fh)
+        assert main(["scenario", path, "--out", str(tmp_path)]) == 2, run
+
+
+def test_density_counts_modes_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli.is_log_unimodal
+    monkeypatch.setattr(cli, "is_log_unimodal",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert main(["density", "--measure", DIRAC1, "--t", "1", "--points", "128",
+                 "--check", "logunimodal", "--check", "pick",
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_counterexample_command(tmp_path):

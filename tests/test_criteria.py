@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import freemult as fm
+from freemult import criteria
 from freemult.errors import (
     DomainError,
     GridUnderflow,
@@ -60,10 +63,69 @@ def test_count_solutions_pinned_window_raises():
                                  window=(0.5, 1.5), expand=False)
 
 
+def test_level_profiles_reject_coarse_grids():
+    nu = fm.uniform_interval(1, 1.1)
+    for grid in (63, 1, 0, -5):
+        with pytest.raises(DomainError):
+            fm.count_level_solutions(nu, 1.0, 22.0, grid=grid)
+    with pytest.raises(DomainError):
+        fm.reciprocal_interval_check(nu, 22.0, n_r=1)
+
+
+def _profile_matches_level_function(nu, R, picks):
+    wlo, whi = criteria._default_level_window(nu)
+    r, vals = criteria._level_profile(nu, R, wlo, whi, 4096)
+    # the lattice covers the window with at least `grid` points
+    assert r.size >= 4096 and r[0] == wlo and r[-1] >= whi * (1 - 1e-12)
+    assert np.all(np.diff(np.log(r)) <= math.log(whi / wlo) / 4095 * (1 + 1e-9))
+    idx = (np.asarray(picks) * (r.size - 1)).astype(int)
+    ref = np.array([fm.level_function(nu, R, float(r[i])) for i in idx])
+    assert np.max(np.abs(vals[idx] - ref)) <= 1e-9 * np.max(vals)
+
+
+_LATTICE_MEASURES = st.one_of(
+    st.builds(lambda lo, d: fm.uniform_interval(lo, lo * (1 + d)),
+              st.floats(0.1, 10.0), st.floats(1e-3, 1.0)),
+    st.builds(fm.log_normal, st.floats(-2.0, 2.0), st.floats(0.1, 1.5)),
+    st.builds(fm.gamma_measure, st.floats(2.0, 5.0), st.floats(0.2, 5.0)),
+)
+
+
+@given(nu=_LATTICE_MEASURES, R=st.floats(0.01, math.pi - 0.01),
+       picks=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_lattice_profile_matches_level_function(nu, R, picks):
+    _profile_matches_level_function(nu, R, picks)
+
+
+def test_narrow_support_profile_sums_directly(monkeypatch):
+    # uniform(1, 1.001): the lattice step m exceeds the node count n, so the
+    # kernel windows do not overlap and the profile is a direct sum
+    calls = []
+    sums = criteria._kernel_sums
+    monkeypatch.setattr(criteria, "_kernel_sums",
+                        lambda *a: calls.append(a[0].size) or sums(*a))
+    for R in (0.01, 1.0, math.pi - 0.01):
+        _profile_matches_level_function(fm.uniform_interval(1, 1.001), R,
+                                        (0.0, 0.4997, 0.5, 0.61, 1.0))
+    assert len(calls) == 3 and min(calls) >= 4096
+    # a wider support overlaps and goes through the FFT correlation
+    _profile_matches_level_function(fm.uniform_interval(1, 1.1), 1.0, (0.5,))
+    assert len(calls) == 3
+
+
 def test_default_angle_sweep_shape():
     angles = fm.criteria.default_angle_sweep()
     assert angles.size == 64
     assert np.all((angles > 0) & (angles < math.pi))
+
+
+def test_angle_sweep_needs_two_angles():
+    assert fm.criteria.default_angle_sweep(2).size == 2
+    for n in (1, 0):
+        with pytest.raises(DomainError):
+            fm.criteria.default_angle_sweep(n)
+    with pytest.raises(DomainError):
+        fm.sweep_level_counts(fm.dirac(1.0), 1.0, angles=[])
 
 
 def test_sweep_counts_symmetric_measure():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
+from scipy import stats
 
 import freemult as fm
+from freemult._quad import build_edges
 from freemult.errors import (
     AtomicHasNoDensity,
     DomainError,
@@ -119,6 +121,47 @@ def test_named_effective_support_cached_per_tail():
     assert nu.effective_support() is first
     assert first == fm.gamma_measure(2.0, 1.0).effective_support()
     assert nu.effective_support(1e-9) != first
+
+
+@pytest.mark.parametrize("nu, ref", [
+    (fm.gamma_measure(2.0, 1.0), lambda x: stats.gamma.pdf(x, a=2.0, scale=1.0)),
+    (fm.gamma_measure(0.5, 3.0), lambda x: stats.gamma.pdf(x, a=0.5, scale=3.0)),
+    (fm.gamma_measure(1.0, 0.7), lambda x: stats.gamma.pdf(x, a=1.0, scale=0.7)),
+    (fm.half_normal(4.0), lambda x: stats.halfnorm.pdf(x, scale=2.0)),
+    (fm.half_normal(0.3), lambda x: stats.halfnorm.pdf(x, scale=math.sqrt(0.3))),
+    (fm.log_normal(0.0, 0.5), lambda x: stats.lognorm.pdf(x, s=0.5, scale=1.0)),
+    (fm.log_normal(-1.3, 2.2),
+     lambda x: stats.lognorm.pdf(x, s=2.2, scale=math.exp(-1.3))),
+    (fm.uniform_interval(1.0, 1.1),
+     lambda x: stats.uniform.pdf(x, loc=1.0, scale=1.1 - 1.0)),
+    (fm.uniform_interval(0.3, 7.0),
+     lambda x: stats.uniform.pdf(x, loc=0.3, scale=7.0 - 0.3)),
+])
+def test_closed_form_pdfs_bitwise_equal_scipy(nu, ref):
+    rng = np.random.default_rng(5)
+    lo, hi = nu.math_support()
+    ends = [v for v in (lo, hi) if math.isfinite(v)]
+    for size in (1, 7, 33, 2500):
+        x = np.concatenate([rng.exponential(3.0, size), -rng.exponential(1.0, 3),
+                            ends, np.nextafter(ends, -1.0),
+                            np.nextafter(ends, 10.0), [0.0, 1e-300]])
+        with np.errstate(divide="ignore"):  # log of a subnormal product
+            got, want = np.asarray(nu.density(x)), np.asarray(ref(x))
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nu", [fm.gamma_measure(2.0, 1.0),
+                                fm.gamma_measure(0.5, 1.0),
+                                fm.beta_measure(0.5, 0.5),
+                                fm.lambda_measure(1.0)])
+def test_cached_panel_edges_equal_build_edges(nu):
+    lo, hi = nu.effective_support()
+    sing = list(nu._fam.singular(nu.params))
+    for r, theta in ((0.5, 1e-3), (1.0, 1e-9), (3.0, 0.3), (40.0, 2.0)):
+        pts, scl = [1.0 / r], [theta / r]
+        want = build_edges(lo, hi, pts + sing,
+                           scl + [max(abs(s), lo) * 1e-9 for s in sing])
+        assert nu._panel_edges(pts, scl).tobytes() == want.tobytes()
 
 
 def test_invert_dirac():
