@@ -44,6 +44,9 @@ from .measures import (
 )
 
 _TANGENT_TOL = 1e-9
+# kernel samples a level profile may hold at once (the lattice for the FFT,
+# the nodes for the chunked direct sum); beyond it, the per-point route
+_LATTICE_MAX = 2 ** 20
 
 
 def level_function(nu: Measure, R: float, r: float, rtol: float = 1e-12) -> float:
@@ -99,28 +102,26 @@ def _level_profile(nu: Measure, R: float, wlo: float, whi: float,
         return r, _kernel_sums(r, at[1], at[0], s2, pref)
     lo, hi = nu.effective_support()
     span = math.log(hi / lo)
-    n = int(min(max(513, math.ceil(10.0 * span / R)), 24001))
+    # node step no coarser than a tenth of the kernel's log-width R, nor
+    # than the grid step dr
+    dr = math.log(whi / wlo) / (grid - 1)
+    n = max(513, math.ceil(10.0 * span / R), math.ceil(span / dr) + 1)
     n += 1 - n % 2
-    if n >= 24001:
-        # kernel too narrow for a shared node set: per-point adaptive route
+    y0 = math.log(lo)
+    h = (math.log(hi) - y0) / (n - 1)
+    m = max(1, int(dr // h))
+    n_r = math.ceil(math.log(whi / wlo) / (m * h)) + 1
+    size = (n_r - 1) * m + n
+    if (n if m >= n else size) > _LATTICE_MAX:
         r = np.geomspace(wlo, whi, grid)
         return r, np.array([level_function(nu, R, float(rr), rtol=1e-9)
                             for rr in r])
-    # node step no coarser than the grid step dr
-    dr = math.log(whi / wlo) / (grid - 1)
-    n = max(n, math.ceil(span / dr) + 1)
-    n += 1 - n % 2
-    y = np.linspace(math.log(lo), math.log(hi), n)
-    h = (y[-1] - y[0]) / (n - 1)
-    m = max(1, int(dr // h))
-    n_r = math.ceil(math.log(whi / wlo) / (m * h)) + 1
     r = wlo * np.exp((m * h) * np.arange(n_r))
-    xi = np.exp(y)
+    xi = np.exp(np.linspace(y0, math.log(hi), n))
     wts = _simpson_weights(n, h) * xi * nu.density(xi)
     if m >= n:
         return r, _kernel_sums(r, xi, wts, s2, pref)
-    size = (n_r - 1) * m + n
-    u = np.exp((math.log(wlo) + y[0]) + h * np.arange(size))
+    u = np.exp((math.log(wlo) + y0) + h * np.arange(size))
     kern = u / ((1.0 - u) ** 2 + 4.0 * u * s2)
     nfft = sp_fft.next_fast_len(size, real=True)
     corr = sp_fft.irfft(sp_fft.rfft(kern, nfft)
@@ -150,14 +151,14 @@ def _default_level_window(nu: Measure) -> tuple[float, float]:
 
 
 def count_level_solutions(nu: Measure, R: float, t: float, window=None,
-                          grid: int = 4096, expand: bool = True) -> LevelSolutions:
+                          grid: int = 4096) -> LevelSolutions:
     """Count solutions of Theta_R(r) = 1/t.
 
     Sign changes on a log grid are polished by bracketed root finding; local
     extrema that touch the level within tolerance are reported as boundary
-    (tangency) cases.  When the level function is still above 1/t at a
-    window end the window is widened (or WindowTooNarrow is raised if the
-    caller pinned it)."""
+    (tangency) cases.  When the level function is still above 1/t at an end
+    of the default window the window is widened; a caller-given window is
+    never widened, and WindowTooNarrow is raised instead."""
     if t <= 0:
         raise DomainError(f"t must be positive, got {t}")
     if grid < 64:
@@ -177,7 +178,7 @@ def count_level_solutions(nu: Measure, R: float, t: float, window=None,
         hi_clipped = vals[-1] >= 0.0
         if not (lo_clipped or hi_clipped):
             break
-        if window is not None and not expand:
+        if window is not None:
             raise WindowTooNarrow(
                 f"level function exceeds 1/t at a window end of {window}")
         if lo_clipped:

@@ -48,6 +48,9 @@ ANGLE_FLOOR = 1e-9
 _S2_FLOOR = math.sin(0.5 * ANGLE_FLOOR) ** 2
 _DENOM_FLOOR = 1e-280
 TOL_INT = 1e-4
+# relative Newton step and bracket width that end an angle solve
+_ANGLE_STEP = 1e-12
+_ANGLE_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -123,8 +126,8 @@ def angle_equation_lhs(ctx: FlowContext, r: float, theta: float) -> float:
 
 def _angle_lhs_dtheta(ctx: FlowContext, r: float, theta: float,
                       ival: float) -> float:
-    """d/d theta of the angle-equation LHS (used for root polishing), given
-    ival = poisson_kernel_integral at (r, theta)."""
+    """d/d theta of the angle-equation LHS (the Newton slope of
+    solve_angle), given ival = poisson_kernel_integral at (r, theta)."""
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     dival = _kernel_integral(ctx.nu, r, math.sin(0.5 * theta) ** 2,
                              lambda u, d: -u * (2.0 * u * sin_t) / d ** 2,
@@ -145,56 +148,52 @@ def capped_blowup(ctx: FlowContext, r: float) -> float:
                                           rtol=ctx.tol_quad)
 
 
-def solve_angle(ctx: FlowContext, r: float) -> float:
+def solve_angle(ctx: FlowContext, r: float, guess: float | None = None) -> float:
     """The angle u(r): 0 off the blow-up region, else the unique root of the
-    implicit equation, solved to |LHS - 1/t| <= tol_root / t.
+    implicit equation, with |LHS - 1/t| <= tol_root / t.
 
-    Roots below ANGLE_FLOOR are reported as 0."""
-    if r <= 0:
-        raise DomainError(f"r must be positive, got {r}")
+    Safeguarded Newton on log LHS against log theta (where the kernel's
+    small-angle shapes c/theta and c/theta^2 are straight lines), started
+    at `guess` or at theta = 1; see README "Numerical policy" for the
+    bracket and the stop rule.  Roots below ANGLE_FLOOR are reported as 0."""
     target = 1.0 / ctx.t
-    glo = capped_blowup(ctx, r) - target
-    if glo <= 0.0:
+    if capped_blowup(ctx, r) <= target:
         return 0.0
-
     lo, hi = ANGLE_FLOOR, math.pi - _THETA_EDGE
-    g = lambda th: angle_equation_lhs(ctx, r, th) - target
-    ghi = g(hi)
-    if not (ghi < 0.0):
-        lo, hi = _angle_bracket_scan(ctx, r, target)
-    root = optimize.brentq(g, lo, hi, xtol=1e-300, rtol=1e-12, maxiter=200)
-
-    # Newton polish: brentq stops on theta resolution, the contract is on
-    # the residual
-    for _ in range(6):
-        ival = poisson_kernel_integral(ctx.nu, r, math.sin(0.5 * root) ** 2,
-                                       rtol=ctx.tol_quad)
-        res = math.sin(root) / root * ival - target
-        if abs(res) <= ctx.tol_root * target:
-            return root
-        der = _angle_lhs_dtheta(ctx, r, root, ival)
-        if not math.isfinite(der) or der == 0.0:
-            break
-        cand = root - res / der
-        if not (lo < cand < hi):
-            break
-        root = cand
-    return root
-
-
-def _angle_bracket_scan(ctx: FlowContext, r: float, target: float):
-    """Fallback 1024-point scan for a sign change of the angle equation."""
-    half = np.geomspace(ANGLE_FLOOR, math.pi / 2, 512)
-    thetas = np.concatenate([half, (math.pi - half)[::-1]])
-    vals = np.array([angle_equation_lhs(ctx, r, th) for th in thetas]) - target
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if flips.size == 0:
+    # the kernel is at most 1/(4 sin^2(hi/2)) = 1/4 and nu has mass one
+    if math.sin(hi) / (4.0 * hi) >= target:
         raise BracketFailure(
-            f"no sign change of the angle equation at r={r}; the blow-up "
-            f"integral and the angle kernel disagree numerically")
-    i = flips[0]
-    return float(thetas[i]), float(thetas[i + 1])
+            f"t={ctx.t} is too large: the angle equation keeps its sign "
+            f"up to theta = pi - {_THETA_EDGE}")
+    theta = guess if guess is not None and lo < guess < hi else 1.0
+    prev = math.inf
+    for _ in range(_ANGLE_MAX_ITER):
+        ival = poisson_kernel_integral(ctx.nu, r, math.sin(0.5 * theta) ** 2,
+                                       rtol=ctx.tol_quad)
+        lhs = math.sin(theta) / theta * ival
+        if lhs > target:
+            lo = theta
+        else:
+            hi = theta
+        der = _angle_lhs_dtheta(ctx, r, theta, ival)
+        step = (-math.log(lhs / target) * lhs / (theta * der)
+                if der < 0.0 else math.nan)
+        # near component edges LHS ~ f(r) - A theta^2 is flat in theta, so a
+        # small residual alone does not pin theta
+        if abs(lhs - target) <= ctx.tol_root * target and abs(step) <= _ANGLE_STEP:
+            return theta * math.exp(step)
+        if hi - lo <= _ANGLE_STEP * hi:  # quadrature noise at tiny angles
+            return theta
+        # a step that leaves the bracket or does not shrink: bisect log theta
+        if math.log(lo / theta) < step < math.log(hi / theta) and abs(step) < prev:
+            theta *= math.exp(step)
+            prev = abs(step)
+        else:
+            theta = math.sqrt(lo * hi)
+            prev = 0.5 * math.log(hi / lo)
+    raise BracketFailure(
+        f"angle solve at r={r} did not converge in {_ANGLE_MAX_ITER} steps; "
+        f"bracket [{lo}, {hi}]")
 
 
 def _radial_exponent(ctx: FlowContext, r: float, u: float) -> float:
@@ -205,8 +204,6 @@ def _radial_exponent(ctx: FlowContext, r: float, u: float) -> float:
 
 def radial_map(ctx: FlowContext, r: float) -> float:
     """The increasing homeomorphism Lambda of (0, inf) onto itself."""
-    if r <= 0:
-        raise DomainError(f"r must be positive, got {r}")
     u = solve_angle(ctx, r)
     return r * math.exp(0.5 * ctx.t * _radial_exponent(ctx, r, u))
 
@@ -267,10 +264,7 @@ def density(ctx: FlowContext, x: float) -> float:
     if x <= 0:
         raise DomainError(f"x must be positive, got {x}")
     r = radial_map_inverse(ctx, 1.0 / x)
-    u = solve_angle(ctx, r)
-    if u == 0.0:
-        return 0.0
-    return u / (math.pi * ctx.t * x)
+    return solve_angle(ctx, r) / (math.pi * ctx.t * x)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +391,12 @@ class DensityCurve:
         return self.x * self.q
 
     def mass(self) -> float:
-        return float(np.trapezoid(self.q, self.x))
+        """Trapezoid rule for x*q over log x, the samples' spacing variable."""
+        return float(np.trapezoid(self.xq(), np.log(self.x)))
 
     def mean(self) -> float:
-        return float(np.trapezoid(self.x * self.q, self.x))
-
-    def interp(self, x):
-        return np.interp(np.asarray(x, float), self.x, self.q,
-                         left=0.0, right=0.0)
+        """Trapezoid rule for x^2*q over log x."""
+        return float(np.trapezoid(self.x * self.xq(), np.log(self.x)))
 
 
 def density_curve(ctx: FlowContext, points: int = 512, window=None,
@@ -465,8 +457,12 @@ def density_curve(ctx: FlowContext, points: int = 512, window=None,
         r_grid = np.geomspace(rlo, rhi, int(n_i))[::-1]
         xs = np.empty(r_grid.size)
         qs = np.empty(r_grid.size)
+        u1 = u2 = 0.0  # the component's last two nonzero angles
         for k, r in enumerate(r_grid):
-            u = solve_angle(ctx, float(r))
+            # log-linear continuation along the log-spaced radii
+            u = solve_angle(ctx, float(r), guess=u1 * u1 / u2 if u2 else u1 or None)
+            if u > 0.0:
+                u1, u2 = u, u1
             lam = float(r) * math.exp(0.5 * ctx.t * _radial_exponent(ctx, float(r), u))
             xs[k] = 1.0 / lam
             qs[k] = 0.0 if u == 0.0 else u / (math.pi * ctx.t) * lam
@@ -477,11 +473,12 @@ def density_curve(ctx: FlowContext, points: int = 512, window=None,
     x_all, q_all = _assemble_with_gaps(xs_parts, qs_parts)
     support = SupportSet(tuple((c[0], c[1]) for c in comps))
     curve = DensityCurve(x_all, q_all, support, meta)
-    meta["mass"] = curve.mass()
-    if abs(meta["mass"] - 1.0) > TOL_INT:
-        meta["warnings"].append(
-            f"curve mass {meta['mass']:.6g} deviates from 1 by more than "
-            f"{TOL_INT}; support may extend beyond the sampled window")
+    mass = meta["mass"] = curve.mass()
+    if abs(mass - 1.0) > TOL_INT:
+        cause = ("overshoots 1: too few samples" if mass > 1.0 else
+                 "falls short of 1: too few samples, or support beyond the "
+                 "sampled window")
+        meta["warnings"].append(f"curve mass {mass:.6g} {cause} (band {TOL_INT})")
     return curve
 
 

@@ -79,6 +79,21 @@ def test_sweep_command(tmp_path):
     assert csv.startswith("R,count,effective_count,boundary,roots\n")
 
 
+def test_sweep_pinned_window_is_not_widened(tmp_path):
+    # at t = 2 pi the level function of dirac(1) still exceeds 1/t at the
+    # ends of [0.5, 1.5]; its roots lie outside that window
+    out = str(tmp_path)
+    code = main(["sweep", "--measure", DIRAC1, "--t", "6.283185307179586",
+                 "--window", "0.5,1.5", "--out", out])
+    assert code == cli.EXIT_NUMERIC
+    assert not os.path.exists(os.path.join(out, "sweep_report.json"))
+    code = main(["sweep", "--measure", DIRAC1, "--t", "6.283185307179586",
+                 "--window", "0.01,100", "--angles", "8", "--out", out])
+    assert code == 0
+    report = json.loads(open(os.path.join(out, "sweep_report.json")).read())
+    assert report["inputs"]["window"] == [0.01, 100.0]
+
+
 def test_sweep_rejects_degenerate_sizes(tmp_path):
     out = str(tmp_path)
     for flags in (["--grid", "1"], ["--grid", "0"], ["--grid", "63"],

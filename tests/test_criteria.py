@@ -60,7 +60,7 @@ def test_count_solutions_tangency():
 def test_count_solutions_pinned_window_raises():
     with pytest.raises(WindowTooNarrow):
         fm.count_level_solutions(fm.dirac(1.0), math.pi / 2, 2 * math.pi,
-                                 window=(0.5, 1.5), expand=False)
+                                 window=(0.5, 1.5))
 
 
 def test_level_profiles_reject_coarse_grids():
@@ -111,6 +111,17 @@ def test_narrow_support_profile_sums_directly(monkeypatch):
     # a wider support overlaps and goes through the FFT correlation
     _profile_matches_level_function(fm.uniform_interval(1, 1.1), 1.0, (0.5,))
     assert len(calls) == 3
+
+
+def test_wide_support_profile_stays_on_lattice(monkeypatch):
+    # lambda(1) spans about 53 in log xi, so at R = 0.01 the profile needs
+    # 53401 Simpson nodes: the lattice holds them, no point is solved alone
+    def per_point(*args, **kwargs):
+        raise AssertionError("per-point route taken")
+
+    monkeypatch.setattr(criteria, "level_function", per_point)
+    _profile_matches_level_function(fm.lambda_measure(1.0), 0.01,
+                                    (0.0, 0.2, 0.45, 0.5, 0.55, 0.8, 1.0))
 
 
 def test_default_angle_sweep_shape():

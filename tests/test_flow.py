@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import freemult as fm
-from freemult import flow
-from freemult.errors import DomainError, EmptyVSet, InvariantViolation
+from freemult import flow, measures
+from freemult.errors import (
+    BracketFailure,
+    DomainError,
+    EmptyVSet,
+    InvariantViolation,
+)
 
 
 def bisect_scalar(f, lo, hi, iters=200):
@@ -104,6 +111,70 @@ def test_solve_angle_positive_at_reciprocal_atom():
         ctx = fm.FlowContext(fm.atomic([(0.4, 0.5), (0.6, 2.0)]), t)
         assert fm.solve_angle(ctx, 2.0) > 0.0
         assert fm.solve_angle(ctx, 0.5) > 0.0
+
+
+def _atoms(weights, locations):
+    w = np.asarray(weights) / np.sum(weights)
+    return fm.atomic(list(zip(w, locations)))
+
+
+_START_MEASURES = st.one_of(
+    st.integers(2, 5).flatmap(lambda n: st.builds(
+        _atoms, st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n),
+        st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n,
+                 unique_by=lambda a: round(a, 6)))),
+    st.builds(fm.gamma_measure, st.floats(0.5, 5.0), st.floats(0.2, 5.0)),
+    st.builds(fm.log_normal, st.floats(-1.0, 1.0), st.floats(0.1, 1.5)),
+    st.builds(lambda lo, d: fm.uniform_interval(lo, lo * (1 + d)),
+              st.floats(0.1, 10.0), st.floats(1e-2, 4.0)),
+)
+
+
+@given(nu=_START_MEASURES, t=st.floats(0.05, 20.0), pick=st.floats(0.0, 1.0),
+       where=st.floats(0.0, 1.0),
+       guess=st.floats(1e-9, math.pi, exclude_min=True, exclude_max=True))
+def test_solve_angle_any_guess_meets_contract(nu, t, pick, where, guess):
+    ctx = fm.FlowContext(nu, t, scan_points=128)
+    intervals = fm.blowup_region(ctx)
+    lo, hi = intervals[min(int(pick * len(intervals)), len(intervals) - 1)]
+    r = lo * (hi / lo) ** where
+    u = fm.solve_angle(ctx, r, guess=guess)
+    cold = fm.solve_angle(ctx, r)
+    assert (u == 0.0) == (cold == 0.0)
+    if u == 0.0:
+        return
+    # below about 1e-6 the kernel quadrature itself is only accurate to
+    # noise = 1e-16/u relative, and the residual with it
+    noise = max(ctx.tol_quad, 1e-16 / u)
+    assert abs(fm.angle_equation_lhs(ctx, r, u) - 1.0 / t) <= max(
+        ctx.tol_root, noise) / t
+    # the noise moves the root by kappa * noise relative, kappa the
+    # condition number |d log theta / d log LHS|; it is huge at component
+    # edges, where LHS ~ f(r) - A theta^2 and f(r) ~ 1/t
+    ival = flow.poisson_kernel_integral(nu, r, math.sin(cold / 2) ** 2,
+                                        rtol=ctx.tol_quad)
+    kappa = 1.0 / (t * cold * abs(flow._angle_lhs_dtheta(ctx, r, cold, ival)))
+    assert u == pytest.approx(cold, rel=1e-10 + 10.0 * kappa * noise)
+
+
+def test_solve_angle_needs_a_sign_change_below_pi():
+    # sin(theta)/theta/4 bounds the LHS at pi - 1e-14 by 8e-16 < 1/t
+    assert fm.solve_angle(fm.FlowContext(fm.dirac(1.0), 1e14), 1.0) > 0.0
+    with pytest.raises(BracketFailure):
+        fm.solve_angle(fm.FlowContext(fm.dirac(1.0), 1e16), 1.0)
+
+
+@pytest.mark.parametrize("nu, parent_calls", [
+    (fm.gamma_measure(2.0, 1.0), 16149), (fm.lambda_measure(math.pi / 2), 16786)])
+def test_curve_continuation_halves_quadratures(monkeypatch, nu, parent_calls):
+    # parent_calls: adaptive quadratures of the same curve when every sample
+    # was solved cold by a bracketing solver
+    calls = []
+    quad = measures.adaptive_quad
+    monkeypatch.setattr(measures, "adaptive_quad",
+                        lambda *a, **k: calls.append(1) or quad(*a, **k))
+    fm.density_curve(fm.FlowContext(nu, 1.0), points=512)
+    assert 0 < len(calls) <= parent_calls // 2
 
 
 def test_angle_monotone_decreasing_in_theta():
@@ -231,6 +302,15 @@ def test_curve_mass_and_support():
     assert curve.mass() == pytest.approx(1.0, abs=1e-4)
     assert np.all(curve.q >= 0)
     assert np.all(np.diff(curve.x) > 0)
+
+
+def test_curve_mass_measures_the_curve():
+    # trapezoid rule over log x; over x it read 1.0045 for this curve
+    curve = fm.density_curve(fm.FlowContext(fm.gamma_measure(2.0, 1.0), 1.0),
+                             points=128)
+    assert curve.mass() == pytest.approx(0.99926, abs=1e-5)
+    assert curve.metadata["mass"] == curve.mass()
+    assert [w for w in curve.metadata["warnings"] if "falls short" in w]
 
 
 def test_curve_mean_identity():
