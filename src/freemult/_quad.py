@@ -66,16 +66,22 @@ def geometric_edges(lo: float, hi: float, per_decade: float = 6.0,
 def ladder_edges(point: float, scale: float, lo: float, hi: float) -> np.ndarray:
     """Geometric cluster of edges around a trouble point, clipped to (lo, hi).
 
-    Edges sit at point +- scale * 2**k, from below the scale up to the full
-    range, so adjacent panel widths track the distance to the trouble point.
+    Edges sit at point +- scale * 2**k, from below the scale up to the
+    ladder's reach, so adjacent panel widths track the distance to the
+    trouble point.  On the positive half-line (lo > 0) the reach is
+    max(|point|, lo), beyond which the geometric base already tracks that
+    distance, and never more than the range: the ladder is anchored at the
+    point, so its innermost edge stays within the scale however wide the
+    range.  A range reaching zero or below keeps a ladder over its span.
     """
     span = hi - lo
     if span <= 0.0:
         return np.empty(0)
+    reach = min(max(abs(point), lo), span) if lo > 0.0 else span
     if scale <= 0.0:
         scale = max(abs(point), lo) * 1e-9
-    scale = max(scale, span * 1e-18)  # cap the ladder at ~60 doublings
-    kmax = int(np.ceil(np.log2(max(span / scale, 2.0)))) + 1
+    scale = max(scale, reach * 1e-18)  # cap the ladder at ~60 doublings
+    kmax = int(np.ceil(np.log2(max(reach / scale, 2.0)))) + 1
     offs = scale * 2.0 ** np.arange(-2, kmax + 1)
     pts = np.concatenate([[point], point + offs, point - offs])
     pts = pts[(pts > lo) & (pts < hi)]
@@ -172,11 +178,12 @@ def adaptive_quad(f, edges, rtol: float = 1e-9, atol: float = 0.0,
         if not split.any():
             total = settled_val
             tot_err = settled_err + stuck_err
-            if tot_err <= rtol * max(abs(total), 0.01 * settled_l1) + atol:
+            budget = rtol * max(abs(total), 0.01 * settled_l1) + atol
+            if tot_err <= budget:
                 return total, tot_err
             raise NonIntegrable(
                 f"quadrature stalled at error {tot_err:.3e} "
-                f"(budget {rtol * abs(total) + atol:.3e})")
+                f"(budget {budget:.3e})")
         if 2 * split.sum() > max_panels:
             raise NonIntegrable("quadrature exceeded the panel limit; "
                                 "kernel appears singular on the support")

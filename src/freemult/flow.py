@@ -202,10 +202,16 @@ def _radial_exponent(ctx: FlowContext, r: float, u: float) -> float:
                             lambda q, d: (q * q - 1.0) / d, ctx.tol_quad)
 
 
+def _radial_point(ctx: FlowContext, r: float,
+                  guess: float | None = None) -> tuple[float, float]:
+    """(Lambda(r), u(r)), the angle solved from `guess`."""
+    u = solve_angle(ctx, r, guess=guess)
+    return r * math.exp(0.5 * ctx.t * _radial_exponent(ctx, r, u)), u
+
+
 def radial_map(ctx: FlowContext, r: float) -> float:
     """The increasing homeomorphism Lambda of (0, inf) onto itself."""
-    u = solve_angle(ctx, r)
-    return r * math.exp(0.5 * ctx.t * _radial_exponent(ctx, r, u))
+    return _radial_point(ctx, r)[0]
 
 
 def radial_map_inverse(ctx: FlowContext, y: float, bracket=None) -> float:
@@ -214,26 +220,45 @@ def radial_map_inverse(ctx: FlowContext, y: float, bracket=None) -> float:
     Starts from the caller-provided bracket when available, otherwise
     expands geometrically (factor 2) from the initial guess r = y.
     """
+    return _inverse_point(ctx, y, bracket)[0]
+
+
+def _inverse_point(ctx: FlowContext, y: float,
+                   bracket=None) -> tuple[float, float]:
+    """(r, u(r)) with Lambda(r) = y.  Every radius is solved once (brentq
+    evaluates the bracket ends again), each angle solve starts from the last
+    nonzero angle of the iteration, and the root's angle is the one solved
+    there (brentq returns an evaluated point)."""
     if y <= 0:
         raise DomainError(f"y must be positive, got {y}")
-    g = lambda r: radial_map(ctx, r) - y
+    solved: dict[float, tuple[float, float]] = {}  # r -> (Lambda(r) - y, u)
+    guess = None
+
+    def g(r):
+        nonlocal guess
+        if r not in solved:
+            lam, u = _radial_point(ctx, r, guess=guess)
+            solved[r] = (lam - y, u)
+            if u > 0.0:
+                guess = u
+        return solved[r][0]
 
     lo = hi = None
     if bracket is not None:
         blo, bhi = bracket
         glo, ghi = g(blo), g(bhi)
         if abs(glo) <= ctx.tol_root * y:
-            return blo
+            return blo, solved[blo][1]
         if abs(ghi) <= ctx.tol_root * y:
-            return bhi
+            return bhi, solved[bhi][1]
         if glo < 0.0 < ghi:
             lo, hi = blo, bhi
     if lo is None:
         lo, hi = _expand_bracket(ctx, g, y)
-        if lo == hi:
-            return lo  # the guess was an exact root
-    root = optimize.brentq(g, lo, hi, xtol=1e-300, rtol=1e-13, maxiter=300)
-    return root
+    root = lo if lo == hi else optimize.brentq(  # lo == hi: an exact root
+        g, lo, hi, xtol=1e-300, rtol=1e-13, maxiter=300)
+    g(root)
+    return root, solved[root][1]
 
 
 def _expand_bracket(ctx: FlowContext, g, r0: float):
@@ -263,8 +288,7 @@ def density(ctx: FlowContext, x: float) -> float:
     """Density q(x) of the marginal at time t, exactly 0 off the support."""
     if x <= 0:
         raise DomainError(f"x must be positive, got {x}")
-    r = radial_map_inverse(ctx, 1.0 / x)
-    return solve_angle(ctx, r) / (math.pi * ctx.t * x)
+    return _inverse_point(ctx, 1.0 / x)[1] / (math.pi * ctx.t * x)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +484,10 @@ def density_curve(ctx: FlowContext, points: int = 512, window=None,
         u1 = u2 = 0.0  # the component's last two nonzero angles
         for k, r in enumerate(r_grid):
             # log-linear continuation along the log-spaced radii
-            u = solve_angle(ctx, float(r), guess=u1 * u1 / u2 if u2 else u1 or None)
+            lam, u = _radial_point(ctx, float(r),
+                                   guess=u1 * u1 / u2 if u2 else u1 or None)
             if u > 0.0:
                 u1, u2 = u, u1
-            lam = float(r) * math.exp(0.5 * ctx.t * _radial_exponent(ctx, float(r), u))
             xs[k] = 1.0 / lam
             qs[k] = 0.0 if u == 0.0 else u / (math.pi * ctx.t) * lam
         order = np.argsort(xs)

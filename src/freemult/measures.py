@@ -243,7 +243,7 @@ _register("marchenko_pastur", _FamilyDef(
     ppf=_mp_ppf,
     mean=lambda p: 1.0,
     support=lambda p: (0.0, 4.0),
-    singular=lambda p: (0.0,),
+    singular=lambda p: (0.0, 4.0),
     invert=lambda p: ("marchenko_pastur_inverse", {}),
 ))
 
@@ -255,7 +255,7 @@ _register("marchenko_pastur_inverse", _FamilyDef(
     ppf=_mpinv_ppf,
     mean=lambda p: math.inf,
     support=lambda p: (0.25, math.inf),
-    singular=lambda p: (),
+    singular=lambda p: (0.25,),
     invert=lambda p: ("marchenko_pastur", {}),
 ))
 

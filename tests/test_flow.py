@@ -177,6 +177,60 @@ def test_curve_continuation_halves_quadratures(monkeypatch, nu, parent_calls):
     assert 0 < len(calls) <= parent_calls // 2
 
 
+def _count_passes(monkeypatch) -> list[int]:
+    """Integrand passes of each adaptive quadrature made from now on."""
+    passes = []
+    quad = measures.adaptive_quad
+
+    def counted(f, edges, *args, **kwargs):
+        passes.append(0)
+
+        def g(x):
+            passes[-1] += 1
+            return f(x)
+        return quad(g, edges, *args, **kwargs)
+    monkeypatch.setattr(measures, "adaptive_quad", counted)
+    return passes
+
+
+@pytest.mark.parametrize("nu", [
+    fm.lambda_measure(math.pi / 2), fm.boolean_stable(0.5),
+    fm.marchenko_pastur(), fm.marchenko_pastur_inverse()],
+    ids=["lambda", "boolean_stable", "marchenko_pastur", "mp_inverse"])
+def test_blowup_scan_converges_in_the_seed_pass(monkeypatch, nu):
+    # ladders anchored at the pole 1/r resolve the floor-angle Lorentzian
+    # on heavy-tailed and square-root-edged starts without refinement
+    passes = _count_passes(monkeypatch)
+    fm.blowup_region(fm.FlowContext(nu, 1.0))
+    assert len(passes) > 1000
+    assert set(passes) == {1}
+
+
+def test_heavy_tailed_curve_barely_refines(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    fm.density_curve(fm.FlowContext(fm.lambda_measure(math.pi / 2), 1.0),
+                     points=128)
+    assert sum(passes) <= 1.25 * len(passes)
+
+
+@pytest.mark.parametrize("x, parent_calls, value", [
+    (0.5, 131, 0.4138499976053504), (2.0, 119, 0.12488123023335011),
+    (8.0, 135, 0.024049212701594103)])
+def test_density_reuses_the_inversion_angles(monkeypatch, x, parent_calls,
+                                             value):
+    # parent_calls and value: the same point when every angle solve of the
+    # inversion started cold and the root's angle was solved again
+    passes = _count_passes(monkeypatch)
+    radii = []
+    solve = flow.solve_angle
+    monkeypatch.setattr(flow, "solve_angle",
+                        lambda ctx, r, **kw: radii.append(r) or solve(ctx, r, **kw))
+    ctx = fm.FlowContext(fm.gamma_measure(2.0, 1.0), 1.0)
+    assert fm.density(ctx, x) == pytest.approx(value, rel=ctx.tol_root)
+    assert len(passes) <= 0.6 * parent_calls
+    assert len(set(radii)) == len(radii)  # no radius is solved twice
+
+
 def test_angle_monotone_decreasing_in_theta():
     rng = np.random.default_rng(11)
     ctx = fm.FlowContext(fm.uniform_interval(1, 2), 1.0)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from freemult._quad import adaptive_quad, build_edges, geometric_edges, ladder_edges
+from freemult._quad import (
+    _GAUSS_IDX,
+    _WG,
+    _WGK,
+    adaptive_quad,
+    build_edges,
+    geometric_edges,
+    ladder_edges,
+)
 from freemult.errors import NonIntegrable
 
 
@@ -47,3 +55,39 @@ def test_ladder_edges_clip():
     pts = ladder_edges(1.0, 1e-3, 0.5, 2.0)
     assert np.all((pts > 0.5) & (pts < 2.0))
     assert pts.size > 10
+
+
+def test_ladder_anchored_at_the_point_not_the_range():
+    # lambda(pi/2)'s effective support spans 23 decades; the ladder floor
+    # follows the point, so the innermost edge sits within the pole's scale
+    point, scale = 1e-3, 1e-12
+    pts = ladder_edges(point, scale, 1.6e-12, 6.4e11)
+    assert np.min(np.abs(pts[pts != point] - point)) <= 2 * scale
+    # the doublings stop near the point: the geometric base takes over
+    assert pts.max() <= point + 4 * point
+
+
+def test_ladder_on_a_range_through_zero_spans_it():
+    pts = ladder_edges(0.0, 1e-6, -10.0, 10.0)
+    assert pts.min() < -5.0 and pts.max() > 5.0
+
+
+def test_stall_message_prints_the_budget_tested():
+    # two panels of floating-resolution width cancel to a small total, so
+    # the tested budget is rtol * 0.01 * L1, not rtol * |total|
+    eps = np.finfo(float).eps
+    edges = np.array([1.0, 1.0 + 2 * eps, 1.0 + 4 * eps])
+    bump = np.where(np.arange(15) % 2 == 1, 1.0, 0.0)
+    pattern = np.concatenate([1.0 + bump, -(1.0 + bump) + 1e-3])
+    rtol = 1e-9
+    with pytest.raises(NonIntegrable, match="stalled") as exc:
+        adaptive_quad(lambda x: pattern, edges, rtol=rtol)
+    h = 0.5 * np.diff(edges)
+    fv = pattern.reshape(2, 15)
+    val = h * (fv @ _WGK)
+    err = np.abs(val - h * (fv[:, _GAUSS_IDX] @ _WG))
+    tested = rtol * max(abs(val.sum()), 0.01 * np.abs(val).sum())
+    assert tested > 10 * rtol * abs(val.sum())
+    printed = float(str(exc.value).split("budget ")[1].rstrip(")"))
+    assert printed == pytest.approx(tested, rel=1e-3, abs=0.0)
+    assert err.sum() > tested
