@@ -382,21 +382,37 @@ def run_counterexample(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
     return (EXIT_NEGATIVE if negative else EXIT_OK), report
 
 
+def _pick_modes(cfg: dict) -> list[float]:
+    """The candidate modes of a pick run: `mode`, or the `count` modes of
+    `mode_sweep` spaced geometrically from `lo` to `hi`."""
+    mode, sw = cfg.get("mode"), cfg.get("mode_sweep")
+    if mode is None and not sw:
+        raise ParseError("pick needs 'mode' or 'mode_sweep'")
+    try:
+        if mode is not None:
+            lo = hi = float(mode)
+            count = 1
+        else:
+            lo, hi = float(sw["lo"]), float(sw["hi"])
+            count = int(sw.get("count", 20))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"pick needs a number 'mode' or a 'mode_sweep' of "
+                         f"numbers lo, hi and an integer count, got "
+                         f"mode={mode!r}, mode_sweep={sw!r}") from exc
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf and count >= 1):
+        raise ParseError(f"pick needs finite modes > 0 and a count >= 1, got "
+                         f"mode={mode!r}, mode_sweep={sw!r}")
+    return [lo] if mode is not None else np.geomspace(lo, hi, count).tolist()
+
+
 def run_pick(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
     nu = _measure_of(cfg["measure"])
     tol = effective_tolerances("pick", cfg.get("tolerances"))
-    if "mode" in cfg and cfg["mode"] is not None:
-        modes = [float(cfg["mode"])]
-    elif "mode_sweep" in cfg and cfg["mode_sweep"]:
-        sw = cfg["mode_sweep"]
-        modes = np.geomspace(float(sw["lo"]), float(sw["hi"]),
-                             int(sw.get("count", 20))).tolist()
-    else:
-        raise ParseError("pick needs 'mode' or 'mode_sweep'")
+    modes = _pick_modes(cfg)
     per_mode = []
     all_violations = []
-    for c in modes:
-        rep = pick_inequality_check(nu, c, tol_pick=tol["tol_pick"])
+    for c, rep in zip(modes, pick_inequality_check(nu, modes,
+                                                   tol_pick=tol["tol_pick"])):
         per_mode.append({"mode": c, "holds": rep.holds,
                          "violations": len(rep.violations), "scale": rep.scale})
         all_violations.extend(rep.violations)
@@ -604,9 +620,11 @@ def _cmd_pick(args) -> int:
     if args.mode is not None:
         cfg["mode"] = args.mode
     elif args.mode_sweep:
-        lo, hi, count = args.mode_sweep.split(",")
-        cfg["mode_sweep"] = {"lo": float(lo), "hi": float(hi),
-                             "count": int(count)}
+        parts = args.mode_sweep.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"--mode-sweep must be 'lo,hi,count', "
+                             f"got {args.mode_sweep!r}")
+        cfg["mode_sweep"] = dict(zip(("lo", "hi", "count"), parts))
     code, _ = run_pick(cfg, args.out)
     return code
 

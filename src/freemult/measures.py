@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
+from scipy.special import _ufuncs
 
 from ._quad import adaptive_quad, geometric_edges, ladder_edges, merge_edges
 from .errors import (
@@ -160,12 +161,34 @@ def _mpinv_ppf(p, q):
     return 1.0 / _mp_ppf(p, 1.0 - q)
 
 
-# The gamma, half_normal, log_normal and uniform densities evaluate the same
-# scipy.special expression as the scipy.stats `_pdf` of the family, with the
-# same zero outside the support, but without the `rv_continuous.pdf` wrapper,
-# whose argument handling costs several times the arithmetic on the node
-# arrays of one quadrature pass.  The values are bitwise those of
-# scipy.stats.  beta stays on scipy: its pdf comes from Boost.
+# The gamma, half_normal, log_normal, uniform and beta pdf, cdf and ppf
+# evaluate the scipy.special expression of the family's scipy.stats `_pdf`,
+# `_cdf` and `_ppf` on x standardized as (x - loc) / scale, with the
+# `rv_continuous` values outside the support, so they are bitwise those of
+# scipy.stats.  The `rv_continuous` wrapper's argument handling costs several
+# times the arithmetic on the node arrays of one quadrature pass, and
+# importing scipy.stats costs about half of the command line's start-up.
+# beta's pdf and ppf are the Boost ufuncs scipy.stats.beta calls; the public
+# `betaincinv` differs from its ppf at q = 5e-324.
+
+def _cdf_on(y, a, b, cdf):
+    """`rv_continuous.cdf` at standardized points y of a family supported on
+    [a, b]: `cdf` inside (a, b), one from b on, zero below, nan at nan; a
+    scalar y gives a scalar."""
+    y = np.asarray(y, float)
+    inside = (a < y) & (y < b)
+    return np.select([inside, y >= b, np.isnan(y)],
+                     [cdf(np.where(inside, y, b)), 1.0, np.nan], 0.0)[()]
+
+
+def _ppf_on(q, a, b, ppf, scale=1.0):
+    """`rv_continuous.ppf` at a scalar q of a family standardized to the
+    support [a, b]: `ppf(q) * scale` inside (0, 1), the support ends at 0 and
+    1, nan elsewhere."""
+    if 0.0 < q < 1.0:
+        return float(ppf(q) * scale)
+    return float(a * scale if q == 0.0 else b * scale if q == 1.0 else math.nan)
+
 
 def _gamma_pdf(p, x):
     y = np.asarray(x, float) / p["theta"]
@@ -197,6 +220,57 @@ def _uniform_pdf(p, x):
     scale = p["hi"] - p["lo"]
     y = (np.asarray(x, float) - p["lo"]) / scale
     return np.where((y >= 0) & (y <= 1), 1.0 / scale, 0.0)
+
+
+def _gamma_cdf(p, x):
+    return _cdf_on(np.asarray(x, float) / p["theta"], 0.0, math.inf,
+                   lambda y: special.gammainc(p["p"], y))
+
+
+def _gamma_ppf(p, q):
+    return _ppf_on(q, 0.0, math.inf, lambda v: special.gammaincinv(p["p"], v),
+                   p["theta"])
+
+
+def _halfnorm_cdf(p, x):
+    return _cdf_on(np.asarray(x, float) / math.sqrt(p["t"]), 0.0, math.inf,
+                   lambda y: special.erf(y / math.sqrt(2.0)))
+
+
+def _halfnorm_ppf(p, q):
+    return _ppf_on(q, 0.0, math.inf, lambda v: special.ndtri((1.0 + v) / 2.0),
+                   math.sqrt(p["t"]))
+
+
+def _lognorm_cdf(p, x):
+    return _cdf_on(np.asarray(x, float) / math.exp(p["m"]), 0.0, math.inf,
+                   lambda y: special.ndtr(np.log(y) / p["s"]))
+
+
+def _lognorm_ppf(p, q):
+    return _ppf_on(q, 0.0, math.inf,
+                   lambda v: np.exp(p["s"] * special.ndtri(v)), math.exp(p["m"]))
+
+
+def _uniform_cdf(p, x):
+    return _cdf_on((np.asarray(x, float) - p["lo"]) / (p["hi"] - p["lo"]),
+                   0.0, 1.0, lambda y: y)
+
+
+def _beta_pdf(p, x):
+    x = np.asarray(x, float)
+    inside = (x >= 0) & (x <= 1)
+    with np.errstate(over="ignore"):
+        out = _ufuncs._beta_pdf(np.where(inside, x, 0.5), p["p"], p["q"])
+    return np.select([inside, np.isnan(x)], [out, np.nan], 0.0)[()]
+
+
+def _beta_cdf(p, x):
+    return _cdf_on(x, 0.0, 1.0, lambda y: special.betainc(p["p"], p["q"], y))
+
+
+def _beta_ppf(p, q):
+    return _ppf_on(q, 0.0, 1.0, lambda v: _ufuncs._beta_ppf(v, p["p"], p["q"]))
 
 
 def _uniform_validate(p):
@@ -263,8 +337,8 @@ _register("half_normal", _FamilyDef(
     params=("t",),
     validate=lambda p: _require(p["t"] > 0, "half_normal.t", f"t={p['t']} <= 0"),
     pdf=_halfnorm_pdf,
-    cdf=lambda p, x: stats.halfnorm.cdf(x, scale=math.sqrt(p["t"])),
-    ppf=lambda p, q: float(stats.halfnorm.ppf(q, scale=math.sqrt(p["t"]))),
+    cdf=_halfnorm_cdf,
+    ppf=_halfnorm_ppf,
     mean=lambda p: math.sqrt(2.0 * p["t"] / math.pi),
     support=lambda p: (0.0, math.inf),
     singular=lambda p: (),
@@ -276,8 +350,8 @@ _register("gamma", _FamilyDef(
     validate=lambda p: _require(p["p"] > 0 and p["theta"] > 0, "gamma.params",
                                 f"need p, theta > 0, got {p}"),
     pdf=_gamma_pdf,
-    cdf=lambda p, x: stats.gamma.cdf(x, a=p["p"], scale=p["theta"]),
-    ppf=lambda p, q: float(stats.gamma.ppf(q, a=p["p"], scale=p["theta"])),
+    cdf=_gamma_cdf,
+    ppf=_gamma_ppf,
     mean=lambda p: p["p"] * p["theta"],
     support=lambda p: (0.0, math.inf),
     singular=lambda p: (0.0,) if p["p"] < 1 else (),
@@ -288,9 +362,9 @@ _register("beta", _FamilyDef(
     params=("p", "q"),
     validate=lambda p: _require(p["p"] > 0 and p["q"] > 0, "beta.params",
                                 f"need p, q > 0, got {p}"),
-    pdf=lambda p, x: stats.beta.pdf(x, p["p"], p["q"]),
-    cdf=lambda p, x: stats.beta.cdf(x, p["p"], p["q"]),
-    ppf=lambda p, q: float(stats.beta.ppf(q, p["p"], p["q"])),
+    pdf=_beta_pdf,
+    cdf=_beta_cdf,
+    ppf=_beta_ppf,
     mean=lambda p: p["p"] / (p["p"] + p["q"]),
     support=lambda p: (0.0, 1.0),
     singular=lambda p: tuple(v for v, bad in ((0.0, p["p"] < 1), (1.0, p["q"] < 1)) if bad),
@@ -301,7 +375,7 @@ _register("uniform", _FamilyDef(
     params=("lo", "hi"),
     validate=_uniform_validate,
     pdf=_uniform_pdf,
-    cdf=lambda p, x: stats.uniform.cdf(x, loc=p["lo"], scale=p["hi"] - p["lo"]),
+    cdf=_uniform_cdf,
     ppf=lambda p, q: p["lo"] + q * (p["hi"] - p["lo"]),
     mean=lambda p: 0.5 * (p["lo"] + p["hi"]),
     support=lambda p: (p["lo"], p["hi"]),
@@ -313,8 +387,8 @@ _register("log_normal", _FamilyDef(
     params=("m", "s"),
     validate=lambda p: _require(p["s"] > 0, "log_normal.s", f"s={p['s']} <= 0"),
     pdf=_lognorm_pdf,
-    cdf=lambda p, x: stats.lognorm.cdf(x, s=p["s"], scale=math.exp(p["m"])),
-    ppf=lambda p, q: float(stats.lognorm.ppf(q, s=p["s"], scale=math.exp(p["m"]))),
+    cdf=_lognorm_cdf,
+    ppf=_lognorm_ppf,
     mean=lambda p: math.exp(p["m"] + 0.5 * p["s"] ** 2),
     support=lambda p: (0.0, math.inf),
     singular=lambda p: (),

@@ -198,33 +198,48 @@ class PickCheckReport:
                      "clean finite grid is supporting evidence only")
 
 
-def pick_inequality_check(mu: Measure, c: float, grid: HalfPlaneGrid | None = None,
-                          tol_pick: float = TOL_PICK) -> PickCheckReport:
+def pick_inequality_check(mu: Measure, c: float | Sequence[float],
+                          grid: HalfPlaneGrid | None = None,
+                          tol_pick: float = TOL_PICK
+                          ) -> PickCheckReport | list[PickCheckReport]:
     """Check Im[z (1 - c z) psi'(z)] >= 0 over a half-plane grid.
 
     This holds for every z in the upper half-plane exactly when mu is
     log-unimodal with mode c.  The tolerance scales with the grid maximum of
     |z (1 - c z) psi'(z)| so the check is dimensionless.
+
+    Given a sequence of candidate modes `c`, returns their reports as a list
+    in the same order.  psi' does not depend on the mode, so it is evaluated
+    over the grid once for all of them.
     """
-    if c <= 0:
-        raise DomainError(f"candidate mode must be positive, got {c}")
+    single = np.ndim(c) == 0
+    modes = [c] if single else list(c)
+    for m in modes:
+        if not 0.0 < m < math.inf:
+            raise DomainError(f"candidate mode must be positive and finite, "
+                              f"got {m}")
     zs = (grid or default_checker_grid()).points()
     at = mu.atoms()
     if at is not None:
         w, a = at
         psi_p = np.sum(w[None, :] * a[None, :] /
                        (1.0 - a[None, :] * zs[:, None]) ** 2, axis=1)
-        vals_c = zs * (1.0 - c * zs) * psi_p
+        vals = [zs * (1.0 - m * zs) * psi_p for m in modes]
     else:
-        # 1e-8 per-point accuracy leaves two orders of margin to tol_pick
-        vals_c = np.array([z * (1.0 - c * z) * psi_prime(mu, z, rtol=1e-8)
-                           for z in zs])
-    scale = float(np.max(np.abs(vals_c)))
-    tol = tol_pick * scale
-    im = vals_c.imag
-    bad = im < -tol
-    violations = tuple((complex(z), float(v)) for z, v in zip(zs[bad], im[bad]))
-    return PickCheckReport(not violations, violations, scale, tol)
+        # 1e-8 per-point accuracy leaves two orders of margin to tol_pick;
+        # the products stay scalar, as the array product rounds differently
+        psi_p = [psi_prime(mu, z, rtol=1e-8) for z in zs]
+        vals = [np.array([z * (1.0 - m * z) * p for z, p in zip(zs, psi_p)])
+                for m in modes]
+    reports = []
+    for vals_c in vals:
+        scale = float(np.max(np.abs(vals_c)))
+        tol = tol_pick * scale
+        im = vals_c.imag
+        bad = im < -tol
+        violations = tuple((complex(z), float(v)) for z, v in zip(zs[bad], im[bad]))
+        reports.append(PickCheckReport(not violations, violations, scale, tol))
+    return reports[0] if single else reports
 
 
 def general_pick_check(tau: RealMeasure, c: float,

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 from freemult import cli
 from freemult.cli import main
@@ -184,6 +186,39 @@ def test_pick_command(tmp_path):
     assert main(["pick", "--measure", TWO_ATOMS, "--mode-sweep", "0.5,5,5",
                  "--out", out]) == 1
     assert os.path.exists(os.path.join(out, "pick_violations.csv"))
+
+
+def test_malformed_pick_modes_are_config_errors(tmp_path):
+    out = str(tmp_path)
+    for sweep in ("1,2", "a,b,c", "0,3,4", "1,3,0", "-1,2,3", "1,3,2.5"):
+        assert main(["pick", "--measure", DIRAC1, f"--mode-sweep={sweep}",
+                     "--out", out]) == 2, sweep
+    for mode in ("nan", "inf", "0", "-2"):
+        assert main(["pick", "--measure", DIRAC1, f"--mode={mode}",
+                     "--out", out]) == 2, mode
+    path = str(tmp_path / "scenario.json")
+    for field in ({"mode_sweep": {"lo": 1}},
+                  {"mode_sweep": {"lo": "a", "hi": "b", "count": "c"}},
+                  {"mode_sweep": {"lo": 0, "hi": 3, "count": 4}},
+                  {"mode_sweep": {"lo": 1, "hi": 3, "count": 0}},
+                  {"mode_sweep": [1, 3, 4]}, {"mode": "abc"}, {"mode": "nan"}):
+        with open(path, "w") as fh:
+            json.dump({"schema_version": 1, "runs": [
+                {"command": "pick", "measure": json.loads(DIRAC1), **field}]}, fh)
+        assert main(["scenario", path, "--out", out]) == 2, field
+    assert not os.path.exists(os.path.join(out, "pick_report.json"))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import sys, freemult.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_sweep_hypothesis_violation_is_warning(tmp_path):

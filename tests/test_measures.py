@@ -150,6 +150,90 @@ def test_closed_form_pdfs_bitwise_equal_scipy(nu, ref):
         assert got.tobytes() == want.tobytes()
 
 
+# each family beside the frozen scipy.stats distribution of its parameters:
+# scale sqrt(t) for half_normal, exp(m) for log_normal
+SCIPY_TWINS = [
+    (fm.gamma_measure(2.0, 1.0), stats.gamma(a=2.0, scale=1.0)),
+    (fm.gamma_measure(0.5, 3.0), stats.gamma(a=0.5, scale=3.0)),
+    (fm.half_normal(4.0), stats.halfnorm(scale=2.0)),
+    (fm.half_normal(0.3), stats.halfnorm(scale=math.sqrt(0.3))),
+    (fm.log_normal(0.0, 0.5), stats.lognorm(s=0.5, scale=1.0)),
+    (fm.log_normal(-1.3, 2.2), stats.lognorm(s=2.2, scale=math.exp(-1.3))),
+    (fm.beta_measure(2.0, 3.0), stats.beta(2.0, 3.0)),
+    (fm.beta_measure(0.5, 0.5), stats.beta(0.5, 0.5)),
+    (fm.beta_measure(0.3, 4.0), stats.beta(0.3, 4.0)),
+]
+UNIFORM_TWINS = [
+    (fm.uniform_interval(1.0, 1.1), stats.uniform(loc=1.0, scale=1.1 - 1.0)),
+    (fm.uniform_interval(0.3, 7.0), stats.uniform(loc=0.3, scale=7.0 - 0.3)),
+]
+
+
+def _twin_id(pair):
+    return f"{pair[0].family}{tuple(pair[0].params.values())}"
+
+
+def _probe_points(rng, nu, size):
+    """Seeded points on and off the support, its finite ends and their
+    floating neighbours, 0, a subnormal-scale point, infinity and nan."""
+    lo, hi = nu.math_support()
+    ends = [v for v in (lo, hi) if math.isfinite(v)]
+    return np.concatenate([rng.exponential(3.0, size),
+                           rng.uniform(lo, min(hi, lo + 3.0), size),
+                           -rng.exponential(1.0, 3), ends,
+                           np.nextafter(ends, -1.0), np.nextafter(ends, 10.0),
+                           [0.0, 1e-300, math.inf, math.nan]])
+
+
+@pytest.mark.parametrize("nu, ref", SCIPY_TWINS + UNIFORM_TWINS,
+                         ids=map(_twin_id, SCIPY_TWINS + UNIFORM_TWINS))
+def test_cdfs_bitwise_equal_scipy(nu, ref):
+    rng = np.random.default_rng(5)
+    for size in (1, 7, 33, 2500):
+        x = _probe_points(rng, nu, size)
+        assert np.asarray(nu.cdf(x)).tobytes() == np.asarray(ref.cdf(x)).tobytes()
+    lo, hi = nu.math_support()
+    for v in (lo, 0.5 * (lo + min(hi, lo + 3.0)), 0.0, -1.0, 10.0):
+        got, want = nu.cdf(v), ref.cdf(v)
+        assert type(got) is type(want)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nu, ref", SCIPY_TWINS, ids=map(_twin_id, SCIPY_TWINS))
+def test_ppfs_bitwise_equal_scipy(nu, ref):
+    # effective_support reads the 1e-12 tails
+    rng = np.random.default_rng(5)
+    qs = np.concatenate([rng.uniform(0.0, 1.0, 500),
+                         [0.0, 1.0, 1e-12, 1.0 - 1e-12, 1e-300, 5e-324,
+                          np.nextafter(1.0, 0.0), -0.5, 1.5]])
+    for q in qs:
+        got = nu._fam.ppf(nu.params, float(q))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(ref.ppf(q)).tobytes(), q
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 3.0), (0.5, 0.5), (0.3, 4.0)])
+def test_beta_pdf_bitwise_equal_scipy(p, q):
+    nu, ref = fm.beta_measure(p, q), stats.beta(p, q)
+    rng = np.random.default_rng(5)
+    for size in (1, 7, 33, 2500):
+        # scipy raises OverflowError at the smallest subnormal when p < 1
+        x = _probe_points(rng, nu, size)
+        x = x[x != 5e-324] if p < 1 else x
+        got, want = np.asarray(nu.density(x)), np.asarray(ref.pdf(x))
+        assert got.tobytes() == want.tobytes()
+    for v in (0.0, 0.5, 1.0, -1.0, 2.0):
+        got, want = nu.density(v), ref.pdf(v)
+        assert type(got) is type(want)
+        assert got.tobytes() == want.tobytes()
+    if (p, q) == (0.5, 0.5):
+        assert nu.density(0.0) == nu.density(1.0) == math.inf
+    if p < 1:
+        for f in (nu.density, ref.pdf):
+            with pytest.raises(OverflowError):
+                f(5e-324)
+
+
 @pytest.mark.parametrize("nu", [fm.gamma_measure(2.0, 1.0),
                                 fm.gamma_measure(0.5, 1.0),
                                 fm.beta_measure(0.5, 0.5),
