@@ -3,10 +3,7 @@ log-unimodality checkers."""
 
 from .analytic import (
     HalfPlaneGrid,
-    RealMeasure,
     brownian_sigma_transform,
-    default_checker_grid,
-    pick_transform,
     psi,
     psi_prime,
 )
@@ -68,7 +65,6 @@ from .unimodality import (
     PickCheckReport,
     StrongCheckReport,
     count_modes,
-    general_pick_check,
     is_log_unimodal,
     lambda_strong_check,
     pick_inequality_check,

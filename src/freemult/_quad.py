@@ -51,6 +51,8 @@ _WG = np.array([
     0.129484966168870,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
+# refinement passes of adaptive_quad before it gives up
+MAX_DEPTH = 48
 
 
 def geometric_edges(lo: float, hi: float, per_decade: float = 6.0,
@@ -68,16 +70,15 @@ def ladder_edges(point: float, scale: float, lo: float, hi: float) -> np.ndarray
 
     Edges sit at point +- scale * 2**k, from below the scale up to the
     ladder's reach, so adjacent panel widths track the distance to the
-    trouble point.  On the positive half-line (lo > 0) the reach is
-    max(|point|, lo), beyond which the geometric base already tracks that
-    distance, and never more than the range: the ladder is anchored at the
-    point, so its innermost edge stays within the scale however wide the
-    range.  A range reaching zero or below keeps a ladder over its span.
+    trouble point.  The reach is max(|point|, lo), beyond which the
+    geometric base already tracks that distance, and never more than the
+    range: the ladder is anchored at the point, so its innermost edge stays
+    within the scale however wide the range.
     """
     span = hi - lo
     if span <= 0.0:
         return np.empty(0)
-    reach = min(max(abs(point), lo), span) if lo > 0.0 else span
+    reach = min(max(abs(point), lo), span)
     if scale <= 0.0:
         scale = max(abs(point), lo) * 1e-9
     scale = max(scale, reach * 1e-18)  # cap the ladder at ~60 doublings
@@ -107,8 +108,7 @@ def build_edges(lo: float, hi: float, points=(), scales=(),
                           for p, s in zip(points, scales)])
 
 
-def adaptive_quad(f, edges, rtol: float = 1e-9, atol: float = 0.0,
-                  max_depth: int = 40, max_panels: int = 60_000):
+def adaptive_quad(f, edges, rtol: float = 1e-9, max_panels: int = 60_000):
     """Globally adaptive Gauss-Kronrod 15(7) over the seeded panels.
 
     Parameters
@@ -117,8 +117,8 @@ def adaptive_quad(f, edges, rtol: float = 1e-9, atol: float = 0.0,
         Vectorized integrand; may return complex values.
     edges : array_like
         Increasing panel edges (at least two).
-    rtol, atol : float
-        Target |error| <= rtol * |integral| + atol.
+    rtol : float
+        Target |error| <= rtol * |integral|.
 
     Returns
     -------
@@ -141,7 +141,7 @@ def adaptive_quad(f, edges, rtol: float = 1e-9, atol: float = 0.0,
     settled_l1 = 0.0
     stuck_err = 0.0
 
-    for _ in range(max_depth):
+    for _ in range(MAX_DEPTH):
         m = 0.5 * (a + b)
         h = 0.5 * (b - a)
         nodes = (m[:, None] + h[:, None] * _XGK[None, :]).ravel()
@@ -161,7 +161,7 @@ def adaptive_quad(f, edges, rtol: float = 1e-9, atol: float = 0.0,
         # to the cancelled value is not attainable (for the positive kernels
         # of the solver the two scales coincide)
         l1 = settled_l1 + np.abs(val).sum()
-        budget = rtol * max(abs(total), 0.01 * l1) + atol
+        budget = rtol * max(abs(total), 0.01 * l1)
         tot_err = settled_err + stuck_err + err.sum()
         if tot_err <= budget:
             return total, tot_err
@@ -178,7 +178,7 @@ def adaptive_quad(f, edges, rtol: float = 1e-9, atol: float = 0.0,
         if not split.any():
             total = settled_val
             tot_err = settled_err + stuck_err
-            budget = rtol * max(abs(total), 0.01 * settled_l1) + atol
+            budget = rtol * max(abs(total), 0.01 * settled_l1)
             if tot_err <= budget:
                 return total, tot_err
             raise NonIntegrable(
@@ -192,7 +192,7 @@ def adaptive_quad(f, edges, rtol: float = 1e-9, atol: float = 0.0,
         b = np.concatenate([m[split], b[split]])
 
     raise NonIntegrable(
-        f"quadrature did not converge within max_depth={max_depth}")
+        f"quadrature did not converge within {MAX_DEPTH} refinement passes")
 
 
 def relaxed_retry(integrate, rtol: float):

@@ -81,8 +81,17 @@ def effective_tolerances(command: str, overrides: dict | None = None) -> dict:
         if k not in tol:
             raise ParseError(f"{command} reads no tolerance {k!r}; "
                              f"it reads: {sorted(tol)}")
-        tol[k] = float(v)
+        tol[k] = config_io.parse_number(v, f"tolerance {k!r}")
     return tol
+
+
+def _window(value) -> list[float] | None:
+    """A window [lo, hi] of two numbers, or None."""
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ParseError(f"window must be 'lo,hi', got {value!r}")
+    return config_io.parse_numbers(value, "window")
 
 
 def _measure_of(cfg_measure) -> Measure:
@@ -104,8 +113,8 @@ def _log_symmetry_defect(curve) -> float:
 
 
 def _aggregate(codes) -> int:
-    """Combine exit codes: config > numeric > negative > inconclusive > ok."""
-    for code in (EXIT_CONFIG, EXIT_NUMERIC, EXIT_NEGATIVE, EXIT_INCONCLUSIVE):
+    """Combine the exit codes of runs: negative > inconclusive > ok."""
+    for code in (EXIT_NEGATIVE, EXIT_INCONCLUSIVE):
         if code in codes:
             return code
     return EXIT_OK
@@ -132,12 +141,14 @@ def _check_expectations(expect: dict | None, summaries: list[dict]) -> list[str]
 
 def run_density(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
     nu = _measure_of(cfg["measure"])
-    times = [float(t) for t in cfg.get("times") or []]
+    times = config_io.parse_numbers(cfg.get("times") or [], "times")
     if not times:
         raise ParseError("density needs a non-empty 'times' list")
     grid = cfg.get("grid") or {}
-    points = int(grid.get("points", 512))
-    window = grid.get("window")
+    if not isinstance(grid, dict):
+        raise ParseError(f"density 'grid' must be an object, got {grid!r}")
+    points = config_io.parse_number(grid.get("points", 512), "grid.points", int)
+    window = _window(grid.get("window"))
     checks = cfg.get("checks") or list(_DEFAULT_CHECKS)
     for c in checks:
         if c not in _ALL_CHECKS:
@@ -218,7 +229,8 @@ def run_density(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
 def run_check(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
     nu = _measure_of(cfg["measure"])
     tol = effective_tolerances("check", cfg.get("tolerances"))
-    hysteresis = tol["hysteresis"] = float(cfg.get("hysteresis", tol["hysteresis"]))
+    hysteresis = tol["hysteresis"] = config_io.parse_number(
+        cfg.get("hysteresis", tol["hysteresis"]), "hysteresis")
     requested = cfg.get("checks") or ["logunimodal", "pick"]
     results: dict = {}
     warnings: list[str] = []
@@ -287,13 +299,16 @@ def run_check(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
 
 def run_sweep(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
     nu = _measure_of(cfg["measure"])
-    times = [float(t) for t in cfg.get("times") or []]
+    times = config_io.parse_numbers(cfg.get("times") or [], "times")
     if not times:
         raise ParseError("sweep needs a non-empty 'times' list")
     tol = effective_tolerances("sweep", cfg.get("tolerances"))
-    n_angles = int((cfg.get("angles") or {}).get("count", 64))
-    grid = int(cfg.get("grid", 4096))
-    window = cfg.get("window")
+    angles = cfg.get("angles") or {}
+    if not isinstance(angles, dict):
+        raise ParseError(f"sweep 'angles' must be an object, got {angles!r}")
+    n_angles = config_io.parse_number(angles.get("count", 64), "angles.count", int)
+    grid = config_io.parse_number(cfg.get("grid", 4096), "grid", int)
+    window = _window(cfg.get("window"))
 
     warnings: list[str] = []
     results: dict = {}
@@ -332,10 +347,10 @@ def run_sweep(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
 
 
 def run_counterexample(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
-    n_atoms = int(cfg.get("n_atoms", 30))
+    n_atoms = config_io.parse_number(cfg.get("n_atoms", 30), "n_atoms", int)
     rule = cfg.get("rule", "zeta6")
-    times = [float(t) for t in cfg.get("times") or [1.0]]
-    k_max = int(cfg.get("k_max", n_atoms - 1))
+    times = config_io.parse_numbers(cfg.get("times") or [1.0], "times")
+    k_max = config_io.parse_number(cfg.get("k_max", n_atoms - 1), "k_max", int)
     tol = effective_tolerances("counterexample", cfg.get("tolerances"))
 
     nu, spec = build_counterexample(n_atoms, rule=rule)
@@ -386,19 +401,16 @@ def _pick_modes(cfg: dict) -> list[float]:
     """The candidate modes of a pick run: `mode`, or the `count` modes of
     `mode_sweep` spaced geometrically from `lo` to `hi`."""
     mode, sw = cfg.get("mode"), cfg.get("mode_sweep")
-    if mode is None and not sw:
-        raise ParseError("pick needs 'mode' or 'mode_sweep'")
-    try:
-        if mode is not None:
-            lo = hi = float(mode)
-            count = 1
-        else:
-            lo, hi = float(sw["lo"]), float(sw["hi"])
-            count = int(sw.get("count", 20))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"pick needs a number 'mode' or a 'mode_sweep' of "
-                         f"numbers lo, hi and an integer count, got "
-                         f"mode={mode!r}, mode_sweep={sw!r}") from exc
+    if mode is not None:
+        lo = hi = config_io.parse_number(mode, "pick mode")
+        count = 1
+    elif isinstance(sw, dict) and "lo" in sw and "hi" in sw:
+        lo = config_io.parse_number(sw["lo"], "mode_sweep lo")
+        hi = config_io.parse_number(sw["hi"], "mode_sweep hi")
+        count = config_io.parse_number(sw.get("count", 20), "mode_sweep count", int)
+    else:
+        raise ParseError(f"pick needs a 'mode' or a 'mode_sweep' with lo and "
+                         f"hi, got mode_sweep={sw!r}")
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf and count >= 1):
         raise ParseError(f"pick needs finite modes > 0 and a count >= 1, got "
                          f"mode={mode!r}, mode_sweep={sw!r}")
@@ -452,22 +464,11 @@ def run_scenario(path: str, out_dir: str | None) -> int:
         t0 = time.perf_counter()
         try:
             code, _report = _RUNNERS[run["command"]](run, sub)
-        except FreemultError as exc:
-            print(f"scenario run {i} ({run['command']}) failed: "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            codes.append(_error_code(exc))
-            return _aggregate(codes)
         finally:
             print(f"[scenario] run {i} ({run['command']}): "
                   f"{time.perf_counter() - t0:.2f}s", file=sys.stderr)
         codes.append(code)
     return _aggregate(codes)
-
-
-def _error_code(exc: Exception) -> int:
-    if isinstance(exc, (ParseError, InvariantViolation, IoError, DomainError)):
-        return EXIT_CONFIG
-    return EXIT_NUMERIC
 
 
 # ---------------------------------------------------------------------------
@@ -487,19 +488,12 @@ def _add_flow_tolerances(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_times(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ParseError(f"bad time list {text!r}") from exc
+    return config_io.parse_numbers([v for v in text.split(",") if v.strip()],
+                                   "times")
 
 
 def _parse_window(text: str | None):
-    if text is None:
-        return None
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"window must be 'lo,hi', got {text!r}")
-    return [float(parts[0]), float(parts[1])]
+    return None if text is None else _window(text.split(","))
 
 
 def _tol_overrides(args) -> dict | None:

@@ -112,6 +112,21 @@ def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
                          f"allowed: {sorted(allowed)}")
 
 
+def parse_number(value, what: str, kind=float):
+    """`kind(value)`, or a ParseError naming the field `what`."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{what} must be a number, got {value!r}") from exc
+
+
+def parse_numbers(values, what: str) -> list[float]:
+    """A list of floats, each through `parse_number`."""
+    if not isinstance(values, (list, tuple)):
+        raise ParseError(f"{what} must be a list of numbers, got {values!r}")
+    return [parse_number(v, what) for v in values]
+
+
 def measure_from_dict(d: dict) -> Measure:
     if not isinstance(d, dict):
         raise ParseError(f"measure must be an object, got {type(d).__name__}")
@@ -130,7 +145,8 @@ def measure_from_dict(d: dict) -> Measure:
             _reject_unknown(rec, {"w", "a"}, f"atoms[{i}]")
             if "w" not in rec or "a" not in rec:
                 raise ParseError(f"atoms[{i}] needs both 'w' and 'a'")
-            pairs.append((float(rec["w"]), float(rec["a"])))
+            pairs.append((parse_number(rec["w"], f"atoms[{i}].w"),
+                          parse_number(rec["a"], f"atoms[{i}].a")))
         return atomic(pairs)
     if kind == "grid":
         _reject_unknown(d, {"kind", "grid", "normalize", "schema_version"},
@@ -141,7 +157,9 @@ def measure_from_dict(d: dict) -> Measure:
         _reject_unknown(g, {"x", "f"}, "grid")
         if "x" not in g or "f" not in g:
             raise ParseError("grid needs 'x' and 'f' arrays")
-        return GridDensity(g["x"], g["f"], normalize=bool(d.get("normalize", False)))
+        return GridDensity(parse_numbers(g["x"], "grid.x"),
+                           parse_numbers(g["f"], "grid.f"),
+                           normalize=bool(d.get("normalize", False)))
     if kind == "named":
         _reject_unknown(d, {"kind", "family", "params", "schema_version"},
                         "named measure")
@@ -151,7 +169,8 @@ def measure_from_dict(d: dict) -> Measure:
         params = d.get("params", {})
         if not isinstance(params, dict):
             raise ParseError("'params' must be an object")
-        return Named(family, **{k: float(v) for k, v in params.items()})
+        return Named(family, **{k: parse_number(v, f"params.{k}")
+                                for k, v in params.items()})
     raise ParseError(f"unknown measure kind {kind!r} (atomic | grid | named)")
 
 
@@ -192,13 +211,12 @@ def parse_measure_arg(value: str) -> Measure:
 
 _RUN_FIELDS = {
     "density": {"command", "measure", "times", "grid", "checks", "tolerances",
-                "outputs", "expect"},
-    "check": {"command", "measure", "checks", "hysteresis", "outputs", "expect"},
+                "expect"},
+    "check": {"command", "measure", "checks", "hysteresis", "expect"},
     "sweep": {"command", "measure", "times", "angles", "window", "grid",
-              "outputs", "expect"},
-    "counterexample": {"command", "n_atoms", "times", "k_max", "rule",
-                       "outputs", "expect"},
-    "pick": {"command", "measure", "mode", "mode_sweep", "outputs", "expect"},
+              "expect"},
+    "counterexample": {"command", "n_atoms", "times", "k_max", "rule", "expect"},
+    "pick": {"command", "measure", "mode", "mode_sweep", "expect"},
 }
 
 

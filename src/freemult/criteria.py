@@ -168,7 +168,7 @@ def count_level_solutions(nu: Measure, R: float, t: float, window=None,
         wlo, whi = _default_level_window(nu)
     else:
         wlo, whi = float(window[0]), float(window[1])
-        if not (0.0 < wlo < whi):
+        if not (0.0 < wlo < whi < math.inf):
             raise DomainError(f"bad window {window}")
 
     for _ in range(80):

@@ -51,6 +51,9 @@ TOL_INT = 1e-4
 # relative Newton step and bracket width that end an angle solve
 _ANGLE_STEP = 1e-12
 _ANGLE_MAX_ITER = 100
+# radial-map bracket doublings and blow-up boundary bisections at most
+_MAX_BRACKET_EXPANSIONS = 60
+_BOUNDARY_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,6 @@ class FlowContext:
     tol_root: float = 1e-10
     tol_quad: float = 1e-12
     scan_points: int = 1024
-    max_bracket_expansions: int = 60
-    boundary_max_iter: int = 200
 
     def __post_init__(self):
         if not (self.t > 0):
@@ -254,33 +255,27 @@ def _inverse_point(ctx: FlowContext, y: float,
         if glo < 0.0 < ghi:
             lo, hi = blo, bhi
     if lo is None:
-        lo, hi = _expand_bracket(ctx, g, y)
+        lo, hi = _expand_bracket(g, y)
     root = lo if lo == hi else optimize.brentq(  # lo == hi: an exact root
         g, lo, hi, xtol=1e-300, rtol=1e-13, maxiter=300)
     g(root)
     return root, solved[root][1]
 
 
-def _expand_bracket(ctx: FlowContext, g, r0: float):
+def _expand_bracket(g, r0: float):
+    """Bracket the root of the increasing g by steps of a factor 2 from r0."""
     g0 = g(r0)
     if g0 == 0.0:
         return r0, r0
-    if g0 < 0.0:
-        lo = hi = r0
-        for _ in range(ctx.max_bracket_expansions):
-            hi *= 2.0
-            if g(hi) >= 0.0:
-                return lo, hi
-            lo = hi
-    else:
-        lo = hi = r0
-        for _ in range(ctx.max_bracket_expansions):
-            lo *= 0.5
-            if g(lo) <= 0.0:
-                return lo, hi
-            hi = lo
+    sign, step = (-1.0, 2.0) if g0 < 0.0 else (1.0, 0.5)
+    near = r0
+    for _ in range(_MAX_BRACKET_EXPANSIONS):
+        far = near * step
+        if sign * g(far) <= 0.0:
+            return min(near, far), max(near, far)
+        near = far
     raise BracketFailure(
-        f"no bracket for the radial map after {ctx.max_bracket_expansions} "
+        f"no bracket for the radial map after {_MAX_BRACKET_EXPANSIONS} "
         f"geometric expansions from r0={r0}; the map may not be monotone")
 
 
@@ -362,7 +357,7 @@ def _refine_boundary(ctx, a, b, target, rising: bool) -> float:
     inside-leaning edge.
     """
     lo, hi = float(a), float(b)
-    for _ in range(ctx.boundary_max_iter):
+    for _ in range(_BOUNDARY_MAX_ITER):
         if hi - lo <= 1e-12 * hi:
             break
         mid = math.sqrt(lo * hi)
@@ -435,6 +430,10 @@ def density_curve(ctx: FlowContext, points: int = 512, window=None,
     """
     if points < 64:
         raise DomainError(f"need at least 64 points, got {points}")
+    if window is not None:
+        wlo, whi = float(window[0]), float(window[1])
+        if not (0.0 < wlo < whi < math.inf):
+            raise DomainError(f"bad window {window}")
     tolerances = {"tol_root": ctx.tol_root, "tol_quad": ctx.tol_quad,
                   "tol_int": TOL_INT}
     meta = {"t": ctx.t, "measure": ctx.nu.to_dict(), "points": points,
@@ -462,9 +461,9 @@ def density_curve(ctx: FlowContext, points: int = 512, window=None,
     comps.sort(key=lambda c: c[0])
 
     if window is not None:
-        comps = _clip_components(ctx, comps, float(window[0]), float(window[1]))
+        comps = _clip_components(ctx, comps, wlo, whi)
         if not comps:
-            x = np.geomspace(float(window[0]), float(window[1]), points)
+            x = np.geomspace(wlo, whi, points)
             meta["warnings"].append("window excludes the whole support")
             meta["mass"] = 0.0
             return DensityCurve(x, np.zeros_like(x), SupportSet(()), meta)

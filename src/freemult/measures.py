@@ -440,8 +440,8 @@ class Measure:
         """Positive finite bounds containing all but `tail` of the mass per side."""
         raise NotImplementedError
 
-    def integrate(self, kernel, points=(), scales=(), rtol: float = TOL_QUAD,
-                  max_depth: int = 48) -> complex | float:
+    def integrate(self, kernel, points=(), scales=(),
+                  rtol: float = TOL_QUAD) -> complex | float:
         raise NotImplementedError
 
     def invert(self) -> "Measure":
@@ -496,7 +496,7 @@ class Atomic(Measure):
     def effective_support(self, tail: float = TOL_TAIL):
         return self.math_support()
 
-    def integrate(self, kernel, points=(), scales=(), rtol=TOL_QUAD, max_depth=48):
+    def integrate(self, kernel, points=(), scales=(), rtol=TOL_QUAD):
         vals = np.asarray(kernel(self.a))
         total = np.dot(self.w, vals)
         return complex(total) if np.iscomplexobj(vals) else float(total)
@@ -571,13 +571,13 @@ class GridDensity(Measure):
     def effective_support(self, tail: float = TOL_TAIL):
         return self.math_support()
 
-    def integrate(self, kernel, points=(), scales=(), rtol=TOL_QUAD, max_depth=48):
+    def integrate(self, kernel, points=(), scales=(), rtol=TOL_QUAD):
         lo, hi = self.math_support()
         edges = merge_edges([self.x] + [ladder_edges(float(p), float(s), lo, hi)
                                         for p, s in zip(points, scales)])
         val, _err = adaptive_quad(
             lambda u: np.asarray(kernel(u)) * self.density(u),
-            edges, rtol=rtol, max_depth=max_depth)
+            edges, rtol=rtol)
         return val
 
     def invert(self) -> "GridDensity":
@@ -686,7 +686,7 @@ class Named(Measure):
                            + [ladder_edges(float(p), float(s), lo, hi)
                               for p, s in zip(points, scales)])
 
-    def integrate(self, kernel, points=(), scales=(), rtol=TOL_QUAD, max_depth=48):
+    def integrate(self, kernel, points=(), scales=(), rtol=TOL_QUAD):
         if self.family == "dirac":
             c = self.params["c"]
             val = np.asarray(kernel(np.array([c])))[0]
@@ -694,7 +694,7 @@ class Named(Measure):
         edges = self._panel_edges(points, scales)
         val, _err = adaptive_quad(
             lambda u: np.asarray(kernel(u)) * self.density(u),
-            edges, rtol=rtol, max_depth=max_depth)
+            edges, rtol=rtol)
         return val
 
     def invert(self) -> Measure:
@@ -784,7 +784,7 @@ def density_at(nu: Measure, x) -> float | np.ndarray:
 
 
 def integrate(nu: Measure, kernel, points=(), scales=(),
-              rtol: float = TOL_QUAD, max_depth: int = 48):
+              rtol: float = TOL_QUAD):
     """Integral of `kernel` against `nu`.
 
     Atomic measures give the exact weighted sum.  Density measures use
@@ -792,8 +792,7 @@ def integrate(nu: Measure, kernel, points=(), scales=(),
     side is truncated), with panels seeded around `points` at widths
     `scales`.
     """
-    return nu.integrate(kernel, points=points, scales=scales,
-                        rtol=rtol, max_depth=max_depth)
+    return nu.integrate(kernel, points=points, scales=scales, rtol=rtol)
 
 
 def invert_measure(nu: Measure) -> Measure:

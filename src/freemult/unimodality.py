@@ -6,9 +6,8 @@ Three independent routes are implemented:
   sub-resolution oscillations and a horizontal level sweep (a positive
   measure on the half-line is log-unimodal exactly when x times its density
   is unimodal);
-* half-plane inequality checks through the psi-transform (for measures on
-  the positive half-line with candidate mode c) and through the general
-  Pick transform (for measures on the real line);
+* the half-plane inequality check through the psi-transform, for a
+  candidate mode c;
 * the closed-form criterion for the lambda family: strong log-unimodality
   holds exactly when cos b <= 0, certified through the sign of the second
   derivative of the log of the log-pushforward density.
@@ -26,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import HalfPlaneGrid, RealMeasure, default_checker_grid, pick_transform, psi_prime
+from .analytic import HalfPlaneGrid, psi_prime
 from .errors import AtomicHasNoDensity, DegenerateInput, DomainError, InvariantViolation
 from .measures import Measure
 
@@ -218,7 +217,7 @@ def pick_inequality_check(mu: Measure, c: float | Sequence[float],
         if not 0.0 < m < math.inf:
             raise DomainError(f"candidate mode must be positive and finite, "
                               f"got {m}")
-    zs = (grid or default_checker_grid()).points()
+    zs = (grid or HalfPlaneGrid()).points()
     at = mu.atoms()
     if at is not None:
         w, a = at
@@ -240,23 +239,6 @@ def pick_inequality_check(mu: Measure, c: float | Sequence[float],
         violations = tuple((complex(z), float(v)) for z, v in zip(zs[bad], im[bad]))
         reports.append(PickCheckReport(not violations, violations, scale, tol))
     return reports[0] if single else reports
-
-
-def general_pick_check(tau: RealMeasure, c: float,
-                       grid: HalfPlaneGrid | None = None,
-                       tol_pick: float = TOL_PICK) -> PickCheckReport:
-    """Check Im[(z - c) P'(z)] <= 0 over a half-plane grid.
-
-    Holds on the whole upper half-plane exactly when the real-line measure
-    tau is unimodal with mode c."""
-    zs = (grid or default_checker_grid()).points()
-    vals = np.array([(z - c) * pick_transform(tau, z).derivative for z in zs])
-    scale = float(np.max(np.abs(vals)))
-    tol = tol_pick * scale
-    im = vals.imag
-    bad = im > tol
-    violations = tuple((complex(z), float(v)) for z, v in zip(zs[bad], im[bad]))
-    return PickCheckReport(not violations, violations, scale, tol)
 
 
 # ---------------------------------------------------------------------------

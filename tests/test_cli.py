@@ -1,7 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
+
+import pytest
 
 from freemult import cli
 from freemult.cli import main
@@ -207,6 +210,75 @@ def test_malformed_pick_modes_are_config_errors(tmp_path):
                 {"command": "pick", "measure": json.loads(DIRAC1), **field}]}, fh)
         assert main(["scenario", path, "--out", out]) == 2, field
     assert not os.path.exists(os.path.join(out, "pick_report.json"))
+
+
+def _named(family, **params):
+    return {"kind": "named", "family": family, "params": params}
+
+
+# each case is an argv, or a scenario run written to a file and run
+_MALFORMED_NUMBERS = {
+    "density_window": ["density", "--measure", DIRAC1, "--t", "1",
+                       "--window", "a,b"],
+    "sweep_window": ["sweep", "--measure", DIRAC1, "--t", "1",
+                     "--window", "a,b"],
+    "window_arity": ["density", "--measure", DIRAC1, "--t", "1",
+                     "--window", "1,2,3"],
+    "times_text": ["density", "--measure", DIRAC1, "--t", "1,x"],
+    "param_text": ["check", "--measure", json.dumps(_named("gamma", p="x", theta=1))],
+    "param_null": ["check", "--measure", json.dumps(_named("gamma", p=None, theta=1))],
+    "atom_weight": ["check", "--measure", json.dumps(
+        {"kind": "atomic", "atoms": [{"w": "x", "a": 1}]})],
+    "grid_abscissa": ["check", "--measure", json.dumps(
+        {"kind": "grid", "grid": {"x": [1, "a"], "f": [1, 1]}})],
+    "grid_not_list": ["check", "--measure", json.dumps(
+        {"kind": "grid", "grid": {"x": 1, "f": [1, 1]}})],
+    "run_times_text": {"command": "density", "measure": json.loads(DIRAC1),
+                       "times": ["a"]},
+    "run_times_scalar": {"command": "density", "measure": json.loads(DIRAC1),
+                         "times": 1},
+    "run_points": {"command": "density", "measure": json.loads(DIRAC1),
+                   "times": [1], "grid": {"points": "x"}},
+    "run_density_grid": {"command": "density", "measure": json.loads(DIRAC1),
+                         "times": [1], "grid": "x"},
+    "run_density_window": {"command": "density", "measure": json.loads(DIRAC1),
+                           "times": [1], "grid": {"window": ["a", 2]}},
+    "run_tolerance": {"command": "density", "measure": json.loads(DIRAC1),
+                      "times": [1], "tolerances": {"tol_root": "x"}},
+    "run_sweep_grid": {"command": "sweep", "measure": json.loads(DIRAC1),
+                       "times": [1], "grid": "x"},
+    "run_sweep_angles": {"command": "sweep", "measure": json.loads(DIRAC1),
+                         "times": [1], "angles": {"count": "x"}},
+    "run_sweep_angles_scalar": {"command": "sweep", "measure": json.loads(DIRAC1),
+                                "times": [1], "angles": 8},
+    "run_hysteresis": {"command": "check", "measure": json.loads(GAMMA21),
+                       "hysteresis": "x"},
+    "run_n_atoms": {"command": "counterexample", "n_atoms": "x"},
+    "run_n_atoms_inf": {"command": "counterexample", "n_atoms": math.inf},
+    "run_k_max": {"command": "counterexample", "n_atoms": 5, "k_max": [2]},
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_NUMBERS))
+def test_malformed_numbers_are_config_errors(tmp_path, capsys, case):
+    argv = _MALFORMED_NUMBERS[case]
+    if isinstance(argv, dict):
+        path = str(tmp_path / "scenario.json")
+        with open(path, "w") as fh:
+            json.dump({"schema_version": 1, "runs": [argv]}, fh)
+        argv = ["scenario", path]
+    assert main(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "config error: ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["density", "sweep"])
+@pytest.mark.parametrize("window", ["nan,1", "0,1", "-1,2", "0.5,inf", "2,1"])
+def test_bad_windows_are_config_errors(tmp_path, capsys, command, window):
+    out = str(tmp_path)
+    assert main([command, "--measure", DIRAC1, "--t", "1",
+                 f"--window={window}", "--out", out]) == cli.EXIT_CONFIG
+    assert "config error: DomainError: bad window" in capsys.readouterr().err
+    assert not os.listdir(out)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -160,6 +160,40 @@ def test_parse_scenario_validates():
             {"schema_version": 1, "runs": [{"command": "check", "bogus": 1}]}))
 
 
+_RUNS = {
+    "density": {"measure": {"kind": "named", "family": "dirac",
+                            "params": {"c": 1}}, "times": [1.0]},
+    "check": {"measure": {"kind": "named", "family": "dirac", "params": {"c": 1}}},
+    "sweep": {"measure": {"kind": "named", "family": "dirac", "params": {"c": 1}},
+              "times": [1.0]},
+    "counterexample": {"n_atoms": 5},
+    "pick": {"measure": {"kind": "named", "family": "dirac", "params": {"c": 1}},
+             "mode": 1.0},
+}
+
+
+def _scenario(command, **fields):
+    return json.dumps({"schema_version": 1, "runs": [
+        {"command": command, **_RUNS[command], **fields}]})
+
+
+@pytest.mark.parametrize("command", list(_RUNS))
+def test_scenario_runs_reject_outputs(command):
+    config_io.parse_scenario(_scenario(command))
+    with pytest.raises(ParseError, match="outputs"):
+        config_io.parse_scenario(_scenario(command, outputs={"csv": True}))
+
+
+@pytest.mark.parametrize("command", list(_RUNS))
+def test_only_density_runs_take_tolerances(command):
+    text = _scenario(command, tolerances={"tol_pick": 1e-9})
+    if command == "density":
+        config_io.parse_scenario(text)
+    else:
+        with pytest.raises(ParseError, match="tolerances"):
+            config_io.parse_scenario(text)
+
+
 def test_shipped_scenarios_parse():
     for name in ("symmetric_unimodal.json", "atomic_gap_cascade.json"):
         path = os.path.join(os.path.dirname(__file__), "..", "scenarios", name)

@@ -63,6 +63,13 @@ def test_count_solutions_pinned_window_raises():
                                  window=(0.5, 1.5))
 
 
+@pytest.mark.parametrize("window", [(math.nan, 1.0), (0.0, 1.0), (2.0, 1.0),
+                                    (0.5, math.inf), (0.5, math.nan)])
+def test_count_solutions_rejects_bad_window(window):
+    with pytest.raises(DomainError, match="bad window"):
+        fm.count_level_solutions(fm.dirac(1.0), 1.0, 1.0, window=window)
+
+
 def test_level_profiles_reject_coarse_grids():
     nu = fm.uniform_interval(1, 1.1)
     for grid in (63, 1, 0, -5):

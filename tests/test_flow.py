@@ -427,6 +427,13 @@ def test_curve_window_clips():
     assert len(curve.support) == 1
 
 
+@pytest.mark.parametrize("window", [(math.nan, 1.0), (0.0, 1.0), (-1.0, 2.0),
+                                    (0.5, math.inf), (2.0, 1.0), (1.0, 1.0)])
+def test_curve_rejects_bad_window(window):
+    with pytest.raises(DomainError, match="bad window"):
+        fm.density_curve(fm.FlowContext(fm.dirac(1.0), 1.0), window=window)
+
+
 def test_curve_metadata_records_tolerances():
     ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
     curve = fm.density_curve(ctx, points=128)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import freemult as fm
-from freemult.analytic import RealMeasure
 from freemult.errors import AtomicHasNoDensity, DegenerateInput, DomainError
 from freemult import unimodality
 from freemult.unimodality import ModeReport
@@ -187,28 +186,6 @@ def test_checker_agreement_on_named_families(nu, mode):
     # holds at the known mode and mode counting says unimodal
     assert fm.pick_inequality_check(nu, mode, grid=SMALL_GRID).holds
     assert fm.is_log_unimodal(nu).verdict == "unimodal"
-
-
-def test_general_pick_atom():
-    # an atom at c is unimodal with mode c: Im[(z-c)/(c-z)^2] = -Im z/|z-c|^2
-    rep = fm.general_pick_check(RealMeasure.from_atoms([(1.0, 1.0)]), 1.0,
-                                grid=SMALL_GRID)
-    assert rep.holds
-
-
-def test_general_pick_symmetric_uniform():
-    xs = np.linspace(-1, 1, 401)
-    tau = RealMeasure.from_grid(xs, np.full_like(xs, 0.5))
-    assert fm.general_pick_check(tau, 0.0, grid=SMALL_GRID).holds
-
-
-def test_general_pick_two_bumps_violated():
-    xs = np.linspace(-5, 5, 801)
-    tau = RealMeasure.from_grid(
-        xs, np.exp(-8 * (xs - 3) ** 2) + np.exp(-8 * (xs + 3) ** 2))
-    rep = fm.general_pick_check(tau, 0.0, grid=SMALL_GRID)
-    assert not rep.holds
-    assert rep.violations
 
 
 # ---------------------------------------------------------------------------
