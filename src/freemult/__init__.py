@@ -26,7 +26,6 @@ from .flow import (
     DensityCurve,
     FlowContext,
     SupportSet,
-    angle_equation_lhs,
     blowup_region,
     density,
     density_curve,
@@ -46,10 +45,7 @@ from .measures import (
     dirac,
     f_blowup,
     gamma_measure,
-    grid_density,
     half_normal,
-    integrate,
-    invert_measure,
     is_mult_symmetric,
     lambda_measure,
     log_normal,

@@ -33,7 +33,7 @@ from .errors import (
     IoError,
     ParseError,
 )
-from .flow import TOL_INT, FlowContext, blowup_region, density_curve
+from .flow import FlowContext, blowup_region, density_curve
 from .measures import GridDensity, Measure, is_mult_symmetric
 from .unimodality import (
     DEFAULT_HYSTERESIS,
@@ -57,7 +57,7 @@ _ALL_CHECKS = ("mass", "mean", "symmetry", "logunimodal", "pick",
 _TOLERANCE_DEFAULTS = {
     "tol_root": 1e-10,
     "tol_quad": 1e-12,
-    "tol_int": TOL_INT,
+    "tol_int": 1e-4,
     "tol_pick": TOL_PICK,
     "hysteresis": DEFAULT_HYSTERESIS,
     "tol_mean_rel": 1e-3,
@@ -77,7 +77,10 @@ def effective_tolerances(command: str, overrides: dict | None = None) -> dict:
     """The tolerances `command` reads, defaults overridden by `overrides`;
     naming a tolerance the command does not read is a ParseError."""
     tol = {k: _TOLERANCE_DEFAULTS[k] for k in _COMMAND_TOLERANCES[command]}
-    for k, v in (overrides or {}).items():
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise ParseError(f"tolerances must be an object, got {overrides!r}")
+    for k, v in overrides.items():
         if k not in tol:
             raise ParseError(f"{command} reads no tolerance {k!r}; "
                              f"it reads: {sorted(tol)}")
@@ -94,7 +97,11 @@ def _window(value) -> list[float] | None:
     return config_io.parse_numbers(value, "window")
 
 
-def _measure_of(cfg_measure) -> Measure:
+def _measure_of(cfg: dict) -> Measure:
+    """The run's `measure`: a Measure, a measure object, or a CLI value."""
+    if "measure" not in cfg:
+        raise ParseError("the run needs a 'measure' field")
+    cfg_measure = cfg["measure"]
     if isinstance(cfg_measure, Measure):
         return cfg_measure
     if isinstance(cfg_measure, dict):
@@ -140,7 +147,7 @@ def _check_expectations(expect: dict | None, summaries: list[dict]) -> list[str]
 # ---------------------------------------------------------------------------
 
 def run_density(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
-    nu = _measure_of(cfg["measure"])
+    nu = _measure_of(cfg)
     times = config_io.parse_numbers(cfg.get("times") or [], "times")
     if not times:
         raise ParseError("density needs a non-empty 'times' list")
@@ -164,15 +171,23 @@ def run_density(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
         config_io.write_curve_csv(curve, csv_path)
         warnings.extend(f"t={t:.17g}: {w}" for w in curve.metadata["warnings"])
 
+        mass = curve.metadata["mass"]
         summary: dict = {
             "t": t,
             "csv": os.path.basename(csv_path),
             "support": [list(iv) for iv in curve.support.intervals],
             "support_components": len(curve.support),
-            "mass": curve.metadata["mass"],
+            "mass": mass,
         }
+        # an empty curve already carries its own warning
+        if len(curve.support) and abs(mass - 1.0) > tol["tol_int"]:
+            cause = ("overshoots 1: too few samples" if mass > 1.0 else
+                     "falls short of 1: too few samples, or support beyond "
+                     "the sampled window")
+            warnings.append(f"t={t:.17g}: curve mass {mass:.6g} {cause} "
+                            f"(band {tol['tol_int']})")
         if "mass" in checks:
-            summary["mass_pass"] = abs(summary["mass"] - 1.0) <= tol["tol_int"]
+            summary["mass_pass"] = abs(mass - 1.0) <= tol["tol_int"]
         if "mean" in checks:
             base_mean = nu.mean()
             if math.isinf(base_mean):
@@ -227,7 +242,7 @@ def run_density(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
 
 
 def run_check(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
-    nu = _measure_of(cfg["measure"])
+    nu = _measure_of(cfg)
     tol = effective_tolerances("check", cfg.get("tolerances"))
     hysteresis = tol["hysteresis"] = config_io.parse_number(
         cfg.get("hysteresis", tol["hysteresis"]), "hysteresis")
@@ -298,7 +313,7 @@ def run_check(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
 
 
 def run_sweep(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
-    nu = _measure_of(cfg["measure"])
+    nu = _measure_of(cfg)
     times = config_io.parse_numbers(cfg.get("times") or [], "times")
     if not times:
         raise ParseError("sweep needs a non-empty 'times' list")
@@ -418,7 +433,7 @@ def _pick_modes(cfg: dict) -> list[float]:
 
 
 def run_pick(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
-    nu = _measure_of(cfg["measure"])
+    nu = _measure_of(cfg)
     tol = effective_tolerances("pick", cfg.get("tolerances"))
     modes = _pick_modes(cfg)
     per_mode = []
@@ -497,12 +512,9 @@ def _parse_window(text: str | None):
 
 
 def _tol_overrides(args) -> dict | None:
-    over = {}
-    if args.tol_root is not None:
-        over["tol_root"] = args.tol_root
-    if args.tol_quad is not None:
-        over["tol_quad"] = args.tol_quad
-    return over or None
+    """The --tol-root/--tol-quad values given, or None."""
+    over = {k: getattr(args, k, None) for k in ("tol_root", "tol_quad")}
+    return {k: v for k, v in over.items() if v is not None} or None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -647,7 +659,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_NUMERIC
     except FreemultError as exc:
-        tol = (effective_tolerances(args.command)
+        tol = (effective_tolerances(args.command, _tol_overrides(args))
                if args.command in _COMMAND_TOLERANCES else {})
         print(f"numeric failure in {args.command}: {type(exc).__name__}: {exc} "
               f"(tolerances: {tol})", file=sys.stderr)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolation, IoError, ParseError
+from .errors import IoError, ParseError
 from .flow import DensityCurve
-from .measures import GridDensity, Measure, Named, atomic
+from .measures import GridDensity, Measure, Named, atomic, dirac
 
 SCHEMA_VERSION = 1
 
@@ -169,8 +169,14 @@ def measure_from_dict(d: dict) -> Measure:
         params = d.get("params", {})
         if not isinstance(params, dict):
             raise ParseError("'params' must be an object")
-        return Named(family, **{k: parse_number(v, f"params.{k}")
-                                for k, v in params.items()})
+        params = {k: parse_number(v, f"params.{k}") for k, v in params.items()}
+        if family == "dirac":
+            # the point mass keeps its named file form but is an Atomic
+            if set(params) != {"c"}:
+                raise ParseError(f"family 'dirac' takes ('c',), got "
+                                 f"{sorted(params)}")
+            return dirac(params["c"])
+        return Named(family, **params)
     raise ParseError(f"unknown measure kind {kind!r} (atomic | grid | named)")
 
 

@@ -5,7 +5,7 @@ Three representations are supported:
 * ``Atomic`` -- a finite list of weighted point masses;
 * ``GridDensity`` -- a sampled density on an increasing (canonically
   log-spaced) grid, interpreted as its piecewise-linear interpolant;
-* ``Named`` -- closed-form families (dirac, lambda, half_normal, gamma,
+* ``Named`` -- closed-form density families (lambda, half_normal, gamma,
   beta, marchenko_pastur, marchenko_pastur_inverse, boolean_stable,
   uniform, log_normal).
 
@@ -395,16 +395,6 @@ _register("log_normal", _FamilyDef(
     invert=lambda p: ("log_normal", {"m": -p["m"], "s": p["s"]}),
 ))
 
-_register("dirac", _FamilyDef(
-    params=("c",),
-    validate=lambda p: _require(p["c"] > 0, "dirac.c", f"c={p['c']} <= 0"),
-    pdf=None, cdf=None, ppf=None,
-    mean=lambda p: p["c"],
-    support=lambda p: (p["c"], p["c"]),
-    singular=lambda p: (),
-    invert=lambda p: ("dirac", {"c": 1.0 / p["c"]}),
-))
-
 
 # ---------------------------------------------------------------------------
 # measure classes
@@ -416,7 +406,7 @@ class Measure:
     kind: str
 
     def has_density(self) -> bool:
-        raise NotImplementedError
+        return self.atoms() is None
 
     def atoms(self):
         """(weights, locations) float arrays, locations increasing, or None
@@ -474,9 +464,6 @@ class Atomic(Measure):
                                      f"weights sum to {w.sum()!r}, expected 1")
         self.w = w
         self.a = a
-
-    def has_density(self) -> bool:
-        return False
 
     def atoms(self):
         return self.w, self.a
@@ -542,9 +529,6 @@ class GridDensity(Measure):
         self.x = x
         self.f = f
 
-    def has_density(self) -> bool:
-        return True
-
     def density(self, x):
         return np.interp(np.asarray(x, float), self.x, self.f, left=0.0, right=0.0)
 
@@ -596,8 +580,7 @@ def _mass_ok(x, f):
 
 
 class Named(Measure):
-    """Closed-form family measure; `dirac` is atomic, everything else has a
-    density."""
+    """Closed-form density family."""
 
     kind = "named"
 
@@ -621,22 +604,14 @@ class Named(Measure):
         self._support_cache: dict[float, tuple[float, float]] = {}
         self._seed_edges_cache: dict[float, np.ndarray] = {}
 
-    def has_density(self) -> bool:
-        return self.family != "dirac"
-
     def atoms(self):
-        if self.family == "dirac":
-            return np.ones(1), np.array([self.params["c"]])
+        # defined here, not inherited, because the benchmark tracer wraps it
         return None
 
     def density(self, x):
-        if not self.has_density():
-            raise AtomicHasNoDensity("dirac is a point mass; it has no density")
         return self._fam.pdf(self.params, x)
 
     def cdf(self, x):
-        if self.family == "dirac":
-            return np.where(np.asarray(x, float) >= self.params["c"], 1.0, 0.0)
         return self._fam.cdf(self.params, x)
 
     def mean(self) -> float:
@@ -646,8 +621,6 @@ class Named(Measure):
         return self._fam.support(self.params)
 
     def effective_support(self, tail: float = TOL_TAIL):
-        if self.family == "dirac":
-            return self.math_support()
         if tail not in self._support_cache:
             self._support_cache[tail] = self._quantile_support(tail)
         return self._support_cache[tail]
@@ -687,10 +660,6 @@ class Named(Measure):
                               for p, s in zip(points, scales)])
 
     def integrate(self, kernel, points=(), scales=(), rtol=TOL_QUAD):
-        if self.family == "dirac":
-            c = self.params["c"]
-            val = np.asarray(kernel(np.array([c])))[0]
-            return complex(val) if np.iscomplexobj(val) else float(val)
         edges = self._panel_edges(points, scales)
         val, _err = adaptive_quad(
             lambda u: np.asarray(kernel(u)) * self.density(u),
@@ -718,8 +687,9 @@ def atomic(pairs: Sequence[tuple[float, float]]) -> Atomic:
     return Atomic(arr[:, 0], arr[:, 1])
 
 
-def dirac(c: float) -> Named:
-    return Named("dirac", c=c)
+def dirac(c: float) -> Atomic:
+    """The point mass at c: the one-atom `Atomic`."""
+    return Atomic([1.0], [c])
 
 
 def lambda_measure(b: float) -> Named:
@@ -758,10 +728,6 @@ def log_normal(m: float, s: float) -> Named:
     return Named("log_normal", m=m, s=s)
 
 
-def grid_density(x, f, normalize: bool = False) -> GridDensity:
-    return GridDensity(x, f, normalize=normalize)
-
-
 def to_grid(nu: Measure, n: int = 2048, tail: float = 1e-7) -> GridDensity:
     """Sample a density measure onto the canonical log-spaced grid."""
     if not nu.has_density():
@@ -783,23 +749,6 @@ def density_at(nu: Measure, x) -> float | np.ndarray:
     return float(vals) if np.isscalar(x) else vals
 
 
-def integrate(nu: Measure, kernel, points=(), scales=(),
-              rtol: float = TOL_QUAD):
-    """Integral of `kernel` against `nu`.
-
-    Atomic measures give the exact weighted sum.  Density measures use
-    adaptive panel quadrature over the effective support (mass beyond `TOL_TAIL` per
-    side is truncated), with panels seeded around `points` at widths
-    `scales`.
-    """
-    return nu.integrate(kernel, points=points, scales=scales, rtol=rtol)
-
-
-def invert_measure(nu: Measure) -> Measure:
-    """Push-forward of `nu` under x -> 1/x."""
-    return nu.invert()
-
-
 def pushforward_log(nu: Measure, y_lo: float, y_hi: float, n: int):
     """Density of the logarithm push-forward sampled on a uniform grid.
 
@@ -819,14 +768,14 @@ def is_mult_symmetric(nu: Measure, tol: float = 1e-9) -> bool:
 
     Atomic measures are compared atom by atom after inversion; density
     measures by the sup-distance of the distribution functions of `nu` and
-    `invert_measure(nu)` on a log-symmetric grid.
+    `nu.invert()` on a log-symmetric grid.
     """
     if not nu.has_density():
         w, a = nu.atoms()
         w_inv, a_inv = w[::-1], 1.0 / a[::-1]
         return bool(np.all(np.abs(w - w_inv) <= 1e-12) and
                     np.all(np.abs(a - a_inv) <= 1e-12 * np.maximum(1.0, a)))
-    inv = invert_measure(nu)
+    inv = nu.invert()
     lo1, hi1 = nu.effective_support(1e-9)
     lo2, hi2 = inv.effective_support(1e-9)
     span = max(abs(math.log(v)) for v in (lo1, hi1, lo2, hi2))

@@ -257,7 +257,8 @@ def test_criterion_11_solver_contracts():
         for r in np.geomspace(0.15, 6.0, 20):
             u = fm.solve_angle(ctx, float(r))
             if u > 0.0:
-                resid = abs(fm.angle_equation_lhs(ctx, float(r), u) - 1.0 / t)
+                lhs = fm.level_function(ctx.nu, u, float(r), rtol=ctx.tol_quad)
+                resid = abs(lhs - 1.0 / t)
                 resid_ok &= resid <= 1e-10 / t
 
     ctx = fm.FlowContext(fm.uniform_interval(1, 2), 1.0)
@@ -271,8 +272,8 @@ def test_criterion_11_solver_contracts():
     for _ in range(100):
         r = float(rng.uniform(0.2, 3.0))
         th = np.sort(rng.uniform(0.02, math.pi - 0.02, 2))
-        lo, hi = (fm.angle_equation_lhs(ctx, r, float(th[0])),
-                  fm.angle_equation_lhs(ctx, r, float(th[1])))
+        lo, hi = (fm.level_function(ctx.nu, float(th[0]), r, rtol=ctx.tol_quad),
+                  fm.level_function(ctx.nu, float(th[1]), r, rtol=ctx.tol_quad))
         mono_ok &= lo > hi
 
     _report("11. solver contracts", resid_ok and round_ok and mono_ok,

@@ -107,6 +107,65 @@ def test_sweep_rejects_degenerate_sizes(tmp_path):
                     + flags) == 2, flags
 
 
+def _run_scenario(tmp_path, run):
+    """Write `run` as a one-run scenario and run it; the exit code."""
+    path = str(tmp_path / "scenario.json")
+    with open(path, "w") as fh:
+        json.dump({"schema_version": 1, "runs": [run]}, fh)
+    return main(["scenario", path, "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("tolerances, warned", [(None, True),
+                                                ({"tol_int": 0.5}, False)])
+def test_mass_band_is_the_runs_tol_int(tmp_path, tolerances, warned):
+    # the 64-point gamma curve reads mass 0.99704
+    run = {"command": "density", "measure": json.loads(GAMMA21),
+           "times": [1], "grid": {"points": 64}, "checks": ["mass"]}
+    if tolerances:
+        run["tolerances"] = tolerances
+    assert _run_scenario(tmp_path, run) == 0
+    report = json.loads(open(
+        str(tmp_path / "run00_density" / "density_report.json")).read())
+    short = [w for w in report["warnings"] if "falls short" in w]
+    assert report["results"]["per_t"][0]["mass_pass"] is not warned
+    if warned:
+        assert short == ["t=1: curve mass 0.99704 falls short of 1: too few "
+                         "samples, or support beyond the sampled window "
+                         "(band 0.0001)"]
+    else:
+        assert short == []
+
+
+def test_numeric_failure_prints_the_tolerances_run(tmp_path, capsys):
+    assert main(["density", "--measure", DIRAC1, "--t", "1e16", "--points",
+                 "64", "--tol-root", "1e-3", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "BracketFailure" in err
+    assert "'tol_root': 0.001" in err
+
+
+@pytest.mark.parametrize("run", [
+    {"command": "density", "times": [1]},
+    {"command": "check"},
+    {"command": "sweep", "times": [1]},
+    {"command": "pick", "mode": 1.0},
+    {"command": "density", "measure": json.loads(DIRAC1), "times": [1],
+     "tolerances": 5},
+], ids=["density", "check", "sweep", "pick", "tolerances_scalar"])
+def test_malformed_scenario_runs_are_config_errors(tmp_path, capsys, run):
+    assert _run_scenario(tmp_path, run) == cli.EXIT_CONFIG
+    assert "config error: ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [{}, {"c": 1, "d": 2}, {"c": 0}, {"c": "x"}],
+                         ids=["none", "extra", "zero", "text"])
+def test_bad_dirac_params_are_config_errors(tmp_path, capsys, params):
+    measure = json.dumps({"kind": "named", "family": "dirac", "params": params})
+    assert main(["check", "--measure", measure,
+                 "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_reports_list_the_tolerances_read(tmp_path):
     out = str(tmp_path)
     assert main(["sweep", "--measure", DIRAC1, "--t", "1", "--angles", "4",

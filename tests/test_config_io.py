@@ -56,6 +56,14 @@ def test_parse_unknown_kind():
         config_io.parse_measure('{"kind": "fancy"}')
 
 
+def test_named_dirac_parses_to_one_atom():
+    nu = config_io.parse_measure(
+        '{"kind": "named", "family": "dirac", "params": {"c": 2.5}}')
+    assert isinstance(nu, fm.Atomic)
+    assert [v.tolist() for v in nu.atoms()] == [[1.0], [2.5]]
+    assert fm.dirac(2.0).to_dict() == fm.atomic([(1.0, 2.0)]).to_dict()
+
+
 def test_atomic_sorted_on_parse():
     nu = config_io.parse_measure(
         '{"kind": "atomic", "atoms": [{"w": 0.5, "a": 4}, {"w": 0.5, "a": 1}]}')
@@ -78,7 +86,7 @@ def test_measure_round_trip_exact():
 def test_grid_round_trip_bit_exact():
     ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
     curve = fm.density_curve(ctx, points=128)
-    grid = fm.grid_density(curve.x, curve.q, normalize=False)
+    grid = fm.GridDensity(curve.x, curve.q, normalize=False)
     text = config_io.dumps(grid.to_dict())
     back = config_io.parse_measure(text)
     assert np.array_equal(back.x, grid.x)

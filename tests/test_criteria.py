@@ -277,7 +277,7 @@ def test_scaled_convolution_matches_log_grid_convolution():
     a, t = 0.25, 2.0
     B = a * math.pi * t
     c_b = math.sin(B) / (math.pi - B)
-    conv = fm.mult_convolve(fm.lambda_measure(B), fm.invert_measure(nu))
+    conv = fm.mult_convolve(fm.lambda_measure(B), nu.invert())
     worst = 0.0
     for r in np.geomspace(0.2, 5.0, 40):
         via_kernel = fm.scaled_convolution_density(nu, a, t, float(r))
@@ -347,7 +347,7 @@ def test_build_counterexample_custom_rules():
 
 def test_build_counterexample_inverted_variant():
     nu, _spec = fm.build_counterexample(8)
-    inv = fm.invert_measure(nu)
+    inv = nu.invert()
     locations = inv.atoms()[1].tolist()
     assert locations == [float(k) ** 4 for k in range(1, 9)]
 

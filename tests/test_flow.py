@@ -35,28 +35,29 @@ def test_angle_lhs_point_mass_closed_form():
     ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
     for theta in (0.3, 1.0, 2.5):
         expect = math.sin(theta) / (4.0 * theta * math.sin(theta / 2) ** 2)
-        assert fm.angle_equation_lhs(ctx, 1.0, theta) == pytest.approx(
-            expect, rel=1e-14)
+        lhs = fm.level_function(ctx.nu, theta, 1.0, rtol=ctx.tol_quad)
+        assert lhs == pytest.approx(expect, rel=1e-14)
 
 
 def test_angle_lhs_diverges_like_inverse_square():
     ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
     for theta in (1e-2, 1e-3, 1e-4):
-        assert fm.angle_equation_lhs(ctx, 1.0, theta) * theta ** 2 == pytest.approx(
-            1.0, rel=1e-2)
+        lhs = fm.level_function(ctx.nu, theta, 1.0, rtol=ctx.tol_quad)
+        assert lhs * theta ** 2 == pytest.approx(1.0, rel=1e-2)
 
 
 def test_angle_lhs_vanishes_at_pi():
     ctx = fm.FlowContext(fm.uniform_interval(1, 2), 1.0)
-    assert fm.angle_equation_lhs(ctx, 0.8, math.pi - 1e-12) < 1e-11
+    assert fm.level_function(ctx.nu, math.pi - 1e-12, 0.8,
+                             rtol=ctx.tol_quad) < 1e-11
 
 
 def test_angle_lhs_domain():
     ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
     with pytest.raises(DomainError):
-        fm.angle_equation_lhs(ctx, 1.0, 0.0)
+        fm.level_function(ctx.nu, 0.0, 1.0, rtol=ctx.tol_quad)
     with pytest.raises(DomainError):
-        fm.angle_equation_lhs(ctx, -1.0, 0.5)
+        fm.level_function(ctx.nu, 0.5, -1.0, rtol=ctx.tol_quad)
 
 
 @pytest.mark.parametrize("nu", [fm.gamma_measure(2.0, 1.0),
@@ -68,8 +69,8 @@ def test_angle_lhs_dtheta_matches_central_difference(nu):
     for theta in (0.4, 1.3, 2.5):
         ival = flow.poisson_kernel_integral(nu, r, math.sin(theta / 2) ** 2,
                                             rtol=ctx.tol_quad)
-        fd = (fm.angle_equation_lhs(ctx, r, theta + h)
-              - fm.angle_equation_lhs(ctx, r, theta - h)) / (2 * h)
+        fd = (fm.level_function(nu, theta + h, r, rtol=ctx.tol_quad)
+              - fm.level_function(nu, theta - h, r, rtol=ctx.tol_quad)) / (2 * h)
         assert flow._angle_lhs_dtheta(ctx, r, theta, ival) == pytest.approx(
             fd, rel=1e-6)
 
@@ -146,8 +147,8 @@ def test_solve_angle_any_guess_meets_contract(nu, t, pick, where, guess):
     # below about 1e-6 the kernel quadrature itself is only accurate to
     # noise = 1e-16/u relative, and the residual with it
     noise = max(ctx.tol_quad, 1e-16 / u)
-    assert abs(fm.angle_equation_lhs(ctx, r, u) - 1.0 / t) <= max(
-        ctx.tol_root, noise) / t
+    lhs = fm.level_function(ctx.nu, u, r, rtol=ctx.tol_quad)
+    assert abs(lhs - 1.0 / t) <= max(ctx.tol_root, noise) / t
     # the noise moves the root by kappa * noise relative, kappa the
     # condition number |d log theta / d log LHS|; it is huge at component
     # edges, where LHS ~ f(r) - A theta^2 and f(r) ~ 1/t
@@ -237,7 +238,8 @@ def test_angle_monotone_decreasing_in_theta():
     for _ in range(20):
         r = float(rng.uniform(0.2, 3.0))
         thetas = np.sort(rng.uniform(0.01, math.pi - 0.01, 5))
-        vals = [fm.angle_equation_lhs(ctx, r, float(t)) for t in thetas]
+        vals = [fm.level_function(ctx.nu, float(t), r, rtol=ctx.tol_quad)
+                for t in thetas]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -364,7 +366,6 @@ def test_curve_mass_measures_the_curve():
                              points=128)
     assert curve.mass() == pytest.approx(0.99926, abs=1e-5)
     assert curve.metadata["mass"] == curve.mass()
-    assert [w for w in curve.metadata["warnings"] if "falls short" in w]
 
 
 def test_curve_mean_identity():
@@ -391,7 +392,7 @@ def test_curve_inversion_equivariance():
     nu = fm.uniform_interval(1, 2)
     t = 1.0
     ctx = fm.FlowContext(nu, t)
-    ctx_inv = fm.FlowContext(fm.invert_measure(nu), t)
+    ctx_inv = fm.FlowContext(nu.invert(), t)
     worst = 0.0
     for x in np.geomspace(0.2, 5.0, 30):
         a = fm.density(ctx_inv, float(x))
@@ -439,8 +440,8 @@ def test_curve_metadata_records_tolerances():
     curve = fm.density_curve(ctx, points=128)
     md = curve.metadata
     assert md["t"] == 1.0
-    assert md["measure"]["kind"] == "named"
-    assert set(md["tolerances"]) == {"tol_root", "tol_quad", "tol_int"}
+    assert md["measure"]["kind"] == "atomic"
+    assert set(md["tolerances"]) == {"tol_root", "tol_quad"}
     assert "mass" in md
 
 
@@ -464,7 +465,8 @@ def test_residual_contract_sampled():
         for r in np.geomspace(0.2, 5.0, 12):
             u = fm.solve_angle(ctx, float(r))
             if u > 0.0:
-                resid = abs(fm.angle_equation_lhs(ctx, float(r), u) - 1.0 / t)
+                lhs = fm.level_function(ctx.nu, u, float(r), rtol=ctx.tol_quad)
+                resid = abs(lhs - 1.0 / t)
                 assert resid <= ctx.tol_root / t
 
 

@@ -106,7 +106,7 @@ def test_named_family_modes(nu, mode):
 
 def test_inversion_duality_of_modes():
     rep = fm.is_log_unimodal(fm.gamma_measure(2, 1))
-    rep_inv = fm.is_log_unimodal(fm.invert_measure(fm.gamma_measure(2, 1)))
+    rep_inv = fm.is_log_unimodal(fm.gamma_measure(2, 1).invert())
     assert rep.verdict == rep_inv.verdict == "unimodal"
     assert rep_inv.modes[0] == pytest.approx(1.0 / rep.modes[0], rel=5e-3)
 
