@@ -36,8 +36,6 @@ from .errors import (
 from .flow import FlowContext, blowup_region, density_curve
 from .measures import GridDensity, Measure, is_mult_symmetric
 from .unimodality import (
-    DEFAULT_HYSTERESIS,
-    TOL_PICK,
     is_log_unimodal,
     lambda_strong_check,
     pick_inequality_check,
@@ -54,40 +52,6 @@ _ALL_CHECKS = ("mass", "mean", "symmetry", "logunimodal", "pick",
                "theta_sweep", "support")
 
 
-_TOLERANCE_DEFAULTS = {
-    "tol_root": 1e-10,
-    "tol_quad": 1e-12,
-    "tol_int": 1e-4,
-    "tol_pick": TOL_PICK,
-    "hysteresis": DEFAULT_HYSTERESIS,
-    "tol_mean_rel": 1e-3,
-    "tol_symmetry": 1e-3,
-}
-# the tolerances each command reads, and so reports and accepts
-_COMMAND_TOLERANCES = {
-    "density": tuple(_TOLERANCE_DEFAULTS),
-    "check": ("tol_pick", "hysteresis"),
-    "sweep": (),
-    "counterexample": ("tol_root", "tol_quad"),
-    "pick": ("tol_pick",),
-}
-
-
-def effective_tolerances(command: str, overrides: dict | None = None) -> dict:
-    """The tolerances `command` reads, defaults overridden by `overrides`;
-    naming a tolerance the command does not read is a ParseError."""
-    tol = {k: _TOLERANCE_DEFAULTS[k] for k in _COMMAND_TOLERANCES[command]}
-    overrides = {} if overrides is None else overrides
-    if not isinstance(overrides, dict):
-        raise ParseError(f"tolerances must be an object, got {overrides!r}")
-    for k, v in overrides.items():
-        if k not in tol:
-            raise ParseError(f"{command} reads no tolerance {k!r}; "
-                             f"it reads: {sorted(tol)}")
-        tol[k] = config_io.parse_number(v, f"tolerance {k!r}")
-    return tol
-
-
 def _window(value) -> list[float] | None:
     """A window [lo, hi] of two numbers, or None."""
     if value is None:
@@ -98,15 +62,12 @@ def _window(value) -> list[float] | None:
 
 
 def _measure_of(cfg: dict) -> Measure:
-    """The run's `measure`: a Measure, a measure object, or a CLI value."""
+    """The run's `measure`: a measure object, or a --measure value."""
     if "measure" not in cfg:
         raise ParseError("the run needs a 'measure' field")
-    cfg_measure = cfg["measure"]
-    if isinstance(cfg_measure, Measure):
-        return cfg_measure
-    if isinstance(cfg_measure, dict):
-        return config_io.measure_from_dict(cfg_measure)
-    return config_io.parse_measure_arg(str(cfg_measure))
+    if isinstance(cfg["measure"], dict):
+        return config_io.measure_from_dict(cfg["measure"])
+    return config_io.parse_measure_arg(str(cfg["measure"]))
 
 
 def _log_symmetry_defect(curve) -> float:
@@ -143,10 +104,12 @@ def _check_expectations(expect: dict | None, summaries: list[dict]) -> list[str]
 
 
 # ---------------------------------------------------------------------------
-# command cores (shared by the CLI and cmd_scenario)
+# runners: each takes a run record and its effective tolerances, writes its
+# CSVs, and returns (exit code, inputs echo, results, warnings, the summaries
+# that `expect` is checked against); `run` does the rest
 # ---------------------------------------------------------------------------
 
-def run_density(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
+def run_density(cfg: dict, tol: dict, out_dir: str):
     nu = _measure_of(cfg)
     times = config_io.parse_numbers(cfg.get("times") or [], "times")
     if not times:
@@ -160,7 +123,6 @@ def run_density(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
     for c in checks:
         if c not in _ALL_CHECKS:
             raise ParseError(f"unknown check {c!r}; known: {list(_ALL_CHECKS)}")
-    tol = effective_tolerances("density", cfg.get("tolerances"))
 
     warnings: list[str] = []
     per_t = []
@@ -225,27 +187,15 @@ def run_density(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
             summary["theta_sweep_max_count"] = max(sweep.effective_counts)
         per_t.append(summary)
 
-    failures = _check_expectations(cfg.get("expect"), per_t)
-    warnings.extend(failures)
-    report = config_io.Report(
-        command="density",
-        inputs={"measure": nu.to_dict(), "times": times,
-                "grid": {"points": points,
-                         "window": list(window) if window else None},
-                "checks": list(checks)},
-        tolerances=tol,
-        results={"per_t": per_t},
-        warnings=warnings,
-    )
-    config_io.write_report(report, os.path.join(out_dir, "density_report.json"))
-    return (EXIT_NEGATIVE if failures else EXIT_OK), report
+    inputs = {"measure": nu.to_dict(), "times": times,
+              "grid": {"points": points,
+                       "window": list(window) if window else None},
+              "checks": list(checks)}
+    return EXIT_OK, inputs, {"per_t": per_t}, warnings, per_t
 
 
-def run_check(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
+def run_check(cfg: dict, tol: dict, out_dir: str):
     nu = _measure_of(cfg)
-    tol = effective_tolerances("check", cfg.get("tolerances"))
-    hysteresis = tol["hysteresis"] = config_io.parse_number(
-        cfg.get("hysteresis", tol["hysteresis"]), "hysteresis")
     requested = cfg.get("checks") or ["logunimodal", "pick"]
     results: dict = {}
     warnings: list[str] = []
@@ -253,7 +203,7 @@ def run_check(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
     inconclusive = False
 
     if "logunimodal" in requested or "pick" in requested:
-        mode_report = is_log_unimodal(nu, hysteresis=hysteresis)
+        mode_report = is_log_unimodal(nu, hysteresis=tol["hysteresis"])
         results["logunimodal"] = {
             "verdict": mode_report.verdict,
             "num_local_maxima": mode_report.num_local_maxima,
@@ -292,32 +242,20 @@ def run_check(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
         }
         negative |= not strong.strongly_log_unimodal
 
-    failures = _check_expectations(cfg.get("expect"), [
-        {k: (v.get("verdict") if isinstance(v, dict) and "verdict" in v else v)
-         for k, v in results.items()}])
-    warnings.extend(failures)
-    negative |= bool(failures)
-
-    report = config_io.Report(
-        command="check",
-        inputs={"measure": nu.to_dict(), "checks": list(requested),
-                "hysteresis": hysteresis},
-        tolerances=tol,
-        results=results,
-        warnings=warnings,
-    )
-    config_io.write_report(report, os.path.join(out_dir, "check_report.json"))
+    summary = {k: (v.get("verdict") if isinstance(v, dict) and "verdict" in v
+                   else v) for k, v in results.items()}
     code = (EXIT_NEGATIVE if negative
             else EXIT_INCONCLUSIVE if inconclusive else EXIT_OK)
-    return code, report
+    inputs = {"measure": nu.to_dict(), "checks": list(requested),
+              "hysteresis": tol["hysteresis"]}
+    return code, inputs, results, warnings, [summary]
 
 
-def run_sweep(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
+def run_sweep(cfg: dict, tol: dict, out_dir: str):
     nu = _measure_of(cfg)
     times = config_io.parse_numbers(cfg.get("times") or [], "times")
     if not times:
         raise ParseError("sweep needs a non-empty 'times' list")
-    tol = effective_tolerances("sweep", cfg.get("tolerances"))
     angles = cfg.get("angles") or {}
     if not isinstance(angles, dict):
         raise ParseError(f"sweep 'angles' must be an object, got {angles!r}")
@@ -345,28 +283,18 @@ def run_sweep(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
                       "max_count": max(sweep.effective_counts)})
     results["per_t"] = per_t
 
-    failures = _check_expectations(cfg.get("expect"), per_t)
-    warnings.extend(failures)
-    negative = bool(failures) or not all(s["log_unimodal"] for s in per_t)
-    report = config_io.Report(
-        command="sweep",
-        inputs={"measure": nu.to_dict(), "times": times,
-                "angles": {"count": n_angles}, "grid": grid,
-                "window": list(window) if window else None},
-        tolerances=tol,
-        results=results,
-        warnings=warnings,
-    )
-    config_io.write_report(report, os.path.join(out_dir, "sweep_report.json"))
-    return (EXIT_NEGATIVE if negative else EXIT_OK), report
+    code = EXIT_OK if all(s["log_unimodal"] for s in per_t) else EXIT_NEGATIVE
+    inputs = {"measure": nu.to_dict(), "times": times,
+              "angles": {"count": n_angles}, "grid": grid,
+              "window": list(window) if window else None}
+    return code, inputs, results, warnings, per_t
 
 
-def run_counterexample(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
+def run_counterexample(cfg: dict, tol: dict, out_dir: str):
     n_atoms = config_io.parse_number(cfg.get("n_atoms", 30), "n_atoms", int)
     rule = cfg.get("rule", "zeta6")
     times = config_io.parse_numbers(cfg.get("times") or [1.0], "times")
     k_max = config_io.parse_number(cfg.get("k_max", n_atoms - 1), "k_max", int)
-    tol = effective_tolerances("counterexample", cfg.get("tolerances"))
 
     nu, spec = build_counterexample(n_atoms, rule=rule)
     results: dict = {
@@ -397,19 +325,8 @@ def run_counterexample(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
         per_t.append(entry)
     results["per_t"] = per_t
 
-    failures = _check_expectations(cfg.get("expect"), per_t)
-    negative |= bool(failures)
-    report = config_io.Report(
-        command="counterexample",
-        inputs={"n_atoms": n_atoms, "rule": rule, "times": times,
-                "k_max": k_max},
-        tolerances=tol,
-        results=results,
-        warnings=list(failures),
-    )
-    config_io.write_report(report,
-                           os.path.join(out_dir, "counterexample_report.json"))
-    return (EXIT_NEGATIVE if negative else EXIT_OK), report
+    inputs = {"n_atoms": n_atoms, "rule": rule, "times": times, "k_max": k_max}
+    return (EXIT_NEGATIVE if negative else EXIT_OK), inputs, results, [], per_t
 
 
 def _pick_modes(cfg: dict) -> list[float]:
@@ -432,9 +349,8 @@ def _pick_modes(cfg: dict) -> list[float]:
     return [lo] if mode is not None else np.geomspace(lo, hi, count).tolist()
 
 
-def run_pick(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
+def run_pick(cfg: dict, tol: dict, out_dir: str):
     nu = _measure_of(cfg)
-    tol = effective_tolerances("pick", cfg.get("tolerances"))
     modes = _pick_modes(cfg)
     per_mode = []
     all_violations = []
@@ -446,17 +362,9 @@ def run_pick(cfg: dict, out_dir: str) -> tuple[int, config_io.Report]:
     if all_violations:
         config_io.write_violations_csv(
             all_violations, os.path.join(out_dir, "pick_violations.csv"))
-    failures = _check_expectations(cfg.get("expect"), per_mode)
-    negative = bool(failures) or not all(m["holds"] for m in per_mode)
-    report = config_io.Report(
-        command="pick",
-        inputs={"measure": nu.to_dict(), "modes": modes},
-        tolerances=tol,
-        results={"per_mode": per_mode},
-        warnings=list(failures),
-    )
-    config_io.write_report(report, os.path.join(out_dir, "pick_report.json"))
-    return (EXIT_NEGATIVE if negative else EXIT_OK), report
+    code = EXIT_OK if all(m["holds"] for m in per_mode) else EXIT_NEGATIVE
+    return (code, {"measure": nu.to_dict(), "modes": modes},
+            {"per_mode": per_mode}, [], per_mode)
 
 
 _RUNNERS = {
@@ -468,26 +376,46 @@ _RUNNERS = {
 }
 
 
+def run(command: str, cfg: dict, out_dir: str) -> int:
+    """Run `command` on the run record `cfg` (a scenario run, or the flags
+    of one subcommand) and write `<command>_report.json` to `out_dir`; a
+    mismatched `expect` is a negative verdict.  A numeric failure carries
+    the tolerances of the run as `exc.tolerances`."""
+    tol = config_io.effective_tolerances(command, cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        code, inputs, results, warnings, summaries = _RUNNERS[command](
+            cfg, tol, out_dir)
+    except FreemultError as exc:
+        exc.tolerances = tol
+        raise
+    failures = _check_expectations(cfg.get("expect"), summaries)
+    config_io.write_report(
+        {"command": command, "inputs": inputs, "tolerances": tol,
+         "results": results, "warnings": warnings + failures},
+        os.path.join(out_dir, f"{command}_report.json"))
+    return EXIT_NEGATIVE if failures else code
+
+
 def run_scenario(path: str, out_dir: str | None) -> int:
     scenario = config_io.load_scenario(path)
     base = out_dir or scenario.get("out_dir") or "."
-    os.makedirs(base, exist_ok=True)
     codes = []
-    for i, run in enumerate(scenario["runs"]):
-        sub = os.path.join(base, f"run{i:02d}_{run['command']}")
-        os.makedirs(sub, exist_ok=True)
+    for i, cfg in enumerate(scenario["runs"]):
+        command = cfg["command"]
         t0 = time.perf_counter()
         try:
-            code, _report = _RUNNERS[run["command"]](run, sub)
+            codes.append(run(command, cfg,
+                             os.path.join(base, f"run{i:02d}_{command}")))
         finally:
-            print(f"[scenario] run {i} ({run['command']}): "
+            print(f"[scenario] run {i} ({command}): "
                   f"{time.perf_counter() - t0:.2f}s", file=sys.stderr)
-        codes.append(code)
     return _aggregate(codes)
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: each flag's dest is the run field it sets, dotted where
+# the field nests; numbers stay text until the runner parses them
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -498,23 +426,25 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_flow_tolerances(p: argparse.ArgumentParser) -> None:
     """Solver tolerances, for the subcommands that run the flow solver."""
-    p.add_argument("--tol-root", type=float, default=None)
-    p.add_argument("--tol-quad", type=float, default=None)
+    p.add_argument("--tol-root", dest="tolerances.tol_root")
+    p.add_argument("--tol-quad", dest="tolerances.tol_quad")
 
 
-def _parse_times(text: str) -> list[float]:
-    return config_io.parse_numbers([v for v in text.split(",") if v.strip()],
-                                   "times")
+def _times(text: str) -> list[str]:
+    """Comma-separated times, blank entries dropped."""
+    return [v for v in text.split(",") if v.strip()]
 
 
-def _parse_window(text: str | None):
-    return None if text is None else _window(text.split(","))
+def _pair(text: str) -> list[str]:
+    """'lo,hi' as its parts; a window with other than two is rejected."""
+    return text.split(",")
 
 
-def _tol_overrides(args) -> dict | None:
-    """The --tol-root/--tol-quad values given, or None."""
-    over = {k: getattr(args, k, None) for k in ("tol_root", "tol_quad")}
-    return {k: v for k, v in over.items() if v is not None} or None
+def _mode_sweep(text: str):
+    """'lo,hi,count' as a mode_sweep object; any other text stays a string,
+    which the pick run rejects."""
+    parts = text.split(",")
+    return dict(zip(("lo", "hi", "count"), parts)) if len(parts) == 3 else text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -526,117 +456,66 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="compute density curves")
     p.add_argument("--measure", required=True, help="measure file or inline JSON")
-    p.add_argument("--t", required=True, help="comma-separated times")
-    p.add_argument("--points", type=int, default=512)
-    p.add_argument("--window", default=None, help="x window 'lo,hi'")
-    p.add_argument("--check", action="append", default=None,
+    p.add_argument("--t", dest="times", type=_times, required=True,
+                   help="comma-separated times")
+    p.add_argument("--points", dest="grid.points")
+    p.add_argument("--window", dest="grid.window", type=_pair,
+                   help="x window 'lo,hi'")
+    p.add_argument("--check", dest="checks", action="append",
                    choices=list(_ALL_CHECKS))
     _add_common(p)
     _add_flow_tolerances(p)
-    p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("check", help="log-unimodality checks for a measure")
     p.add_argument("--measure", required=True)
-    p.add_argument("--hysteresis", type=float, default=DEFAULT_HYSTERESIS)
-    p.add_argument("--strong", action="store_true",
+    p.add_argument("--hysteresis")
+    p.add_argument("--strong", dest="checks", action="store_const",
+                   const=["logunimodal", "pick", "strong"],
                    help="also run the lambda-family strong check")
     _add_common(p)
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("sweep", help="angle sweep of the solution count")
     p.add_argument("--measure", required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument("--angles", type=int, default=64)
-    p.add_argument("--window", default=None, help="radial window 'lo,hi'")
-    p.add_argument("--grid", type=int, default=4096)
+    p.add_argument("--t", dest="times", type=_times, required=True)
+    p.add_argument("--angles", dest="angles.count")
+    p.add_argument("--window", type=_pair, help="radial window 'lo,hi'")
+    p.add_argument("--grid")
     _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("counterexample",
                        help="truncated atomic cascade with gap certificates")
-    p.add_argument("--n-atoms", type=int, default=30)
-    p.add_argument("--rule", default="zeta6", choices=["zeta6"])
-    p.add_argument("--t", default="1")
-    p.add_argument("--k-max", type=int, default=None)
+    p.add_argument("--n-atoms")
+    p.add_argument("--rule", choices=["zeta6"])
+    p.add_argument("--t", dest="times", type=_times)
+    p.add_argument("--k-max")
     _add_common(p)
     _add_flow_tolerances(p)
-    p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("pick", help="half-plane inequality check")
     p.add_argument("--measure", required=True)
-    p.add_argument("--mode", type=float, default=None)
-    p.add_argument("--mode-sweep", default=None, help="'lo,hi,count'")
+    p.add_argument("--mode")
+    p.add_argument("--mode-sweep", type=_mode_sweep, help="'lo,hi,count'")
     _add_common(p)
-    p.set_defaults(func=_cmd_pick)
 
     p = sub.add_parser("scenario", help="run a scenario bundle file")
     p.add_argument("path")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_scenario)
     return parser
 
 
-def _cmd_density(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    cfg = {"measure": config_io.parse_measure_arg(args.measure),
-           "times": _parse_times(args.t),
-           "grid": {"points": args.points, "window": _parse_window(args.window)},
-           "checks": args.check,
-           "tolerances": _tol_overrides(args)}
-    code, _ = run_density(cfg, args.out)
-    return code
-
-
-def _cmd_check(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    checks = ["logunimodal", "pick"]
-    if args.strong:
-        checks.append("strong")
-    cfg = {"measure": config_io.parse_measure_arg(args.measure),
-           "checks": checks if args.strong else None,
-           "hysteresis": args.hysteresis}
-    code, _ = run_check(cfg, args.out)
-    return code
-
-
-def _cmd_sweep(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    cfg = {"measure": config_io.parse_measure_arg(args.measure),
-           "times": _parse_times(args.t),
-           "angles": {"count": args.angles},
-           "window": _parse_window(args.window),
-           "grid": args.grid}
-    code, _ = run_sweep(cfg, args.out)
-    return code
-
-
-def _cmd_counterexample(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    cfg = {"n_atoms": args.n_atoms, "rule": args.rule,
-           "times": _parse_times(args.t),
-           "k_max": args.k_max if args.k_max is not None else args.n_atoms - 1,
-           "tolerances": _tol_overrides(args)}
-    code, _ = run_counterexample(cfg, args.out)
-    return code
-
-
-def _cmd_pick(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    cfg = {"measure": config_io.parse_measure_arg(args.measure)}
-    if args.mode is not None:
-        cfg["mode"] = args.mode
-    elif args.mode_sweep:
-        parts = args.mode_sweep.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"--mode-sweep must be 'lo,hi,count', "
-                             f"got {args.mode_sweep!r}")
-        cfg["mode_sweep"] = dict(zip(("lo", "hi", "count"), parts))
-    code, _ = run_pick(cfg, args.out)
-    return code
-
-
-def _cmd_scenario(args) -> int:
-    return run_scenario(args.path, args.out)
+def _run_record(args: argparse.Namespace) -> dict:
+    """The flags given, as the scenario run they describe: a dotted dest
+    such as 'grid.points' nests, and unset flags are left out."""
+    record: dict = {}
+    for dest, value in vars(args).items():
+        if value is None or dest in ("out", "seedless"):
+            continue
+        *outer, leaf = dest.split(".")
+        node = record
+        for key in outer:
+            node = node.setdefault(key, {})
+        node[leaf] = value
+    return record
 
 
 def main(argv=None) -> int:
@@ -650,7 +529,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     t0 = time.perf_counter()
     try:
-        code = args.func(args)
+        if args.command == "scenario":
+            code = run_scenario(args.path, args.out)
+        else:
+            code = run(args.command, _run_record(args), args.out)
     except (ParseError, InvariantViolation, IoError, DomainError) as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -659,10 +541,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_NUMERIC
     except FreemultError as exc:
-        tol = (effective_tolerances(args.command, _tol_overrides(args))
-               if args.command in _COMMAND_TOLERANCES else {})
         print(f"numeric failure in {args.command}: {type(exc).__name__}: {exc} "
-              f"(tolerances: {tol})", file=sys.stderr)
+              f"(tolerances: {getattr(exc, 'tolerances', {})})", file=sys.stderr)
         return EXIT_NUMERIC
     print(f"[{args.command}] {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return code

@@ -13,13 +13,13 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IoError, ParseError
-from .flow import DensityCurve
+from .flow import DensityCurve, FlowContext
 from .measures import GridDensity, Measure, Named, atomic, dirac
+from .unimodality import DEFAULT_HYSTERESIS, TOL_PICK
 
 SCHEMA_VERSION = 1
 
@@ -215,15 +215,49 @@ def parse_measure_arg(value: str) -> Measure:
 # scenario schema
 # ---------------------------------------------------------------------------
 
-_RUN_FIELDS = {
-    "density": {"command", "measure", "times", "grid", "checks", "tolerances",
-                "expect"},
-    "check": {"command", "measure", "checks", "hysteresis", "expect"},
-    "sweep": {"command", "measure", "times", "angles", "window", "grid",
-              "expect"},
-    "counterexample": {"command", "n_atoms", "times", "k_max", "rule", "expect"},
-    "pick": {"command", "measure", "mode", "mode_sweep", "expect"},
+_TOLERANCE_DEFAULTS = {
+    "tol_root": FlowContext.tol_root,
+    "tol_quad": FlowContext.tol_quad,
+    "tol_int": 1e-4,
+    "tol_pick": TOL_PICK,
+    "hysteresis": DEFAULT_HYSTERESIS,
+    "tol_mean_rel": 1e-3,
+    "tol_symmetry": 1e-3,
 }
+# per command: the fields a run may set besides `command` and `expect`, and
+# the tolerances it reads and reports.  A run sets a tolerance through its
+# `tolerances` object, or through a field of the same name (a check run's
+# `hysteresis`).
+_RUN_SETTINGS = {
+    "density": ({"measure", "times", "grid", "checks", "tolerances"},
+                tuple(_TOLERANCE_DEFAULTS)),
+    "check": ({"measure", "checks", "hysteresis"}, ("tol_pick", "hysteresis")),
+    "sweep": ({"measure", "times", "angles", "window", "grid"}, ()),
+    "counterexample": ({"n_atoms", "times", "k_max", "rule", "tolerances"},
+                       ("tol_root", "tol_quad")),
+    "pick": ({"measure", "mode", "mode_sweep"}, ("tol_pick",)),
+}
+
+
+def effective_tolerances(command: str, run: dict) -> dict:
+    """The tolerances `command` reads, defaults overridden by `run`; a
+    tolerance the command does not read, or one that is not a finite
+    number > 0, is a ParseError."""
+    tol = {k: _TOLERANCE_DEFAULTS[k] for k in _RUN_SETTINGS[command][1]}
+    over = run.get("tolerances")
+    over = {} if over is None else over
+    if not isinstance(over, dict):
+        raise ParseError(f"tolerances must be an object, got {over!r}")
+    fields = {k: run[k] for k in tol if k in run}
+    for k, v in {**fields, **over}.items():
+        if k not in tol:
+            raise ParseError(f"{command} reads no tolerance {k!r}; "
+                             f"it reads: {sorted(tol)}")
+        tol[k] = parse_number(v, f"tolerance {k!r}")
+        if not 0.0 < tol[k] < math.inf:
+            raise ParseError(f"tolerance {k!r} must be finite and > 0, "
+                             f"got {v!r}")
+    return tol
 
 
 def parse_scenario(text: str) -> dict:
@@ -244,10 +278,12 @@ def parse_scenario(text: str) -> dict:
         if not isinstance(run, dict) or "command" not in run:
             raise ParseError(f"runs[{i}] needs a 'command' field")
         cmd = run["command"]
-        if cmd not in _RUN_FIELDS:
+        if cmd not in _RUN_SETTINGS:
             raise ParseError(f"runs[{i}]: unknown command {cmd!r}; known: "
-                             f"{sorted(_RUN_FIELDS)}")
-        _reject_unknown(run, _RUN_FIELDS[cmd], f"runs[{i}] ({cmd})")
+                             f"{sorted(_RUN_SETTINGS)}")
+        _reject_unknown(run, _RUN_SETTINGS[cmd][0] | {"command", "expect"},
+                        f"runs[{i}] ({cmd})")
+        effective_tolerances(cmd, run)
     return d
 
 
@@ -264,31 +300,11 @@ def load_scenario(path: str) -> dict:
 # reports and CSV
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Report:
-    """Structured result record; the inputs echo suffices to re-run the
-    command identically.  Wall-clock timing goes to stderr, never into the
+def write_report(record: dict, path: str) -> None:
+    """A run's record (command, inputs, tolerances, results, warnings) under
+    the schema version.  Wall-clock timing goes to stderr, never into the
     file, so identical configs produce byte-identical reports."""
-
-    command: str
-    inputs: dict
-    tolerances: dict
-    results: dict
-    warnings: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "inputs": self.inputs,
-            "tolerances": self.tolerances,
-            "results": self.results,
-            "warnings": list(self.warnings),
-        }
-
-
-def write_report(report: Report, path: str) -> None:
-    _atomic_write(path, dumps(report.to_dict()))
+    _atomic_write(path, dumps({"schema_version": SCHEMA_VERSION, **record}))
 
 
 def write_curve_csv(curve: DensityCurve, path: str) -> None:

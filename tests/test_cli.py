@@ -142,6 +142,71 @@ def test_numeric_failure_prints_the_tolerances_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "BracketFailure" in err
     assert "'tol_root': 0.001" in err
+    run = {"command": "density", "measure": json.loads(DIRAC1),
+           "times": [1e16], "tolerances": {"tol_root": 1e-3}}
+    assert _run_scenario(tmp_path, run) == 3
+    err = capsys.readouterr().err
+    assert "BracketFailure" in err
+    assert "'tol_root': 0.001" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("where", ["--tol-root", "--tol-quad", "tol_int",
+                                   "tol_pick"])
+def test_bad_tolerances_are_config_errors(tmp_path, capsys, where, value):
+    out = str(tmp_path / "out")
+    if where.startswith("--"):
+        argv = ["density", "--measure", DIRAC1, "--t", "1", f"{where}={value}"]
+    else:
+        path = str(tmp_path / "scenario.json")
+        with open(path, "w") as fh:
+            json.dump({"schema_version": 1, "runs": [
+                {"command": "density", "measure": json.loads(DIRAC1),
+                 "times": [1], "tolerances": {where: float(value)}}]}, fh)
+        argv = ["scenario", path]
+    assert main(argv + ["--out", out]) == cli.EXIT_CONFIG
+    assert "config error: ParseError: tolerance" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+# each case is the flags of one command and the scenario run they describe
+_SAME_RUNS = {
+    "density": (["density", "--measure", DIRAC1, "--t", "1", "--points", "64",
+                 "--window", "0.2,5", "--tol-root", "1e-9"],
+                {"measure": json.loads(DIRAC1), "times": [1],
+                 "grid": {"points": 64, "window": [0.2, 5]},
+                 "tolerances": {"tol_root": 1e-9}}),
+    "counterexample": (["counterexample", "--n-atoms", "8", "--tol-quad", "1e-9"],
+                       {"n_atoms": 8, "tolerances": {"tol_quad": 1e-9}}),
+    "sweep": (["sweep", "--measure", DIRAC1, "--t", "1", "--angles", "8",
+               "--grid", "512", "--window", "0.01,100"],
+              {"measure": json.loads(DIRAC1), "times": [1],
+               "angles": {"count": 8}, "grid": 512, "window": [0.01, 100]}),
+    "pick": (["pick", "--measure", TWO_ATOMS, "--mode-sweep", "0.5,5,3"],
+             {"measure": json.loads(TWO_ATOMS),
+              "mode_sweep": {"lo": 0.5, "hi": 5, "count": 3}}),
+    "check_hysteresis": (["check", "--measure", GAMMA21, "--hysteresis", "2e-4"],
+                         {"measure": json.loads(GAMMA21), "hysteresis": 2e-4}),
+    "check_strong": (["check", "--measure", LAMBDA1, "--strong"],
+                     {"measure": json.loads(LAMBDA1),
+                      "checks": ["logunimodal", "pick", "strong"]}),
+}
+
+
+@pytest.mark.parametrize("case", list(_SAME_RUNS))
+def test_flag_and_scenario_runs_agree(tmp_path, case):
+    argv, run = _SAME_RUNS[case]
+    flags = str(tmp_path / "flags")
+    code = main(argv + ["--out", flags])
+    (tmp_path / "scenario").mkdir()
+    assert _run_scenario(tmp_path / "scenario", {"command": argv[0], **run}) == code
+    scenario = str(tmp_path / "scenario" / f"run00_{argv[0]}")
+    names = sorted(os.listdir(flags))
+    assert names == sorted(os.listdir(scenario))
+    for name in names:
+        with open(os.path.join(flags, name), "rb") as a, \
+                open(os.path.join(scenario, name), "rb") as b:
+            assert a.read() == b.read(), name
 
 
 @pytest.mark.parametrize("run", [
@@ -284,6 +349,15 @@ _MALFORMED_NUMBERS = {
     "window_arity": ["density", "--measure", DIRAC1, "--t", "1",
                      "--window", "1,2,3"],
     "times_text": ["density", "--measure", DIRAC1, "--t", "1,x"],
+    "points_text": ["density", "--measure", DIRAC1, "--t", "1", "--points", "x"],
+    "angles_text": ["sweep", "--measure", DIRAC1, "--t", "1", "--angles", "x"],
+    "grid_text": ["sweep", "--measure", DIRAC1, "--t", "1", "--grid", "x"],
+    "n_atoms_text": ["counterexample", "--n-atoms", "x"],
+    "k_max_text": ["counterexample", "--n-atoms", "5", "--k-max", "x"],
+    "mode_text": ["pick", "--measure", DIRAC1, "--mode", "x"],
+    "hysteresis_text": ["check", "--measure", GAMMA21, "--hysteresis", "x"],
+    "tol_root_text": ["density", "--measure", DIRAC1, "--t", "1",
+                      "--tol-root", "x"],
     "param_text": ["check", "--measure", json.dumps(_named("gamma", p="x", theta=1))],
     "param_null": ["check", "--measure", json.dumps(_named("gamma", p=None, theta=1))],
     "atom_weight": ["check", "--measure", json.dumps(

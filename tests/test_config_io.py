@@ -122,8 +122,9 @@ def test_write_report_and_curve(tmp_path):
     x0, q0, xq0 = (float(v) for v in lines[1].split(","))
     assert x0 == curve.x[0] and q0 == curve.q[0] and xq0 == x0 * q0
 
-    rep = config_io.Report(command="density", inputs={"t": 1.0},
-                           tolerances={"tol_root": 1e-10}, results={"ok": True})
+    rep = {"command": "density", "inputs": {"t": 1.0},
+           "tolerances": {"tol_root": 1e-10}, "results": {"ok": True},
+           "warnings": []}
     rep_path = str(tmp_path / "report.json")
     config_io.write_report(rep, rep_path)
     loaded = json.loads(open(rep_path).read())
@@ -194,8 +195,11 @@ def test_scenario_runs_reject_outputs(command):
 
 @pytest.mark.parametrize("command", list(_RUNS))
 def test_only_density_runs_take_tolerances(command):
-    text = _scenario(command, tolerances={"tol_pick": 1e-9})
-    if command == "density":
+    # counterexample runs take the flow tolerances, as its flags do
+    tolerances = ({"tol_root": 1e-9} if command == "counterexample"
+                  else {"tol_pick": 1e-9})
+    text = _scenario(command, tolerances=tolerances)
+    if command in ("density", "counterexample"):
         config_io.parse_scenario(text)
     else:
         with pytest.raises(ParseError, match="tolerances"):

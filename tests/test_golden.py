@@ -1,0 +1,64 @@
+"""Reports of cheap deterministic CLI runs, compared byte for byte with the
+files under tests/golden/<case>/.  After a change meant to alter a report,
+rewrite them with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import os
+import shutil
+import sys
+import tempfile
+
+import pytest
+
+from freemult.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
+CASCADE = os.path.join(HERE, os.pardir, "scenarios", "atomic_gap_cascade.json")
+DIRAC1 = '{"kind": "named", "family": "dirac", "params": {"c": 1}}'
+GAMMA21 = '{"kind": "named", "family": "gamma", "params": {"p": 2, "theta": 1}}'
+
+# case -> argv without --out; every run exits 0
+CASES = {
+    "density_dirac": ["density", "--measure", DIRAC1, "--t", "1",
+                      "--points", "128"],
+    "counterexample": ["counterexample", "--n-atoms", "12"],
+    "sweep_dirac": ["sweep", "--measure", DIRAC1, "--t", "1", "--angles", "8",
+                    "--grid", "256"],
+    "pick_gamma": ["pick", "--measure", GAMMA21, "--mode", "2"],
+    "check_gamma": ["check", "--measure", GAMMA21],
+    "cascade": ["scenario", CASCADE],
+}
+
+
+def _reports(root: str) -> list[str]:
+    """The report files under `root`, as sorted relative paths."""
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, files in os.walk(root)
+                  for f in files if f.endswith("_report.json"))
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_reports_match_golden(tmp_path, case):
+    out = str(tmp_path)
+    assert main(CASES[case] + ["--out", out]) == 0
+    want = os.path.join(GOLDEN, case)
+    assert _reports(out) == _reports(want)
+    for rel in _reports(want):
+        with open(os.path.join(out, rel), "rb") as got, \
+                open(os.path.join(want, rel), "rb") as gold:
+            assert got.read() == gold.read(), rel
+
+
+if __name__ == "__main__":
+    for case, argv in CASES.items():
+        with tempfile.TemporaryDirectory() as out:
+            if main(argv + ["--out", out]) != 0:
+                sys.exit(f"{case}: nonzero exit")
+            shutil.rmtree(os.path.join(GOLDEN, case), ignore_errors=True)
+            for rel in _reports(out):
+                dest = os.path.join(GOLDEN, case, rel)
+                os.makedirs(os.path.dirname(dest), exist_ok=True)
+                shutil.copyfile(os.path.join(out, rel), dest)
