@@ -197,6 +197,9 @@ def run_density(cfg: dict, tol: dict, out_dir: str):
 def run_check(cfg: dict, tol: dict, out_dir: str):
     nu = _measure_of(cfg)
     requested = cfg.get("checks") or ["logunimodal", "pick"]
+    is_lambda = getattr(nu, "family", None) == "lambda"
+    if "strong" in requested and not is_lambda:
+        raise ParseError("the strong check applies to the lambda family only")
     results: dict = {}
     warnings: list[str] = []
     negative = False
@@ -230,11 +233,7 @@ def run_check(cfg: dict, tol: dict, out_dir: str):
             else:
                 warnings.append("pick check skipped: no mode detected")
 
-    is_lambda = getattr(nu, "family", None) == "lambda"
-    if "strong" in requested or (is_lambda and "strong" not in requested
-                                 and cfg.get("checks") is None):
-        if not is_lambda:
-            raise ParseError("the strong check applies to the lambda family only")
+    if "strong" in requested or (is_lambda and cfg.get("checks") is None):
         strong = lambda_strong_check(nu.params["b"])
         results["strong"] = {
             "strongly_log_unimodal": strong.strongly_log_unimodal,

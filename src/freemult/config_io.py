@@ -224,18 +224,25 @@ _TOLERANCE_DEFAULTS = {
     "tol_mean_rel": 1e-3,
     "tol_symmetry": 1e-3,
 }
-# per command: the fields a run may set besides `command` and `expect`, and
-# the tolerances it reads and reports.  A run sets a tolerance through its
-# `tolerances` object, or through a field of the same name (a check run's
-# `hysteresis`).
+# per command: the fields a run may set besides `command` and `expect`, the
+# tolerances it reads and reports, and the numeric fields of its summaries,
+# which an `expect` key `<field>_min` may bound.  A run sets a tolerance
+# through its `tolerances` object, or through a field of the same name (a
+# check run's `hysteresis`).
 _RUN_SETTINGS = {
     "density": ({"measure", "times", "grid", "checks", "tolerances"},
-                tuple(_TOLERANCE_DEFAULTS)),
-    "check": ({"measure", "checks", "hysteresis"}, ("tol_pick", "hysteresis")),
-    "sweep": ({"measure", "times", "angles", "window", "grid"}, ()),
+                tuple(_TOLERANCE_DEFAULTS),
+                {"t", "support_components", "mass", "mean", "mean_expected",
+                 "symmetry_defect", "theta_sweep_max_count"}),
+    "check": ({"measure", "checks", "hysteresis"}, ("tol_pick", "hysteresis"),
+              set()),
+    "sweep": ({"measure", "times", "angles", "window", "grid"}, (),
+              {"t", "max_count"}),
     "counterexample": ({"n_atoms", "times", "k_max", "rule", "tolerances"},
-                       ("tol_root", "tol_quad")),
-    "pick": ({"measure", "mode", "mode_sweep"}, ("tol_pick",)),
+                       ("tol_root", "tol_quad"),
+                       {"t", "support_components", "k", "midpoint", "f_value"}),
+    "pick": ({"measure", "mode", "mode_sweep"}, ("tol_pick",),
+             {"mode", "violations", "scale"}),
 }
 
 
@@ -284,7 +291,28 @@ def parse_scenario(text: str) -> dict:
         _reject_unknown(run, _RUN_SETTINGS[cmd][0] | {"command", "expect"},
                         f"runs[{i}] ({cmd})")
         effective_tolerances(cmd, run)
+        _check_expect(cmd, run.get("expect"), f"runs[{i}] ({cmd})")
     return d
+
+
+def _check_expect(command: str, expect, where: str) -> None:
+    """An `expect` is an object; a `<field>_min` key bounds a numeric
+    summary field of the command by a finite number."""
+    if expect is None:
+        return
+    if not isinstance(expect, dict):
+        raise ParseError(f"{where}: expect must be an object, got {expect!r}")
+    numeric = _RUN_SETTINGS[command][2]
+    for key, want in expect.items():
+        if not key.endswith("_min"):
+            continue
+        if key[:-4] not in numeric:
+            raise ParseError(f"{where}: expect {key!r} bounds no numeric "
+                             f"field; those are: {sorted(numeric)}")
+        if (isinstance(want, bool) or not isinstance(want, (int, float))
+                or not math.isfinite(want)):
+            raise ParseError(f"{where}: expect {key!r} must be a finite "
+                             f"number, got {want!r}")
 
 
 def load_scenario(path: str) -> dict:

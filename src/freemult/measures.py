@@ -42,6 +42,7 @@ TOL_QUAD = 1e-9
 TOL_TAIL = 1e-12
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +120,10 @@ def _bool_ppf(p, q):
     al = p["alpha"]
     s, c = math.sin(math.pi * al), math.cos(math.pi * al)
     u = s * math.tan(al * math.pi * q + math.pi / 2 - math.pi * al) - c
-    return u ** (1.0 / al)
+    try:
+        return u ** (1.0 / al)
+    except OverflowError:  # beyond the float range, as for alpha <= 0.035
+        return math.inf
 
 
 def _mp_pdf(p, x):
@@ -260,8 +264,14 @@ def _uniform_cdf(p, x):
 def _beta_pdf(p, x):
     x = np.asarray(x, float)
     inside = (x >= 0) & (x <= 1)
+    # Boost overflows at subnormal x when p < 1; (1 - x)^(q - 1) is 1 there
+    sub = inside & (0.0 < x) & (x < _TINY) & (p["p"] < 1.0)
     with np.errstate(over="ignore"):
-        out = _ufuncs._beta_pdf(np.where(inside, x, 0.5), p["p"], p["q"])
+        out = _ufuncs._beta_pdf(np.where(inside & ~sub, x, 0.5), p["p"], p["q"])
+        if sub.any():
+            log_pdf = ((p["p"] - 1.0) * np.log(np.where(sub, x, 1.0))
+                       - special.betaln(p["p"], p["q"]))
+            out = np.where(sub, np.exp(log_pdf), out)
     return np.select([inside, np.isnan(x)], [out, np.nan], 0.0)[()]
 
 
@@ -637,6 +647,9 @@ class Named(Measure):
             lo_eff = max(lo_eff, lo * (1.0 + 4 * _EPS))
         if not math.isinf(hi):
             hi_eff = min(hi_eff, hi * (1.0 - 4 * _EPS))
+        if not hi_eff < math.inf:
+            raise DomainError(f"{self.family} {self.params}: the {tail:g} "
+                              "tail quantile is beyond the float range")
         return float(lo_eff), float(hi_eff)
 
     def _seed_edges(self, tail: float = TOL_TAIL) -> np.ndarray:

@@ -476,3 +476,46 @@ def test_check_inconclusive_exit(tmp_path):
     code = main(["check", "--measure", measure, "--hysteresis", "1e-3",
                  "--out", str(tmp_path)])
     assert code == 4
+
+
+@pytest.mark.parametrize("expect", [5, {"logunimodal_min": 1}],
+                         ids=["scalar", "min_on_verdict"])
+def test_malformed_expect_is_a_config_error_before_any_run(tmp_path, capsys,
+                                                           expect):
+    path = str(tmp_path / "scenario.json")
+    runs = [{"command": "counterexample", "n_atoms": 5},
+            {"command": "check", "measure": json.loads(GAMMA21),
+             "expect": expect}]
+    with open(path, "w") as fh:
+        json.dump({"schema_version": 1, "runs": runs}, fh)
+    out = tmp_path / "out"
+    assert main(["scenario", path, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "config error: ParseError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_strong_check_on_non_lambda_fails_before_the_checks(tmp_path, capsys,
+                                                            monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "is_log_unimodal", never)
+    monkeypatch.setattr(cli, "pick_inequality_check", never)
+    assert main(["check", "--measure", GAMMA21, "--strong",
+                 "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "lambda family only" in capsys.readouterr().err
+
+
+def test_boolean_stable_edge_cases_exit_cleanly(tmp_path, capsys):
+    # alpha 0.02: its 1e-12 quantile is beyond the float range; alpha 0.055:
+    # r * xi overflows on the sweep window; alpha 0.07: hi / lo overflows,
+    # and the sweep runs on differences of logs
+    def argv(command, alpha):
+        return [command, "--measure",
+                json.dumps(_named("boolean_stable", alpha=alpha)), "--t", "1",
+                "--out", str(tmp_path / f"{command}{alpha}")]
+
+    assert main(argv("density", 0.02)) == cli.EXIT_CONFIG
+    assert main(argv("sweep", 0.055)) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count("config error: DomainError") == 2
+    assert main(argv("sweep", 0.07)) == cli.EXIT_OK

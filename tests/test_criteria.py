@@ -104,31 +104,74 @@ def test_lattice_profile_matches_level_function(nu, R, picks):
     _profile_matches_level_function(nu, R, picks)
 
 
+def _per_point(*args, **kwargs):
+    raise AssertionError("per-point route taken")
+
+
 def test_narrow_support_profile_sums_directly(monkeypatch):
-    # uniform(1, 1.001): the lattice step m exceeds the node count n, so the
-    # kernel windows do not overlap and the profile is a direct sum
+    # uniform(1, 1 + d) below d of about 0.01: the direct sum over the 513
+    # Simpson nodes is cheaper than the FFT over the radii's lattice, which
+    # for d in [0.00225, 0.0045) holds more than 2^20 samples
     calls = []
     sums = criteria._kernel_sums
     monkeypatch.setattr(criteria, "_kernel_sums",
                         lambda *a: calls.append(a[0].size) or sums(*a))
-    for R in (0.01, 1.0, math.pi - 0.01):
-        _profile_matches_level_function(fm.uniform_interval(1, 1.001), R,
-                                        (0.0, 0.4997, 0.5, 0.61, 1.0))
-    assert len(calls) == 3 and min(calls) >= 4096
-    # a wider support overlaps and goes through the FFT correlation
+    monkeypatch.setattr(criteria, "level_function", _per_point)
+    for d in (0.001, 0.003, 0.005):
+        for R in (0.01, 1.0, math.pi - 0.01):
+            _profile_matches_level_function(fm.uniform_interval(1, 1 + d), R,
+                                            (0.0, 0.4997, 0.5, 0.61, 1.0))
+    assert len(calls) == 9 and min(calls) >= 4096
+    # a wider support goes through the FFT correlation
     _profile_matches_level_function(fm.uniform_interval(1, 1.1), 1.0, (0.5,))
-    assert len(calls) == 3
+    assert len(calls) == 9
 
 
 def test_wide_support_profile_stays_on_lattice(monkeypatch):
     # lambda(1) spans about 53 in log xi, so at R = 0.01 the profile needs
     # 53401 Simpson nodes: the lattice holds them, no point is solved alone
-    def per_point(*args, **kwargs):
-        raise AssertionError("per-point route taken")
-
-    monkeypatch.setattr(criteria, "level_function", per_point)
+    monkeypatch.setattr(criteria, "level_function", _per_point)
     _profile_matches_level_function(fm.lambda_measure(1.0), 0.01,
                                     (0.0, 0.2, 0.45, 0.5, 0.55, 0.8, 1.0))
+
+
+def test_profile_beyond_the_node_cap_solves_each_radius(monkeypatch):
+    # lambda(1) at R = 1e-5 needs 5.3e7 Simpson nodes, beyond _LATTICE_MAX
+    radii = []
+    monkeypatch.setattr(criteria, "level_function",
+                        lambda nu, R, r, rtol: radii.append(r) or 1.0)
+    r, vals = criteria._level_profile(fm.lambda_measure(1.0), 1e-5, 0.5, 2.0, 64)
+    assert radii == r.tolist() and r.size == 64 and np.all(vals == 1.0)
+
+
+def test_count_solutions_evaluates_each_radius_once(monkeypatch):
+    radii = []
+    level = criteria.level_function
+    monkeypatch.setattr(criteria, "level_function",
+                        lambda nu, R, r, **kw: radii.append(r) or level(nu, R, r, **kw))
+    sol = criteria.count_level_solutions(fm.uniform_interval(1, 1.1), 1.0, 22.0)
+    assert sol.count == 2
+    assert radii and len(radii) == len(set(radii))
+
+
+def test_profile_rejects_overflowing_kernel_arguments():
+    # boolean_stable(0.055) reaches 1.4e218, and its window 4e165: r * xi
+    # leaves the float range, where the profile would read nan
+    nu = fm.boolean_stable(0.055)
+    with pytest.raises(DomainError, match="overflows"):
+        criteria.count_level_solutions(nu, 1.0, 1.0)
+    with pytest.raises(DomainError, match="overflows"):
+        criteria.count_level_solutions(fm.dirac(1e200), 1.0, 1.0,
+                                       window=(1e-10, 1e110))
+
+
+def test_profile_of_a_support_wider_than_the_float_ratio():
+    # boolean_stable(0.07) spans [4e-172, 2e171]: hi / lo overflows, the
+    # difference of the logs does not
+    nu = fm.boolean_stable(0.07)
+    lo, hi = nu.effective_support()
+    assert hi / lo == math.inf
+    _profile_matches_level_function(nu, 1.0, (0.3, 0.5, 0.7))
 
 
 def test_default_angle_sweep_shape():

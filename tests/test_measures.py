@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
-from scipy import stats
+from scipy import special, stats
 
 import freemult as fm
 from freemult._quad import build_edges
@@ -229,9 +229,27 @@ def test_beta_pdf_bitwise_equal_scipy(p, q):
     if (p, q) == (0.5, 0.5):
         assert nu.density(0.0) == nu.density(1.0) == math.inf
     if p < 1:
-        for f in (nu.density, ref.pdf):
-            with pytest.raises(OverflowError):
-                f(5e-324)
+        with pytest.raises(OverflowError):
+            ref.pdf(5e-324)
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 0.5), (0.3, 4.0), (0.9, 2.0)])
+def test_beta_density_at_subnormal_points(p, q):
+    # scipy's Boost pdf overflows at subnormal x when p < 1; the density
+    # there is x^(p - 1) / B(p, q)
+    x = np.array([5e-324, 1e-310, 2e-308])
+    want = np.exp((p - 1.0) * np.log(x) - special.betaln(p, q))
+    got = fm.beta_measure(p, q).density(x)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert fm.beta_measure(p, q).density(5e-324) == pytest.approx(want[0],
+                                                                  rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.035])
+def test_boolean_stable_support_beyond_floats_is_a_domain_error(alpha):
+    # the 1e-12 quantile, about (alpha pi 1e-12)^(-1/alpha), exceeds 1.8e308
+    with pytest.raises(DomainError, match="float range"):
+        fm.boolean_stable(alpha).effective_support()
 
 
 @pytest.mark.parametrize("nu", [fm.gamma_measure(2.0, 1.0),
