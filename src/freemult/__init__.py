@@ -43,7 +43,6 @@ from .measures import (
     boolean_stable,
     density_at,
     dirac,
-    f_blowup,
     gamma_measure,
     half_normal,
     is_mult_symmetric,

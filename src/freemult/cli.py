@@ -196,8 +196,13 @@ def run_density(cfg: dict, tol: dict, out_dir: str):
 
 def run_check(cfg: dict, tol: dict, out_dir: str):
     nu = _measure_of(cfg)
-    requested = cfg.get("checks") or ["logunimodal", "pick"]
     is_lambda = getattr(nu, "family", None) == "lambda"
+    requested = cfg.get("checks") or (["logunimodal", "pick", "strong"]
+                                      if is_lambda else ["logunimodal", "pick"])
+    for c in requested:
+        if c not in ("logunimodal", "pick", "strong"):
+            raise ParseError(f"unknown check {c!r}; known: logunimodal, pick, "
+                             f"strong")
     if "strong" in requested and not is_lambda:
         raise ParseError("the strong check applies to the lambda family only")
     results: dict = {}
@@ -233,7 +238,7 @@ def run_check(cfg: dict, tol: dict, out_dir: str):
             else:
                 warnings.append("pick check skipped: no mode detected")
 
-    if "strong" in requested or (is_lambda and cfg.get("checks") is None):
+    if "strong" in requested:
         strong = lambda_strong_check(nu.params["b"])
         results["strong"] = {
             "strongly_log_unimodal": strong.strongly_log_unimodal,

@@ -35,14 +35,13 @@ from .errors import (
     IndexOutOfRange,
     WindowTooNarrow,
 )
-from .flow import poisson_kernel_integral
-from .measures import (
-    Atomic,
-    GridDensity,
-    Measure,
-    f_blowup,
-    pushforward_log,
+from .flow import (
+    FlowContext,
+    capped_blowup,
+    kernel_denominator,
+    poisson_kernel_integral,
 )
+from .measures import Atomic, GridDensity, Measure, pushforward_log
 
 _TANGENT_TOL = 1e-9
 # Simpson nodes a level profile may sum at once: beyond them, at angles R
@@ -78,8 +77,7 @@ def _kernel_sums(r: np.ndarray, xi: np.ndarray, wts: np.ndarray, s2: float,
     chunk = max(1, int(4e6 // xi.size))
     for i in range(0, r.size, chunk):
         u = r[i:i + chunk, None] * xi[None, :]
-        denom = (1.0 - u) ** 2 + 4.0 * u * s2
-        out[i:i + chunk] = pref * (u / denom) @ wts
+        out[i:i + chunk] = pref * (u / kernel_denominator(u, s2)) @ wts
     return out
 
 
@@ -129,7 +127,7 @@ def _level_profile(nu: Measure, R: float, wlo: float, whi: float,
     if size * math.log2(size) >= 4 * grid * n or size > 4 * _LATTICE_MAX:
         return r, _kernel_sums(r, xi, wts, s2, pref)
     u = np.exp((math.log(wlo) + y0) + h * np.arange(size))
-    kern = u / ((1.0 - u) ** 2 + 4.0 * u * s2)
+    kern = u / kernel_denominator(u, s2)
     nfft = sp_fft.next_fast_len(size, real=True)
     corr = sp_fft.irfft(sp_fft.rfft(kern, nfft)
                         * np.conj(sp_fft.rfft(wts, nfft)), nfft)
@@ -381,7 +379,9 @@ def scaled_convolution_density(nu: Measure, a: float, t: float, r: float,
 
     Computed by the direct kernel integral obtained from substituting
     xi = 1/s in the convolution density; equals the level function at angle
-    B rescaled by B / sin(B)."""
+    B rescaled by B / sin(B).  The kernel and its seeding are written out
+    here rather than taken from `flow`: this algebraic form is the
+    independent route that `level_function` is checked against."""
     if t <= 0 or r <= 0:
         raise DomainError("need t > 0 and r > 0")
     B = a * math.pi * t
@@ -484,11 +484,14 @@ class GapCertificate:
 
 
 def gap_certificate(nu: Measure, t: float, k: int) -> GapCertificate:
-    """Evaluate the blow-up integral at the k-th reciprocal-gap midpoint.
+    """Evaluate the blow-up integral at the k-th reciprocal-gap midpoint,
+    by the predicate `blowup_region` scans with (`flow.capped_blowup`, the
+    angle kernel at the floor angle).
 
     `below=True` certifies that the blow-up region excludes the midpoint
-    while containing the reciprocals of the two adjacent atoms, hence is
-    disconnected and the time-t marginal is not log-unimodal."""
+    while containing the reciprocals of the two adjacent atoms (poles of
+    the integral), hence is disconnected and the time-t marginal is not
+    log-unimodal."""
     at = nu.atoms()
     if at is None:
         raise DomainError("gap certificates need an atomic measure")
@@ -500,5 +503,5 @@ def gap_certificate(nu: Measure, t: float, k: int) -> GapCertificate:
             f"k={k} needs atoms k and k+1; measure has {locs.size} atoms")
     a_k, a_k1 = float(locs[k - 1]), float(locs[k])
     b_k = 0.5 * (1.0 / a_k1 + 1.0 / a_k)
-    f_val = f_blowup(nu, b_k)
+    f_val = capped_blowup(FlowContext(nu, t), b_k)
     return GapCertificate(k, b_k, f_val, f_val < 1.0 / t)

@@ -53,6 +53,9 @@ _ANGLE_MAX_ITER = 100
 # radial-map bracket doublings and blow-up boundary bisections at most
 _MAX_BRACKET_EXPANSIONS = 60
 _BOUNDARY_MAX_ITER = 200
+# log-spaced radii of the blow-up scan, besides the reciprocal atoms or
+# support
+_SCAN_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,6 @@ class FlowContext:
     t: float
     tol_root: float = 1e-10
     tol_quad: float = 1e-12
-    scan_points: int = 1024
 
     def __post_init__(self):
         if not (self.t > 0):
@@ -86,6 +88,12 @@ def _kernel_rtol(rtol: float, sin_half_sq: float) -> float:
     return max(rtol, 1e-16 / theta)
 
 
+def kernel_denominator(u, s2: float):
+    """(1 - u)^2 + 4u*s2 with u = r*xi and s2 = sin^2(theta/2), floored
+    away from zero: the denominator of every flow and level kernel."""
+    return np.maximum((1.0 - u) ** 2 + 4.0 * u * s2, _DENOM_FLOOR)
+
+
 def _kernel_integral(nu: Measure, r: float, s2: float, integrand,
                      rtol: float) -> float:
     """int integrand(r*xi, denom) d nu(xi), denom = (1 - r*xi)^2 + 4 r*xi s2.
@@ -98,8 +106,7 @@ def _kernel_integral(nu: Measure, r: float, s2: float, integrand,
 
     def kernel(xi):
         u = r * xi
-        denom = np.maximum((1.0 - u) ** 2 + 4.0 * u * s2, _DENOM_FLOOR)
-        return integrand(u, denom)
+        return integrand(u, kernel_denominator(u, s2))
 
     scale = max(2.0 * math.sqrt(s2) * xs, xs * 1e-14)
     return float(relaxed_retry(
@@ -301,7 +308,7 @@ def blowup_region(ctx: FlowContext, window=None) -> list[tuple[float, float]]:
         raise DomainError(f"bad window {window}")
     target = 1.0 / ctx.t
 
-    rs = [np.geomspace(wlo, whi, ctx.scan_points)]
+    rs = [np.geomspace(wlo, whi, _SCAN_POINTS)]
     at = nu.atoms()
     if at is not None:
         recips = 1.0 / at[1]

@@ -30,7 +30,6 @@ from .errors import (
     AtomicHasNoDensity,
     DomainError,
     InvariantViolation,
-    NonIntegrable,
 )
 
 # mass-validation tolerances: atomic weights are exact data, sampled grids
@@ -802,44 +801,3 @@ def sup_cdf_distance(mu: Measure, nu: Measure, points: int = 1025) -> float:
     lo, hi = min(bounds), max(bounds)
     x = np.geomspace(max(lo, 1e-300), hi, points)
     return float(np.max(np.abs(mu.cdf(x) - nu.cdf(x))))
-
-
-def f_blowup(nu: Measure, r: float) -> float:
-    """The blow-up integral f(r) = int r*xi / (1 - r*xi)^2 d nu(xi).
-
-    Returns +inf when the pole xi = 1/r carries mass: an atom at 1/r, or
-    1/r interior to the support of a density measure.  Finiteness of f is
-    what decides whether r belongs to the blow-up region of the flow.
-
-    The interior test uses the effective (tail-truncated) support so the
-    verdict matches what the quadrature of the implicit-equation kernels
-    sees; beyond the truncation the density carries less than TOL_TAIL of
-    mass and f is computed as the (finite) truncated integral.
-    """
-    if r <= 0:
-        raise DomainError(f"r must be positive, got {r}")
-    at = nu.atoms()
-    if at is not None:
-        w, a = at
-        u = a * r
-        if np.any(np.abs(1.0 - u) <= 64 * _EPS * np.maximum(1.0, u)):
-            return math.inf
-        return float(np.sum(w * u / (1.0 - u) ** 2))
-    xs = 1.0 / r
-    lo, hi = nu.effective_support()
-    if lo < xs < hi and _density_positive_near(nu, xs):
-        return math.inf
-    kernel = lambda xi: r * xi / (1.0 - r * xi) ** 2
-    try:
-        return float(nu.integrate(kernel, points=(xs,), scales=(xs * 1e-9,)))
-    except NonIntegrable:
-        # pole effectively on the support boundary
-        return math.inf
-
-
-def _density_positive_near(nu: Measure, xs: float) -> bool:
-    if isinstance(nu, GridDensity):
-        i = int(np.clip(np.searchsorted(nu.x, xs) - 1, 0, nu.x.size - 2))
-        j0, j1 = max(i - 1, 0), min(i + 2, nu.x.size - 1)
-        return bool(np.max(nu.f[j0:j1 + 1]) > 0.0)
-    return float(np.max(nu.density(np.array([xs])))) > 0.0

@@ -207,9 +207,10 @@ def pick_inequality_check(mu: Measure, c: float | Sequence[float],
     log-unimodal with mode c.  The tolerance scales with the grid maximum of
     |z (1 - c z) psi'(z)| so the check is dimensionless.
 
-    Given a sequence of candidate modes `c`, returns their reports as a list
-    in the same order.  psi' does not depend on the mode, so it is evaluated
-    over the grid once for all of them.
+    psi' comes from `analytic.psi_prime` for every measure, one call per
+    grid point.  Given a sequence of candidate modes `c`, returns their
+    reports as a list in the same order; psi' does not depend on the mode,
+    so it is evaluated over the grid once for all of them.
     """
     single = np.ndim(c) == 0
     modes = [c] if single else list(c)
@@ -218,18 +219,12 @@ def pick_inequality_check(mu: Measure, c: float | Sequence[float],
             raise DomainError(f"candidate mode must be positive and finite, "
                               f"got {m}")
     zs = (grid or HalfPlaneGrid()).points()
-    at = mu.atoms()
-    if at is not None:
-        w, a = at
-        psi_p = np.sum(w[None, :] * a[None, :] /
-                       (1.0 - a[None, :] * zs[:, None]) ** 2, axis=1)
-        vals = [zs * (1.0 - m * zs) * psi_p for m in modes]
-    else:
-        # 1e-8 per-point accuracy leaves two orders of margin to tol_pick;
-        # the products stay scalar, as the array product rounds differently
-        psi_p = [psi_prime(mu, z, rtol=1e-8) for z in zs]
-        vals = [np.array([z * (1.0 - m * z) * p for z, p in zip(zs, psi_p)])
-                for m in modes]
+    # 1e-8 per-point accuracy leaves two orders of margin to tol_pick (atomic
+    # measures get the exact weighted sum); the products stay scalar, as the
+    # array product rounds differently
+    psi_p = [psi_prime(mu, z, rtol=1e-8) for z in zs]
+    vals = [np.array([z * (1.0 - m * z) * p for z, p in zip(zs, psi_p)])
+            for m in modes]
     reports = []
     for vals_c in vals:
         scale = float(np.max(np.abs(vals_c)))

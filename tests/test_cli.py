@@ -64,6 +64,31 @@ def test_check_report_contents(tmp_path):
     assert report["results"]["pick"]["holds"] is True
 
 
+def test_check_report_lists_the_checks_it_ran(tmp_path):
+    # lambda runs the strong check by default, and says so; an explicit
+    # list runs only what it names
+    out = tmp_path / "default"
+    assert main(["check", "--measure", LAMBDA1, "--out", str(out)]) == 1
+    report = json.loads((out / "check_report.json").read_text())
+    assert report["inputs"]["checks"] == ["logunimodal", "pick", "strong"]
+    assert sorted(report["results"]) == ["logunimodal", "pick", "strong"]
+    (tmp_path / "named").mkdir()
+    assert _run_scenario(tmp_path / "named",
+                         {"command": "check", "measure": json.loads(LAMBDA1),
+                          "checks": ["logunimodal"]}) == 0
+    report = json.loads((tmp_path / "named" / "run00_check"
+                         / "check_report.json").read_text())
+    assert report["inputs"]["checks"] == ["logunimodal"]
+    assert list(report["results"]) == ["logunimodal"]
+    # a check it does not know is a config error, not an empty report
+    (tmp_path / "unknown").mkdir()
+    assert _run_scenario(tmp_path / "unknown",
+                         {"command": "check", "measure": json.loads(LAMBDA1),
+                          "checks": ["logunimodal", "bogus"]}) == 2
+    assert not (tmp_path / "unknown" / "run00_check"
+                / "check_report.json").exists()
+
+
 def test_config_error_exits():
     assert main(["density", "--measure", '{"kind": "named", "family": "lambda",'
                  ' "params": {"b": 4}}', "--t", "1"]) == 2

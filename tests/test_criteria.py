@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import freemult as fm
-from freemult import criteria
+from freemult import criteria, flow
 from freemult.errors import (
     DomainError,
     GridUnderflow,
@@ -405,9 +405,28 @@ def test_gap_certificates():
                 found = True
                 assert cert.f_value < 1.0 / t
                 # the region still contains the adjacent reciprocal atoms
-                assert fm.f_blowup(nu, 1.0 / _spec.locations[k - 1]) == math.inf
+                ctx = fm.FlowContext(nu, t)
+                for a in _spec.locations[k - 1:k + 1]:
+                    assert flow.capped_blowup(ctx, 1.0 / a) > 1.0 / t
                 break
         assert found
+
+
+@pytest.mark.parametrize("n", [5, 12, 30])
+def test_gap_certificates_agree_with_blowup_region(n):
+    # certificates and the blow-up region evaluate one predicate: a certified
+    # midpoint lies in no component, the adjacent reciprocal atoms in some
+    nu, spec = fm.build_counterexample(n)
+    for t in (0.25, 0.5, 1.0, 2.0, 4.0):
+        comps = fm.blowup_region(fm.FlowContext(nu, t))
+        inside = lambda r: any(lo < r < hi for lo, hi in comps)
+        certified = [c for c in (fm.gap_certificate(nu, t, k)
+                                 for k in range(1, n)) if c.below]
+        assert certified
+        for cert in certified:
+            assert not inside(cert.midpoint)
+            assert inside(1.0 / spec.locations[cert.k - 1])
+            assert inside(1.0 / spec.locations[cert.k])
 
 
 def test_cascade_level_counts_exceed_two():

@@ -135,7 +135,7 @@ _START_MEASURES = st.one_of(
        where=st.floats(0.0, 1.0),
        guess=st.floats(1e-9, math.pi, exclude_min=True, exclude_max=True))
 def test_solve_angle_any_guess_meets_contract(nu, t, pick, where, guess):
-    ctx = fm.FlowContext(nu, t, scan_points=128)
+    ctx = fm.FlowContext(nu, t)
     intervals = fm.blowup_region(ctx)
     lo, hi = intervals[min(int(pick * len(intervals)), len(intervals) - 1)]
     r = lo * (hi / lo) ** where
@@ -241,6 +241,51 @@ def test_angle_monotone_decreasing_in_theta():
         vals = [fm.level_function(ctx.nu, float(t), r, rtol=ctx.tol_quad)
                 for t in thetas]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+# ---------------------------------------------------------------------------
+# blow-up predicate
+# ---------------------------------------------------------------------------
+
+def test_capped_blowup_point_mass_values():
+    ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
+    assert flow.capped_blowup(ctx, 0.5) == pytest.approx(2.0, rel=1e-15)
+    # at the atom's pole the floor angle caps f near 1/ANGLE_FLOOR^2
+    at_pole = flow.capped_blowup(ctx, 1.0)
+    assert 1e17 < at_pole < math.inf
+
+
+def test_capped_blowup_positive_and_finite_off_poles():
+    ctx = fm.FlowContext(fm.atomic([(0.5, 1.0), (0.5, 4.0)]), 1.0)
+    for r in (0.01, 0.3, 3.0, 100.0):
+        v = flow.capped_blowup(ctx, r)
+        assert 0.0 < v < math.inf
+
+
+def test_capped_blowup_saturates_at_interior_pole():
+    for nu, r in ((fm.uniform_interval(1, 2), 1.0 / 1.5),
+                  (fm.lambda_measure(2.0), 1.0)):
+        v = flow.capped_blowup(fm.FlowContext(nu, 1.0), r)
+        assert 1e8 < v < math.inf
+
+
+def test_capped_blowup_cascade_midpoint_bound():
+    # partial-sum bound: f(b_k) <= 2 a_k a_{k+1} (a_k + a_{k+1})
+    #                            / (a_k - a_{k+1})^2 * sum w_n / a_n
+    nu, spec = fm.build_counterexample(30)
+    ctx = fm.FlowContext(nu, 1.0)
+    s = sum(w / a for w, a in zip(spec.weights, spec.locations))
+    for k in (1, 2, 5, 10):
+        a_k, a_k1 = spec.locations[k - 1], spec.locations[k]
+        bound = 2 * a_k * a_k1 * (a_k + a_k1) / (a_k - a_k1) ** 2 * s
+        assert flow.capped_blowup(ctx, spec.midpoints[k - 1]) <= bound
+
+
+def test_capped_blowup_domain():
+    ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
+    for r in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            flow.capped_blowup(ctx, r)
 
 
 # ---------------------------------------------------------------------------

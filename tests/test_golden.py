@@ -19,8 +19,10 @@ GOLDEN = os.path.join(HERE, "golden")
 CASCADE = os.path.join(HERE, os.pardir, "scenarios", "atomic_gap_cascade.json")
 DIRAC1 = '{"kind": "named", "family": "dirac", "params": {"c": 1}}'
 GAMMA21 = '{"kind": "named", "family": "gamma", "params": {"p": 2, "theta": 1}}'
+LAMBDA1 = '{"kind": "named", "family": "lambda", "params": {"b": 1}}'
+TWO_ATOMS = '{"kind": "atomic", "atoms": [{"w": 0.5, "a": 1}, {"w": 0.5, "a": 4}]}'
 
-# case -> argv without --out; every run exits 0
+# case -> argv without --out; every run exits 0 except those in NEGATIVE
 CASES = {
     "density_dirac": ["density", "--measure", DIRAC1, "--t", "1",
                       "--points", "128"],
@@ -30,7 +32,15 @@ CASES = {
     "pick_gamma": ["pick", "--measure", GAMMA21, "--mode", "2"],
     "check_gamma": ["check", "--measure", GAMMA21],
     "cascade": ["scenario", CASCADE],
+    "pick_two_atoms": ["pick", "--measure", TWO_ATOMS, "--mode-sweep", "0.5,5,3"],
+    "check_lambda": ["check", "--measure", LAMBDA1],
 }
+# cases whose verdict is negative (exit 1)
+NEGATIVE = {"pick_two_atoms", "check_lambda"}
+
+
+def _exit_code(case: str) -> int:
+    return 1 if case in NEGATIVE else 0
 
 
 def _reports(root: str) -> list[str]:
@@ -43,7 +53,7 @@ def _reports(root: str) -> list[str]:
 @pytest.mark.parametrize("case", list(CASES))
 def test_reports_match_golden(tmp_path, case):
     out = str(tmp_path)
-    assert main(CASES[case] + ["--out", out]) == 0
+    assert main(CASES[case] + ["--out", out]) == _exit_code(case)
     want = os.path.join(GOLDEN, case)
     assert _reports(out) == _reports(want)
     for rel in _reports(want):
@@ -55,8 +65,8 @@ def test_reports_match_golden(tmp_path, case):
 if __name__ == "__main__":
     for case, argv in CASES.items():
         with tempfile.TemporaryDirectory() as out:
-            if main(argv + ["--out", out]) != 0:
-                sys.exit(f"{case}: nonzero exit")
+            if main(argv + ["--out", out]) != _exit_code(case):
+                sys.exit(f"{case}: unexpected exit code")
             shutil.rmtree(os.path.join(GOLDEN, case), ignore_errors=True)
             for rel in _reports(out):
                 dest = os.path.join(GOLDEN, case, rel)

@@ -363,43 +363,6 @@ def test_symmetric_examples():
 
 
 # ---------------------------------------------------------------------------
-# f_blowup
-# ---------------------------------------------------------------------------
-
-def test_f_blowup_point_mass_values():
-    assert fm.f_blowup(fm.dirac(1.0), 0.5) == pytest.approx(2.0)
-    assert fm.f_blowup(fm.dirac(1.0), 1.0) == math.inf
-
-
-def test_f_blowup_positive_and_finite_off_poles():
-    nu = fm.atomic([(0.5, 1.0), (0.5, 4.0)])
-    for r in (0.01, 0.3, 3.0, 100.0):
-        v = fm.f_blowup(nu, r)
-        assert 0.0 < v < math.inf
-
-
-def test_f_blowup_interior_pole_is_infinite():
-    assert fm.f_blowup(fm.uniform_interval(1, 2), 1.0 / 1.5) == math.inf
-    assert fm.f_blowup(fm.lambda_measure(2.0), 1.0) == math.inf
-
-
-def test_f_blowup_cascade_midpoint_bound():
-    # partial-sum bound: f(b_k) <= 2 a_k a_{k+1} (a_k + a_{k+1})
-    #                            / (a_k - a_{k+1})^2 * sum w_n / a_n
-    nu, spec = fm.build_counterexample(30)
-    s = sum(w / a for w, a in zip(spec.weights, spec.locations))
-    for k in (1, 2, 5, 10):
-        a_k, a_k1 = spec.locations[k - 1], spec.locations[k]
-        bound = 2 * a_k * a_k1 * (a_k + a_k1) / (a_k - a_k1) ** 2 * s
-        assert fm.f_blowup(nu, spec.midpoints[k - 1]) <= bound
-
-
-def test_f_blowup_domain():
-    with pytest.raises(DomainError):
-        fm.f_blowup(fm.dirac(1.0), -1.0)
-
-
-# ---------------------------------------------------------------------------
 # construction invariants
 # ---------------------------------------------------------------------------
 

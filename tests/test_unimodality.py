@@ -150,25 +150,26 @@ def test_pick_check_of_several_modes_evaluates_psi_prime_once(monkeypatch):
     grid = fm.HalfPlaneGrid(re_min=-1.0, re_max=2.0, re_count=4,
                             im_min=0.01, im_max=1.0, im_count=3)
     zs = grid.points()
-    nu = fm.gamma_measure(2, 1)
     real = unimodality.psi_prime
     calls = []
     monkeypatch.setattr(unimodality, "psi_prime",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     modes = [0.5, 2.0, 1.0]
-    reports = fm.pick_inequality_check(nu, modes, grid)
-    assert len(calls) == zs.size
-    # the per-mode products of the single-mode check, point by point
-    for c, rep in zip(modes, reports):
-        vals = np.array([z * (1.0 - c * z) * real(nu, z, rtol=1e-8) for z in zs])
-        assert rep.scale == float(np.max(np.abs(vals)))
-        assert rep.violations == tuple((complex(z), float(v))
-                                       for z, v in zip(zs, vals.imag)
-                                       if v < -rep.tolerance)
-    assert [r.holds for r in reports] == [False, True, True]
-    two = fm.atomic([(0.5, 1.0), (0.5, 4.0)])
-    assert fm.pick_inequality_check(two, modes, grid) == [
-        fm.pick_inequality_check(two, c, grid) for c in modes]
+    for nu in (fm.gamma_measure(2, 1), fm.atomic([(0.5, 1.0), (0.5, 4.0)])):
+        calls.clear()
+        reports = fm.pick_inequality_check(nu, modes, grid)
+        assert len(calls) == zs.size
+        # the per-mode products of the single-mode check, point by point
+        for c, rep in zip(modes, reports):
+            vals = np.array([z * (1.0 - c * z) * real(nu, z, rtol=1e-8)
+                             for z in zs])
+            assert rep.scale == float(np.max(np.abs(vals)))
+            assert rep.violations == tuple((complex(z), float(v))
+                                           for z, v in zip(zs, vals.imag)
+                                           if v < -rep.tolerance)
+        assert reports == [fm.pick_inequality_check(nu, c, grid)
+                           for c in modes]
+        assert [r.holds for r in reports] == [False, True, True]
 
 
 def test_pick_check_rejects_bad_mode():
