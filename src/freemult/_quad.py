@@ -19,6 +19,11 @@ The integrand is evaluated on whole numpy arrays, so the cost per pass is a
 single vectorized call.  Complex integrands are supported; error control is
 on the complex modulus, which keeps real and imaginary parts under a single
 budget.
+
+`adaptive_quad_batch` runs the same refinement for many independent
+integrals at once (one integrand call per pass for all of them), each with
+its own edges and budget, and returns bitwise `adaptive_quad`'s values;
+`batch_edges` builds their seeded edges together.
 """
 
 from __future__ import annotations
@@ -108,6 +113,45 @@ def build_edges(lo: float, hi: float, points=(), scales=(),
                           for p, s in zip(points, scales)])
 
 
+def batch_edges(base, points, scales, lo: float, hi: float):
+    """merge_edges([base, ladder_edges(p, s, lo, hi)]) for each pair (p, s)
+    of `points` and `scales` (a nan point adds no ladder), built together.
+
+    Returns (edges, offsets): the edges of pair k are
+    edges[offsets[k]:offsets[k + 1]], bitwise those of merge_edges.
+    """
+    base = np.asarray(base, dtype=float)
+    p = np.asarray(points, dtype=float)
+    s = np.asarray(scales, dtype=float)
+    has = ~np.isnan(p) & (hi - lo > 0.0)
+    ladder = np.empty((p.size, 0))
+    if has.any():
+        # ladder_edges, one row per point, cut to each row's own length
+        reach = np.minimum(np.maximum(np.abs(p), lo), hi - lo)
+        s = np.where(s <= 0.0, np.maximum(np.abs(p), lo) * 1e-9, s)
+        s = np.maximum(s, reach * 1e-18)
+        kmax = np.where(has, np.ceil(np.log2(np.maximum(reach / s, 2.0))), 0.0)
+        k = np.arange(-2, int(kmax.max()) + 2)
+        offs = s[:, None] * 2.0 ** k
+        offs[k[None, :] > kmax[:, None] + 1] = np.nan
+        ladder = np.concatenate([p[:, None], p[:, None] + offs,
+                                 p[:, None] - offs], axis=1)
+        ladder[~((ladder > lo) & (ladder < hi))] = np.inf
+    rows = np.concatenate([np.broadcast_to(base, (p.size, base.size)), ladder],
+                          axis=1)
+    rows.sort(axis=1)
+    # merge_edges' thinning, row by row; equal edges and the inf padding fail
+    # the test
+    keep = np.empty(rows.shape, dtype=bool)
+    keep[:, 0] = True
+    with np.errstate(invalid="ignore"):
+        tol = np.maximum(np.abs(rows[:, 1:]), np.abs(rows[:, :-1])) * 4 * _EPS
+        keep[:, 1:] = np.diff(rows, axis=1) > tol
+    offsets = np.zeros(p.size + 1, dtype=np.intp)
+    np.cumsum(keep.sum(axis=1), out=offsets[1:])
+    return rows[keep], offsets
+
+
 def adaptive_quad(f, edges, rtol: float = 1e-9, max_panels: int = 60_000):
     """Globally adaptive Gauss-Kronrod 15(7) over the seeded panels.
 
@@ -193,6 +237,124 @@ def adaptive_quad(f, edges, rtol: float = 1e-9, max_panels: int = 60_000):
 
     raise NonIntegrable(
         f"quadrature did not converge within {MAX_DEPTH} refinement passes")
+
+
+def adaptive_quad_batch(f, edges, offsets, rtol, max_panels: int = 60_000):
+    """`adaptive_quad` of many independent integrals in one refinement loop.
+
+    Integral k has the panel edges edges[offsets[k]:offsets[k + 1]] and the
+    tolerance rtol[k] (or a shared scalar); f(u, k) evaluates the integrands
+    at the nodes u, one row of Gauss-Kronrod nodes per panel, where k is the
+    column of the rows' integral indices (so k broadcasts against u).
+
+    Integral k gets bitwise the value and error of adaptive_quad(lambda u:
+    f(u, k), its edges, rtol[k], max_panels).  Each integral keeps its panels
+    in adaptive_quad's order, and its Gauss-Kronrod products and sums run on
+    its own contiguous rows: BLAS and numpy's pairwise summation round by
+    the length of the array they see.
+
+    Returns
+    -------
+    (values, errors, failed) : arrays over the integrals; failed[k] marks an
+        integral on which adaptive_quad raises NonIntegrable, and its value
+        and error are nan.
+    """
+    edges = np.asarray(edges, dtype=float)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    n = offsets.size - 1
+    npan = np.diff(offsets) - 1
+    if np.any(npan < 1):
+        raise ValueError("need at least two panel edges per integral")
+    rtol = np.broadcast_to(np.asarray(rtol, dtype=float), (n,))
+    left = np.ones(edges.size - 1, dtype=bool)
+    left[offsets[1:-1] - 1] = False  # the last edge of a row starts no panel
+    a = edges[:-1][left]
+    b = edges[1:][left]
+    ids = np.arange(n)
+    failed = np.zeros(n, dtype=bool)
+    errors = np.full(n, np.nan)
+    values = settled_val = None
+    settled_err = np.zeros(n)
+    settled_l1 = np.zeros(n)
+    stuck_err = np.zeros(n)
+
+    for _ in range(MAX_DEPTH):
+        m = 0.5 * (a + b)
+        h = 0.5 * (b - a)
+        nodes = m[:, None] + h[:, None] * _XGK[None, :]
+        owner = np.repeat(ids, npan)
+        bounds = np.zeros(ids.size + 1, dtype=np.intp)
+        np.cumsum(npan, out=bounds[1:])
+        segs = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            fv = np.asarray(f(nodes, owner[:, None])).reshape(a.size,
+                                                              _XGK.size)
+            fg = fv[:, _GAUSS_IDX]
+            val = h * np.concatenate([fv[i:j] @ _WGK for i, j in segs])
+            g7 = h * np.concatenate([fg[i:j] @ _WG for i, j in segs])
+            err = np.abs(val - g7)
+            abs_val = np.abs(val)
+        if values is None:
+            values = np.full(n, np.nan, dtype=val.dtype)
+            settled_val = np.zeros(n, dtype=val.dtype)
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = settled_val[ids] + np.array([val[i:j].sum() for i, j in segs])
+            finite = np.isfinite(np.abs(total))
+            l1 = settled_l1[ids] + np.array([abs_val[i:j].sum() for i, j in segs])
+            budget = rtol[ids] * np.maximum(np.abs(total), 0.01 * l1)
+        tot_err = (settled_err[ids] + stuck_err[ids]
+                   + np.array([err[i:j].sum() for i, j in segs]))
+        conv = finite & (tot_err <= budget)
+        values[ids[conv]] = total[conv]
+        errors[ids[conv]] = tot_err[conv]
+        failed[ids[~finite]] = True
+        go = finite & ~conv
+        if not go.any():
+            break
+
+        allowance = budget / (4.0 * npan)
+        too_thin = (b - a) <= 8 * _EPS * np.maximum(np.abs(a), np.abs(b))
+        done = (err <= np.repeat(allowance, npan)) | too_thin
+        nsplit = np.zeros(ids.size, dtype=np.intp)
+        for j in np.flatnonzero(go):
+            i, e = segs[j]
+            k = ids[j]
+            d, thin = done[i:e], too_thin[i:e]
+            settled_val[k] += val[i:e][d].sum()
+            settled_l1[k] += abs_val[i:e][d].sum()
+            settled_err[k] += err[i:e][d & ~thin].sum()
+            stuck_err[k] += err[i:e][thin].sum()
+            nsplit[j] = e - i - np.count_nonzero(d)
+
+        # an integral with nothing left to split ends here, as in adaptive_quad
+        stalled = ids[go & (nsplit == 0)]
+        total = settled_val[stalled]
+        tot_err = settled_err[stalled] + stuck_err[stalled]
+        ok = tot_err <= rtol[stalled] * np.maximum(np.abs(total),
+                                                   0.01 * settled_l1[stalled])
+        values[stalled[ok]] = total[ok]
+        errors[stalled[ok]] = tot_err[ok]
+        failed[stalled[~ok]] = True
+        over = go & (2 * nsplit > max_panels)
+        failed[ids[over]] = True
+
+        keep = go & (nsplit > 0) & ~over
+        sel = ~done & np.repeat(keep, npan)
+        owner = owner[sel]
+        # per integral: its left halves, then its right halves
+        order = np.argsort(np.concatenate([2 * owner, 2 * owner + 1]),
+                           kind="stable")
+        a, m, b = a[sel], m[sel], b[sel]
+        a = np.concatenate([a, m])[order]
+        b = np.concatenate([m, b])[order]
+        ids = ids[keep]
+        npan = 2 * nsplit[keep]
+        if not ids.size:
+            break
+    else:
+        failed[ids] = True
+    return values, errors, failed
 
 
 def relaxed_retry(integrate, rtol: float):

@@ -6,7 +6,9 @@ The psi-transform of a measure on the positive half-line,
 
 and its z-derivative are evaluated by the same seeded adaptive quadrature
 as the real kernels; error control runs jointly on real and imaginary parts
-through the complex modulus.
+through the complex modulus.  Both take a scalar z or an array of z: the
+integrals at all of them refine together in one batched loop
+(`Measure.integrate_batch`), and a scalar z is the one-point case.
 """
 
 from __future__ import annotations
@@ -53,48 +55,74 @@ class HalfPlaneGrid:
         return (rr + 1j * ii).ravel()
 
 
-def _check_off_positive_axis(z: complex) -> complex:
-    z = complex(z)
-    if z.imag == 0.0 and z.real >= 0.0:
-        raise DomainError(f"z={z} lies on [0, inf)")
+def _check_off_positive_axis(z) -> np.ndarray:
+    z = np.asarray(z, dtype=complex)
+    on_axis = (z.imag == 0.0) & (z.real >= 0.0)
+    if on_axis.any():
+        raise DomainError(f"z={complex(z[on_axis].flat[0])} lies on [0, inf)")
     return z
 
 
-def _pole_seed(z: complex, lo: float, hi: float):
-    """Trouble point of 1/(1 - x z) on the real axis, if near the support."""
-    w = 1.0 / z
-    x0, width = w.real, abs(w.imag)
-    if lo - (hi - lo) < x0 < hi + (hi - lo):
-        return (x0,), (max(width, abs(x0) * 1e-12, 1e-300),)
-    return (), ()
+def _pole_seeds(z: np.ndarray, lo: float, hi: float):
+    """Trouble point of 1/(1 - x z) on the real axis, and its width, for
+    each z; nan where the pole is far from the support."""
+    # 1/z by Python's complex division: numpy's rounds differently, and the
+    # ladder, so every panel edge, would move with it
+    w = np.array([1.0 / complex(v) for v in z.tolist()], dtype=complex)
+    x0, width = w.real, np.abs(w.imag)
+    near = (lo - (hi - lo) < x0) & (x0 < hi + (hi - lo))
+    scales = np.maximum(np.maximum(width, np.abs(x0) * 1e-12), 1e-300)
+    return np.where(near, x0, np.nan), np.where(near, scales, np.nan)
 
 
-def _half_plane_rtol(z: complex, rtol: float) -> float:
+def _half_plane_rtol(z: np.ndarray, rtol: float) -> np.ndarray:
     """Cancellation in (1 - x z) floors the achievable relative accuracy when
     the pole 1/z sits close to the positive axis."""
-    if z.real > 0.0 and z.imag != 0.0:
-        return max(rtol, 4e-16 * abs(z.real) / abs(z.imag))
-    return rtol
+    with np.errstate(divide="ignore"):
+        floor = 4e-16 * np.abs(z.real) / np.abs(z.imag)
+    return np.where((z.real > 0.0) & (z.imag != 0.0),
+                    np.maximum(rtol, floor), rtol)
 
 
-def _transform_integral(nu: Measure, kernel, z: complex, rtol: float) -> complex:
-    lo, hi = nu.effective_support()
-    pts, scl = _pole_seed(z, lo, hi)
-    return complex(relaxed_retry(
-        lambda rt: nu.integrate(kernel, points=pts, scales=scl, rtol=rt),
-        _half_plane_rtol(z, rtol)))
-
-
-def psi(nu: Measure, z: complex, rtol: float = 1e-11) -> complex:
-    """psi-transform of `nu` at z (z off the closed positive real axis)."""
+def _transform_integral(nu: Measure, kernel, z, rtol: float):
+    """int kernel(x, z) d nu(x) at each z, all in one batch, and which of
+    them met only 100 * rtol: an integral the batch leaves is redone alone
+    by `relaxed_retry`."""
     z = _check_off_positive_axis(z)
-    return _transform_integral(nu, lambda x: x * z / (1.0 - x * z), z, rtol)
+    zs = z.ravel()
+    rtols = _half_plane_rtol(zs, rtol)
+    pts, scl = _pole_seeds(zs, *nu.effective_support())
+    values, failed = nu.integrate_batch(lambda u, k: kernel(u, zs[k]),
+                                        pts, scl, rtols)
+    relaxed = np.zeros(zs.shape, dtype=bool)
+    for k in np.flatnonzero(failed):
+        zk = complex(zs[k])
+        seed = (((pts[k],), (scl[k],)) if not np.isnan(pts[k]) else ((), ()))
+        values[k], used = relaxed_retry(
+            lambda rt: (nu.integrate(lambda x: kernel(x, zk), *seed, rtol=rt),
+                        rt),
+            rtols[k])
+        relaxed[k] = used != rtols[k]
+    if z.ndim == 0:
+        return complex(values[0]), relaxed.reshape(())
+    return values.reshape(z.shape), relaxed.reshape(z.shape)
 
 
-def psi_prime(nu: Measure, z: complex, rtol: float = 1e-11) -> complex:
-    """Derivative of the psi-transform: int x / (1 - x z)^2 d nu(x)."""
-    z = _check_off_positive_axis(z)
-    return _transform_integral(nu, lambda x: x / (1.0 - x * z) ** 2, z, rtol)
+def psi(nu: Measure, z, rtol: float = 1e-11):
+    """psi-transform of `nu` at z (z off the closed positive real axis): a
+    complex for a scalar z, an array for an array of z."""
+    return _transform_integral(nu, lambda x, z: x * z / (1.0 - x * z), z,
+                               rtol)[0]
+
+
+def psi_prime(nu: Measure, z, rtol: float = 1e-11, full_output: bool = False):
+    """Derivative of the psi-transform: int x / (1 - x z)^2 d nu(x), at a
+    scalar z or an array of z, as `psi` takes and returns them.  With
+    full_output, also a boolean array marking the points whose integral met
+    only 100 * rtol."""
+    values, relaxed = _transform_integral(
+        nu, lambda x, z: x / (1.0 - x * z) ** 2, z, rtol)
+    return (values, relaxed) if full_output else values
 
 
 def brownian_sigma_transform(t: float, z: complex) -> complex:

@@ -36,6 +36,7 @@ from .errors import (
 from .flow import FlowContext, blowup_region, density_curve
 from .measures import GridDensity, Measure, is_mult_symmetric
 from .unimodality import (
+    PSI_PRIME_RTOL,
     is_log_unimodal,
     lambda_strong_check,
     pick_inequality_check,
@@ -80,6 +81,16 @@ def _log_symmetry_defect(curve) -> float:
     return float(np.max(np.abs(g - mirror))) / gmax
 
 
+def _relaxation_warnings(pick) -> list[str]:
+    """The report warning of a pick check whose psi' met only 100 * rtol at
+    some grid points, or none."""
+    if not pick.relaxed_points:
+        return []
+    return [f"pick check: psi' met only {100 * PSI_PRIME_RTOL:g} relative "
+            f"accuracy, not {PSI_PRIME_RTOL:g}, at {pick.relaxed_points} grid "
+            f"points"]
+
+
 def _aggregate(codes) -> int:
     """Combine the exit codes of runs: negative > inconclusive > ok."""
     for code in (EXIT_NEGATIVE, EXIT_INCONCLUSIVE):
@@ -104,12 +115,14 @@ def _check_expectations(expect: dict | None, summaries: list[dict]) -> list[str]
 
 
 # ---------------------------------------------------------------------------
-# runners: each takes a run record and its effective tolerances, writes its
-# CSVs, and returns (exit code, inputs echo, results, warnings, the summaries
-# that `expect` is checked against); `run` does the rest
+# commands: each has an input reader, which checks a run record's fields and
+# returns them parsed, and a runner, which takes them as keywords with the
+# effective tolerances, writes its CSVs, and returns (exit code, inputs echo,
+# results, warnings, the summaries that `expect` is checked against); `run`
+# does the rest
 # ---------------------------------------------------------------------------
 
-def run_density(cfg: dict, tol: dict, out_dir: str):
+def density_inputs(cfg: dict) -> dict:
     nu = _measure_of(cfg)
     times = config_io.parse_numbers(cfg.get("times") or [], "times")
     if not times:
@@ -123,7 +136,11 @@ def run_density(cfg: dict, tol: dict, out_dir: str):
     for c in checks:
         if c not in _ALL_CHECKS:
             raise ParseError(f"unknown check {c!r}; known: {list(_ALL_CHECKS)}")
+    return {"nu": nu, "times": times, "points": points, "window": window,
+            "checks": checks}
 
+
+def run_density(tol: dict, out_dir: str, nu, times, points, window, checks):
     warnings: list[str] = []
     per_t = []
     for t in times:
@@ -179,6 +196,8 @@ def run_density(cfg: dict, tol: dict, out_dir: str):
                 pick = pick_inequality_check(gcurve, mode_report.modes[0],
                                              tol_pick=tol["tol_pick"])
                 summary["pick_holds"] = pick.holds
+                warnings.extend(f"t={t:.17g}: {w}"
+                                for w in _relaxation_warnings(pick))
             else:
                 summary["pick_holds"] = "skipped"
         if "theta_sweep" in checks:
@@ -194,7 +213,7 @@ def run_density(cfg: dict, tol: dict, out_dir: str):
     return EXIT_OK, inputs, {"per_t": per_t}, warnings, per_t
 
 
-def run_check(cfg: dict, tol: dict, out_dir: str):
+def check_inputs(cfg: dict) -> dict:
     nu = _measure_of(cfg)
     is_lambda = getattr(nu, "family", None) == "lambda"
     requested = cfg.get("checks") or (["logunimodal", "pick", "strong"]
@@ -205,6 +224,10 @@ def run_check(cfg: dict, tol: dict, out_dir: str):
                              f"strong")
     if "strong" in requested and not is_lambda:
         raise ParseError("the strong check applies to the lambda family only")
+    return {"nu": nu, "requested": requested}
+
+
+def run_check(tol: dict, out_dir: str, nu, requested):
     results: dict = {}
     warnings: list[str] = []
     negative = False
@@ -230,6 +253,7 @@ def run_check(cfg: dict, tol: dict, out_dir: str):
                                    "violations": len(pick.violations),
                                    "scale": pick.scale,
                                    "evidence": pick.evidence}
+                warnings.extend(_relaxation_warnings(pick))
                 if pick.violations:
                     config_io.write_violations_csv(
                         pick.violations,
@@ -255,7 +279,7 @@ def run_check(cfg: dict, tol: dict, out_dir: str):
     return code, inputs, results, warnings, [summary]
 
 
-def run_sweep(cfg: dict, tol: dict, out_dir: str):
+def sweep_inputs(cfg: dict) -> dict:
     nu = _measure_of(cfg)
     times = config_io.parse_numbers(cfg.get("times") or [], "times")
     if not times:
@@ -266,7 +290,11 @@ def run_sweep(cfg: dict, tol: dict, out_dir: str):
     n_angles = config_io.parse_number(angles.get("count", 64), "angles.count", int)
     grid = config_io.parse_number(cfg.get("grid", 4096), "grid", int)
     window = _window(cfg.get("window"))
+    return {"nu": nu, "times": times, "n_angles": n_angles, "grid": grid,
+            "window": window}
 
+
+def run_sweep(tol: dict, out_dir: str, nu, times, n_angles, grid, window):
     warnings: list[str] = []
     results: dict = {}
     lo, hi = nu.math_support()
@@ -294,13 +322,18 @@ def run_sweep(cfg: dict, tol: dict, out_dir: str):
     return code, inputs, results, warnings, per_t
 
 
-def run_counterexample(cfg: dict, tol: dict, out_dir: str):
+def counterexample_inputs(cfg: dict) -> dict:
     n_atoms = config_io.parse_number(cfg.get("n_atoms", 30), "n_atoms", int)
     rule = cfg.get("rule", "zeta6")
     times = config_io.parse_numbers(cfg.get("times") or [1.0], "times")
     k_max = config_io.parse_number(cfg.get("k_max", n_atoms - 1), "k_max", int)
-
     nu, spec = build_counterexample(n_atoms, rule=rule)
+    return {"n_atoms": n_atoms, "rule": rule, "times": times, "k_max": k_max,
+            "nu": nu, "spec": spec}
+
+
+def run_counterexample(tol: dict, out_dir: str, n_atoms, rule, times, k_max,
+                       nu, spec):
     results: dict = {
         "n_atoms": n_atoms,
         "rule": rule,
@@ -333,9 +366,10 @@ def run_counterexample(cfg: dict, tol: dict, out_dir: str):
     return (EXIT_NEGATIVE if negative else EXIT_OK), inputs, results, [], per_t
 
 
-def _pick_modes(cfg: dict) -> list[float]:
-    """The candidate modes of a pick run: `mode`, or the `count` modes of
-    `mode_sweep` spaced geometrically from `lo` to `hi`."""
+def pick_inputs(cfg: dict) -> dict:
+    """The measure and the candidate modes of a pick run: `mode`, or the
+    `count` modes of `mode_sweep` spaced geometrically from `lo` to `hi`."""
+    nu = _measure_of(cfg)
     mode, sw = cfg.get("mode"), cfg.get("mode_sweep")
     if mode is not None:
         lo = hi = config_io.parse_number(mode, "pick mode")
@@ -350,16 +384,15 @@ def _pick_modes(cfg: dict) -> list[float]:
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf and count >= 1):
         raise ParseError(f"pick needs finite modes > 0 and a count >= 1, got "
                          f"mode={mode!r}, mode_sweep={sw!r}")
-    return [lo] if mode is not None else np.geomspace(lo, hi, count).tolist()
+    return {"nu": nu, "modes": [lo] if mode is not None
+            else np.geomspace(lo, hi, count).tolist()}
 
 
-def run_pick(cfg: dict, tol: dict, out_dir: str):
-    nu = _measure_of(cfg)
-    modes = _pick_modes(cfg)
+def run_pick(tol: dict, out_dir: str, nu, modes):
     per_mode = []
     all_violations = []
-    for c, rep in zip(modes, pick_inequality_check(nu, modes,
-                                                   tol_pick=tol["tol_pick"])):
+    reports = pick_inequality_check(nu, modes, tol_pick=tol["tol_pick"])
+    for c, rep in zip(modes, reports):
         per_mode.append({"mode": c, "holds": rep.holds,
                          "violations": len(rep.violations), "scale": rep.scale})
         all_violations.extend(rep.violations)
@@ -367,29 +400,36 @@ def run_pick(cfg: dict, tol: dict, out_dir: str):
         config_io.write_violations_csv(
             all_violations, os.path.join(out_dir, "pick_violations.csv"))
     code = EXIT_OK if all(m["holds"] for m in per_mode) else EXIT_NEGATIVE
+    # psi' is shared by the modes, and so are its relaxations
     return (code, {"measure": nu.to_dict(), "modes": modes},
-            {"per_mode": per_mode}, [], per_mode)
+            {"per_mode": per_mode}, _relaxation_warnings(reports[0]), per_mode)
 
 
-_RUNNERS = {
-    "density": run_density,
-    "check": run_check,
-    "sweep": run_sweep,
-    "counterexample": run_counterexample,
-    "pick": run_pick,
+# per command: its input reader and its runner
+_COMMANDS = {
+    "density": (density_inputs, run_density),
+    "check": (check_inputs, run_check),
+    "sweep": (sweep_inputs, run_sweep),
+    "counterexample": (counterexample_inputs, run_counterexample),
+    "pick": (pick_inputs, run_pick),
 }
 
 
-def run(command: str, cfg: dict, out_dir: str) -> int:
+def run(command: str, cfg: dict, out_dir: str, parsed: dict | None = None) -> int:
     """Run `command` on the run record `cfg` (a scenario run, or the flags
     of one subcommand) and write `<command>_report.json` to `out_dir`; a
-    mismatched `expect` is a negative verdict.  A numeric failure carries
-    the tolerances of the run as `exc.tolerances`."""
+    mismatched `expect` is a negative verdict.  `parsed` is the record's
+    fields as its input reader returns them, when they have been read
+    already.  A numeric failure carries the tolerances of the run as
+    `exc.tolerances`."""
     tol = config_io.effective_tolerances(command, cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    read_inputs, runner = _COMMANDS[command]
     try:
-        code, inputs, results, warnings, summaries = _RUNNERS[command](
-            cfg, tol, out_dir)
+        if parsed is None:
+            parsed = read_inputs(cfg)
+        os.makedirs(out_dir, exist_ok=True)
+        code, inputs, results, warnings, summaries = runner(tol, out_dir,
+                                                            **parsed)
     except FreemultError as exc:
         exc.tolerances = tol
         raise
@@ -404,13 +444,16 @@ def run(command: str, cfg: dict, out_dir: str) -> int:
 def run_scenario(path: str, out_dir: str | None) -> int:
     scenario = config_io.load_scenario(path)
     base = out_dir or scenario.get("out_dir") or "."
+    # every run's fields are read before the first run writes anything
+    parsed = [_COMMANDS[cfg["command"]][0](cfg) for cfg in scenario["runs"]]
     codes = []
     for i, cfg in enumerate(scenario["runs"]):
         command = cfg["command"]
         t0 = time.perf_counter()
         try:
             codes.append(run(command, cfg,
-                             os.path.join(base, f"run{i:02d}_{command}")))
+                             os.path.join(base, f"run{i:02d}_{command}"),
+                             parsed[i]))
         finally:
             print(f"[scenario] run {i} ({command}): "
                   f"{time.perf_counter() - t0:.2f}s", file=sys.stderr)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import freemult as fm
+from freemult._quad import relaxed_retry
 from freemult.errors import DomainError, InvariantViolation
 
 
@@ -106,3 +107,53 @@ def test_half_plane_grid_invariants():
     assert np.all(pts.imag > 0)
     ims = np.unique(pts.imag)
     assert np.allclose(ims[1:] / ims[:-1], ims[1] / ims[0])
+
+
+def _per_point_psi_prime(nu, z, rtol=1e-8):
+    """psi'(z) the per-point way: one `integrate` call, seeded at the pole
+    1/z when it is near the support, under the half-plane accuracy floor,
+    retried once at 100 rtol."""
+    z = complex(z)
+    lo, hi = nu.effective_support()
+    w = 1.0 / z
+    seed = ((), ())
+    if lo - (hi - lo) < w.real < hi + (hi - lo):
+        seed = ((w.real,), (max(abs(w.imag), abs(w.real) * 1e-12, 1e-300),))
+    if z.real > 0.0:
+        rtol = max(rtol, 4e-16 * abs(z.real) / abs(z.imag))
+    return complex(relaxed_retry(
+        lambda rt: nu.integrate(lambda x: x / (1.0 - x * z) ** 2, *seed,
+                                rtol=rt), rtol))
+
+
+def _curve_grid_density():
+    curve = fm.density_curve(fm.FlowContext(fm.dirac(1.0), 1.0), points=128)
+    return fm.GridDensity(curve.x, curve.q, normalize=True)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fm.gamma_measure(2, 1), lambda: fm.lambda_measure(math.pi / 2),
+    lambda: fm.log_normal(0, 0.5), lambda: fm.uniform_interval(1, 1.1),
+    _curve_grid_density, lambda: fm.atomic([(0.5, 1.0), (0.5, 4.0)])],
+    ids=["gamma", "lambda", "log_normal", "uniform", "curve_grid", "two_atoms"])
+def test_psi_prime_over_the_grid_equals_per_point_values(make):
+    nu = make()
+    zs = fm.HalfPlaneGrid().points()
+    values, relaxed = fm.psi_prime(nu, zs, rtol=1e-8, full_output=True)
+    assert values.shape == zs.shape and not relaxed.any()
+    want = np.array([_per_point_psi_prime(nu, z) for z in zs])
+    assert values.tobytes() == want.tobytes()
+    # a scalar z is the one-point case of the same path
+    for z, v in zip(zs[::97], values[::97]):
+        assert fm.psi_prime(nu, complex(z), rtol=1e-8) == complex(v)
+
+
+def test_psi_of_an_array_keeps_its_shape_and_rejects_the_positive_axis():
+    nu = fm.gamma_measure(2, 1)
+    zs = np.array([[1j, -1.0 + 0.5j], [2.0 - 1j, -3.0]])
+    got = fm.psi(nu, zs)
+    assert got.shape == (2, 2)
+    assert got.tobytes() == np.array([[fm.psi(nu, complex(z)) for z in row]
+                                      for row in zs]).tobytes()
+    with pytest.raises(DomainError):
+        fm.psi_prime(nu, np.array([1j, 0.5]))

@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from freemult import cli
+import freemult as fm
+from freemult import cli, measures, unimodality
 from freemult.cli import main
 
 DIRAC1 = '{"kind": "named", "family": "dirac", "params": {"c": 1}}'
@@ -544,3 +546,53 @@ def test_boolean_stable_edge_cases_exit_cleanly(tmp_path, capsys):
     assert main(argv("sweep", 0.055)) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.count("config error: DomainError") == 2
     assert main(argv("sweep", 0.07)) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("later", [
+    {"command": "density", "measure": json.loads(DIRAC1), "times": ["a"]},
+    {"command": "density", "measure": json.loads(DIRAC1), "times": [1],
+     "grid": 5},
+    {"command": "density", "measure": {"kind": "named"}, "times": [1]},
+    {"command": "pick", "measure": json.loads(GAMMA21), "mode_sweep": {"lo": 1}},
+    {"command": "counterexample", "rule": "zeta7"},
+], ids=["times", "grid", "measure", "mode_sweep", "rule"])
+def test_bad_later_run_fields_are_a_config_error_before_any_run(tmp_path, capsys,
+                                                                later):
+    # run 0 would write its report; run 1 is malformed in one field
+    runs = [{"command": "counterexample", "n_atoms": 5}, later]
+    path = str(tmp_path / "scenario.json")
+    with open(path, "w") as fh:
+        json.dump({"schema_version": 1, "runs": runs}, fh)
+    out = tmp_path / "out"
+    assert main(["scenario", path, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _noisy(density, amplitude):
+    """`density` times 1 + amplitude sin(1e9 x): a ripple no panel resolves,
+    so psi' quadratures meet 1e-6 but stall short of 1e-8."""
+    def noisy(self, x):
+        x = np.asarray(x, float)
+        return density(self, x) * (1.0 + amplitude * np.sin(1e9 * x))
+    return noisy
+
+
+@pytest.mark.parametrize("argv", [
+    ["pick", "--measure", GAMMA21, "--mode-sweep", "1,2,2"],
+    ["check", "--measure", GAMMA21],
+    ["density", "--measure", DIRAC1, "--t", "1", "--points", "128",
+     "--check", "pick"]], ids=["pick", "check", "density"])
+def test_relaxed_psi_prime_is_one_report_warning(tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(unimodality, "HalfPlaneGrid", lambda: fm.HalfPlaneGrid(
+        re_min=-2.0, re_max=2.0, re_count=2, im_min=0.5, im_max=2.0,
+        im_count=2))
+    for cls in (measures.Named, measures.GridDensity):
+        monkeypatch.setattr(cls, "density", _noisy(cls.density, 3e-7))
+    command = argv[0]
+    assert main(argv + ["--out", str(tmp_path)]) in (cli.EXIT_OK,
+                                                      cli.EXIT_NEGATIVE)
+    report = json.loads(open(tmp_path / f"{command}_report.json").read())
+    warned = [w for w in report["warnings"] if "psi'" in w]
+    assert len(warned) == 1
+    assert "met only 1e-06 relative accuracy, not 1e-08" in warned[0]

@@ -6,7 +6,8 @@ from scipy import integrate as sp_integrate
 from scipy import special, stats
 
 import freemult as fm
-from freemult._quad import build_edges
+from freemult._quad import batch_edges, build_edges, ladder_edges, merge_edges
+from freemult.analytic import _pole_seeds
 from freemult.errors import (
     AtomicHasNoDensity,
     DomainError,
@@ -264,6 +265,28 @@ def test_cached_panel_edges_equal_build_edges(nu):
         want = build_edges(lo, hi, pts + sing,
                            scl + [max(abs(s), lo) * 1e-9 for s in sing])
         assert nu._panel_edges(pts, scl).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nu", [fm.gamma_measure(2.0, 1.0),
+                                fm.beta_measure(0.5, 0.5),
+                                fm.lambda_measure(math.pi / 2),
+                                fm.uniform_interval(1.0, 1.1),
+                                fm.to_grid(fm.gamma_measure(2.0, 1.0), n=128)],
+                         ids=["gamma", "beta_singular", "lambda", "uniform",
+                              "grid"])
+def test_batch_edges_equal_the_per_point_edges_over_the_grid(nu):
+    # the seeds of psi' at every point of the default half-plane grid
+    base, lo, hi = nu._seed_base()
+    pts, scl = _pole_seeds(fm.HalfPlaneGrid().points(), lo, hi)
+    edges, offsets = batch_edges(base, pts, scl, lo, hi)
+    for k, (p, s) in enumerate(zip(pts, scl)):
+        seed = ((), ()) if np.isnan(p) else ((p,), (s,))
+        if isinstance(nu, fm.GridDensity):
+            want = merge_edges([nu.x] + [ladder_edges(float(p), float(s), lo, hi)
+                                         for p, s in zip(*seed)])
+        else:
+            want = nu._panel_edges(*seed)
+        assert edges[offsets[k]:offsets[k + 1]].tobytes() == want.tobytes()
 
 
 def test_invert_dirac():

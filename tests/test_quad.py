@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
 from freemult._quad import (
@@ -9,9 +11,12 @@ from freemult._quad import (
     _WG,
     _WGK,
     adaptive_quad,
+    adaptive_quad_batch,
+    batch_edges,
     build_edges,
     geometric_edges,
     ladder_edges,
+    merge_edges,
 )
 from freemult.errors import NonIntegrable
 
@@ -86,3 +91,60 @@ def test_stall_message_prints_the_budget_tested():
     printed = float(str(exc.value).split("budget ")[1].rstrip(")"))
     assert printed == pytest.approx(tested, rel=1e-3, abs=0.0)
     assert err.sum() > tested
+
+
+def _peaks(u, c, w, singular, cplx):
+    """Lorentzian peaks of centre c and width w, or the non-integrable pole
+    1/(u - c)^2 where `singular`; times (1 + iu) where `cplx`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(singular, 1.0 / (u - c) ** 2, w / ((u - c) ** 2 + w * w))
+    return f * (1.0 + 1j * u) if cplx else f
+
+
+@given(st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(1.5, 1e4),
+                          st.floats(0.0, 1.0), st.floats(-9.0, 0.0),
+                          st.floats(-12.0, -4.0), st.booleans(),
+                          st.booleans()),
+                min_size=1, max_size=6),
+       st.booleans())
+def test_batch_matches_adaptive_quad_bitwise(specs, cplx):
+    # each integral: range [lo, lo * ratio], a peak at a fraction of the way
+    # in, log10 width, log10 rtol, a ladder at the peak or none, and a
+    # non-integrable pole instead of the peak
+    rows, params, rtols = [], [], []
+    for lo, ratio, frac, logw, logrtol, ladder, singular in specs:
+        hi = lo * ratio
+        c, w = lo + frac * (hi - lo), 10.0 ** logw * (hi - lo)
+        rows.append(build_edges(lo, hi, points=(c,) if ladder else (),
+                                scales=(w,) if ladder else ()))
+        params.append((c, w, singular))
+        rtols.append(10.0 ** logrtol)
+    c, w, singular = (np.array(v) for v in zip(*params))
+    offsets = np.cumsum([0] + [r.size for r in rows])
+    values, errors, failed = adaptive_quad_batch(
+        lambda u, k: _peaks(u, c[k], w[k], singular[k], cplx),
+        np.concatenate(rows), offsets, rtols, max_panels=2000)
+    for k, edges in enumerate(rows):
+        f = lambda u: _peaks(u, c[k], w[k], singular[k], cplx)
+        try:
+            with np.errstate(invalid="ignore"):  # inf - inf at the pole
+                val, err = adaptive_quad(f, edges, rtol=rtols[k],
+                                         max_panels=2000)
+        except NonIntegrable:
+            assert failed[k]
+            assert np.isnan(values[k]) and np.isnan(errors[k])
+            continue
+        assert not failed[k]
+        assert values[k].tobytes() == np.asarray(val).tobytes()
+        assert errors[k] == err
+
+
+def test_batch_edges_equal_merge_edges_row_by_row():
+    base = geometric_edges(1e-3, 50.0)
+    points = np.array([1.0, np.nan, 49.999, 1e-3, 2e-3, 80.0])
+    scales = np.array([1e-9, np.nan, 1e-2, 0.0, 1e-300, 1.0])
+    edges, offsets = batch_edges(base, points, scales, 1e-3, 50.0)
+    for k, (p, s) in enumerate(zip(points, scales)):
+        ladders = [] if np.isnan(p) else [ladder_edges(p, s, 1e-3, 50.0)]
+        want = merge_edges([base] + ladders)
+        assert edges[offsets[k]:offsets[k + 1]].tobytes() == want.tobytes()

@@ -5,9 +5,9 @@ import pytest
 
 import freemult as fm
 from freemult.errors import AtomicHasNoDensity, DegenerateInput, DomainError
-from freemult import unimodality
+from freemult import analytic, measures, unimodality
 from freemult.unimodality import ModeReport
-from freemult.errors import InvariantViolation
+from freemult.errors import InvariantViolation, NonIntegrable
 
 SMALL_GRID = fm.HalfPlaneGrid(re_count=24, im_count=24)
 
@@ -153,12 +153,14 @@ def test_pick_check_of_several_modes_evaluates_psi_prime_once(monkeypatch):
     real = unimodality.psi_prime
     calls = []
     monkeypatch.setattr(unimodality, "psi_prime",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+                        lambda *a, **k: calls.append(a[1]) or real(*a, **k))
     modes = [0.5, 2.0, 1.0]
     for nu in (fm.gamma_measure(2, 1), fm.atomic([(0.5, 1.0), (0.5, 4.0)])):
         calls.clear()
         reports = fm.pick_inequality_check(nu, modes, grid)
-        assert len(calls) == zs.size
+        # one call covering all of zs
+        assert len(calls) == 1
+        assert np.asarray(calls[0]).tobytes() == zs.tobytes()
         # the per-mode products of the single-mode check, point by point
         for c, rep in zip(modes, reports):
             vals = np.array([z * (1.0 - c * z) * real(nu, z, rtol=1e-8)
@@ -170,6 +172,36 @@ def test_pick_check_of_several_modes_evaluates_psi_prime_once(monkeypatch):
         assert reports == [fm.pick_inequality_check(nu, c, grid)
                            for c in modes]
         assert [r.holds for r in reports] == [False, True, True]
+
+
+class _Rippled(measures.Named):
+    """A named family whose density carries a ripple no panel resolves, so
+    its psi' quadratures can meet 1e-6 but stall short of 1e-8."""
+
+    def density(self, x):
+        x = np.asarray(x, float)
+        return super().density(x) * (1.0 + 3e-7 * np.sin(1e9 * x))
+
+
+def test_pick_check_counts_the_grid_points_whose_psi_prime_was_relaxed():
+    grid = fm.HalfPlaneGrid(re_min=-2.0, re_max=2.0, re_count=2,
+                            im_min=0.5, im_max=2.0, im_count=2)
+    assert fm.pick_inequality_check(fm.gamma_measure(2, 1), 2.0,
+                                    grid).relaxed_points == 0
+    nu = _Rippled("gamma", p=2.0, theta=1.0)
+    reports = fm.pick_inequality_check(nu, [1.0, 2.0], grid)
+    assert [r.relaxed_points for r in reports] == [1, 1]
+    # the relaxed point gets the value of its own quadrature at 100 rtol
+    zs = grid.points()
+    values, relaxed = fm.psi_prime(nu, zs, rtol=1e-8, full_output=True)
+    (k,) = np.flatnonzero(relaxed)
+    z = complex(zs[k])
+    pts, scl = analytic._pole_seeds(zs[k:k + 1], *nu.effective_support())
+    rtol = float(analytic._half_plane_rtol(zs[k:k + 1], 1e-8)[0])
+    kernel = lambda x: x / (1.0 - x * z) ** 2
+    with pytest.raises(NonIntegrable):
+        nu.integrate(kernel, pts, scl, rtol=rtol)
+    assert values[k] == nu.integrate(kernel, pts, scl, rtol=100 * rtol)
 
 
 def test_pick_check_rejects_bad_mode():
