@@ -463,10 +463,11 @@ class Measure:
 
     def integrate_batch(self, kernel, points, scales, rtol):
         """The integrals k = 0, ..., n - 1 of kernel(u, k) against a density
-        measure, integral k seeded as `integrate(kernel, (points[k],),
-        (scales[k],), rtol[k])` seeds it (a nan point: no ladder) and
-        refined together in chunks; kernel(u, k) gets an array of nodes and
-        the integral indices of its rows as a column.
+        measure, refined together in chunks.  Integral k is seeded as
+        `integrate` seeds it with the trouble point points[k] of scale
+        scales[k] (a nan point: none) and has the tolerance rtol[k];
+        kernel(u, k) gets an array of nodes and the integral indices of its
+        rows as a column.
 
         Returns (values, failed): values[k] is bitwise the value `integrate`
         returns, and failed[k] marks an integral left unevaluated (nan),
