@@ -58,15 +58,18 @@ _WG = np.array([
 _GAUSS_IDX = np.arange(1, 15, 2)
 # refinement passes of adaptive_quad before it gives up
 MAX_DEPTH = 48
+# geometric base panels: per decade of the range, and at most in all
+_PANELS_PER_DECADE = 6.0
+_MAX_BASE_PANELS = 720
 
 
-def geometric_edges(lo: float, hi: float, per_decade: float = 6.0,
-                    max_panels: int = 720) -> np.ndarray:
+def geometric_edges(lo: float, hi: float) -> np.ndarray:
     """Log-spaced panel edges over [lo, hi] with lo > 0."""
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
     decades = np.log10(hi / lo)
-    n = int(min(max(np.ceil(decades * per_decade), 4), max_panels))
+    n = int(min(max(np.ceil(decades * _PANELS_PER_DECADE), 4),
+                _MAX_BASE_PANELS))
     return np.geomspace(lo, hi, n + 1)
 
 
@@ -78,14 +81,12 @@ def ladder_edges(point: float, scale: float, lo: float, hi: float) -> np.ndarray
     trouble point.  The reach is max(|point|, lo), beyond which the
     geometric base already tracks that distance, and never more than the
     range: the ladder is anchored at the point, so its innermost edge stays
-    within the scale however wide the range.
+    within the scale however wide the range.  A nan point has no ladder.
     """
     span = hi - lo
-    if span <= 0.0:
+    if span <= 0.0 or np.isnan(point):
         return np.empty(0)
     reach = min(max(abs(point), lo), span)
-    if scale <= 0.0:
-        scale = max(abs(point), lo) * 1e-9
     scale = max(scale, reach * 1e-18)  # cap the ladder at ~60 doublings
     kmax = int(np.ceil(np.log2(max(reach / scale, 2.0)))) + 1
     offs = scale * 2.0 ** np.arange(-2, kmax + 1)
@@ -105,10 +106,9 @@ def merge_edges(parts) -> np.ndarray:
     return edges[keep]
 
 
-def build_edges(lo: float, hi: float, points=(), scales=(),
-                per_decade: float = 6.0) -> np.ndarray:
+def build_edges(lo: float, hi: float, points=(), scales=()) -> np.ndarray:
     """Seeded panel edges: geometric base plus ladders at known trouble points."""
-    return merge_edges([geometric_edges(lo, hi, per_decade=per_decade)]
+    return merge_edges([geometric_edges(lo, hi)]
                        + [ladder_edges(float(p), float(s), lo, hi)
                           for p, s in zip(points, scales)])
 
@@ -128,7 +128,6 @@ def batch_edges(base, points, scales, lo: float, hi: float):
     if has.any():
         # ladder_edges, one row per point, cut to each row's own length
         reach = np.minimum(np.maximum(np.abs(p), lo), hi - lo)
-        s = np.where(s <= 0.0, np.maximum(np.abs(p), lo) * 1e-9, s)
         s = np.maximum(s, reach * 1e-18)
         kmax = np.where(has, np.ceil(np.log2(np.maximum(reach / s, 2.0))), 0.0)
         k = np.arange(-2, int(kmax.max()) + 2)

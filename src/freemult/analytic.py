@@ -97,10 +97,9 @@ def _transform_integral(nu: Measure, kernel, z, rtol: float):
     relaxed = np.zeros(zs.shape, dtype=bool)
     for k in np.flatnonzero(failed):
         zk = complex(zs[k])
-        seed = (((pts[k],), (scl[k],)) if not np.isnan(pts[k]) else ((), ()))
         values[k], used = relaxed_retry(
-            lambda rt: (nu.integrate(lambda x: kernel(x, zk), *seed, rtol=rt),
-                        rt),
+            lambda rt: (nu.integrate(lambda x: kernel(x, zk), pts[k], scl[k],
+                                     rtol=rt), rt),
             rtols[k])
         relaxed[k] = used != rtols[k]
     if z.ndim == 0:

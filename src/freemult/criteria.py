@@ -395,7 +395,7 @@ def scaled_convolution_density(nu: Measure, a: float, t: float, r: float,
 
     xs = 1.0 / r
     scale = max(2.0 * math.sqrt(s2) * xs, xs * 1e-14)
-    total = float(nu.integrate(kernel, points=(xs,), scales=(scale,), rtol=rtol))
+    total = float(nu.integrate(kernel, xs, scale, rtol=rtol))
     return r / c_b * total
 
 

@@ -110,7 +110,7 @@ def _kernel_integral(nu: Measure, r: float, s2: float, integrand,
 
     scale = max(2.0 * math.sqrt(s2) * xs, xs * 1e-14)
     return float(relaxed_retry(
-        lambda rt: nu.integrate(kernel, points=(xs,), scales=(scale,), rtol=rt),
+        lambda rt: nu.integrate(kernel, xs, scale, rtol=rt),
         _kernel_rtol(rtol, s2)))
 
 
@@ -125,9 +125,12 @@ def _angle_lhs_dtheta(ctx: FlowContext, r: float, theta: float,
     """d/d theta of the angle-equation LHS (the Newton slope of
     solve_angle), given ival = poisson_kernel_integral at (r, theta)."""
     sin_t, cos_t = math.sin(theta), math.cos(theta)
-    dival = _kernel_integral(ctx.nu, r, math.sin(0.5 * theta) ** 2,
-                             lambda u, d: -u * (2.0 * u * sin_t) / d ** 2,
-                             ctx.tol_quad)
+    # the kernel tends to 0; the numerator's floor, reached only where d^2
+    # overflows, keeps it from -inf / inf there
+    dival = _kernel_integral(
+        ctx.nu, r, math.sin(0.5 * theta) ** 2,
+        lambda u, d: np.maximum(-u * (2.0 * u * sin_t), -1e308) / d ** 2,
+        ctx.tol_quad)
     return (cos_t * theta - sin_t) / theta ** 2 * ival + sin_t / theta * dival
 
 
@@ -194,8 +197,11 @@ def solve_angle(ctx: FlowContext, r: float, guess: float | None = None) -> float
 
 def _radial_exponent(ctx: FlowContext, r: float, u: float) -> float:
     """int (r^2 xi^2 - 1) / ((1 - r*xi)^2 + 4 r*xi sin^2(u/2)) d nu(xi)."""
-    return _kernel_integral(ctx.nu, r, math.sin(0.5 * u) ** 2,
-                            lambda q, d: (q * q - 1.0) / d, ctx.tol_quad)
+    # the kernel -> 1, not inf / inf, where d overflows (r*xi beyond 1e154)
+    return _kernel_integral(
+        ctx.nu, r, math.sin(0.5 * u) ** 2,
+        lambda q, d: np.where(np.isinf(d), 1.0, (q * q - 1.0) / d),
+        ctx.tol_quad)
 
 
 def _radial_point(ctx: FlowContext, r: float,

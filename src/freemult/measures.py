@@ -10,9 +10,9 @@ Three representations are supported:
   uniform, log_normal).
 
 Every measure knows how to integrate a kernel against itself, invert itself
-under x -> 1/x, and push itself forward through the logarithm.  Kernel
-integrals accept a list of known trouble points so the adaptive quadrature
-can seed panels around poles and narrow peaks.
+under x -> 1/x, and push itself forward through the logarithm.  A kernel
+integral takes at most one known trouble point, with its width, so the
+adaptive quadrature can seed panels around a pole or a narrow peak.
 """
 
 from __future__ import annotations
@@ -457,17 +457,22 @@ class Measure:
         """Positive finite bounds containing all but `tail` of the mass per side."""
         raise NotImplementedError
 
-    def integrate(self, kernel, points=(), scales=(),
+    def integrate(self, kernel, point: float = math.nan,
+                  scale: float = math.nan,
                   rtol: float = TOL_QUAD) -> complex | float:
-        raise NotImplementedError
+        """int kernel(u) d nu(u) over a density measure, its panels seeded
+        at the trouble point `point` of width `scale` (a nan point: none)."""
+        val, _err = adaptive_quad(
+            lambda u: np.asarray(kernel(u)) * self.density(u),
+            self._panel_edges(point, scale), rtol=rtol)
+        return val
 
     def integrate_batch(self, kernel, points, scales, rtol):
         """The integrals k = 0, ..., n - 1 of kernel(u, k) against a density
         measure, refined together in chunks.  Integral k is seeded as
         `integrate` seeds it with the trouble point points[k] of scale
-        scales[k] (a nan point: none) and has the tolerance rtol[k];
-        kernel(u, k) gets an array of nodes and the integral indices of its
-        rows as a column.
+        scales[k] and has the tolerance rtol[k]; kernel(u, k) gets an array
+        of nodes and the integral indices of its rows as a column.
 
         Returns (values, failed): values[k] is bitwise the value `integrate`
         returns, and failed[k] marks an integral left unevaluated (nan),
@@ -492,8 +497,14 @@ class Measure:
 
     def _seed_base(self):
         """(edges, lo, hi): the edges `integrate` merges the caller's
-        ladders into, and the range the ladders are clipped to."""
+        ladder into, and the range the ladder is clipped to."""
         raise NotImplementedError
+
+    def _panel_edges(self, point: float, scale: float) -> np.ndarray:
+        """The seeded edges of `integrate`: the base edges merged with the
+        ladder at `point`."""
+        base, lo, hi = self._seed_base()
+        return merge_edges([base, ladder_edges(point, scale, lo, hi)])
 
     def invert(self) -> "Measure":
         raise NotImplementedError
@@ -544,7 +555,7 @@ class Atomic(Measure):
     def effective_support(self, tail: float = TOL_TAIL):
         return self.math_support()
 
-    def integrate(self, kernel, points=(), scales=(), rtol=TOL_QUAD):
+    def integrate(self, kernel, point=math.nan, scale=math.nan, rtol=TOL_QUAD):
         vals = np.asarray(kernel(self.a))
         total = np.dot(self.w, vals)
         return complex(total) if np.iscomplexobj(vals) else float(total)
@@ -629,14 +640,8 @@ class GridDensity(Measure):
     def _seed_base(self):
         return (self.x, *self.math_support())
 
-    def integrate(self, kernel, points=(), scales=(), rtol=TOL_QUAD):
-        lo, hi = self.math_support()
-        edges = merge_edges([self.x] + [ladder_edges(float(p), float(s), lo, hi)
-                                        for p, s in zip(points, scales)])
-        val, _err = adaptive_quad(
-            lambda u: np.asarray(kernel(u)) * self.density(u),
-            edges, rtol=rtol)
-        return val
+    # defined here, not inherited, because the benchmark tracer wraps it
+    integrate = Measure.integrate
 
     def invert(self) -> "GridDensity":
         xi = 1.0 / self.x[::-1]
@@ -676,7 +681,7 @@ class Named(Measure):
         self.params = params
         self._fam = fam
         self._support_cache: dict[float, tuple[float, float]] = {}
-        self._seed_edges_cache: dict[float, np.ndarray] = {}
+        self._seed = None
 
     def atoms(self):
         # defined here, not inherited, because the benchmark tracer wraps it
@@ -714,37 +719,24 @@ class Named(Measure):
         if not hi_eff < math.inf:
             raise DomainError(f"{self.family} {self.params}: the {tail:g} "
                               "tail quantile is beyond the float range")
+        if not lo_eff < hi_eff:
+            raise DomainError(f"{self.family} {self.params}: the support is "
+                              "too narrow to clamp inside its endpoints")
         return float(lo_eff), float(hi_eff)
 
-    def _seed_edges(self, tail: float = TOL_TAIL) -> np.ndarray:
-        """Sorted union of the geometric base edges over the effective
-        support and the ladders at the family's singular points, cached per
-        tail; not yet thinned to floating resolution."""
-        if tail not in self._seed_edges_cache:
-            lo, hi = self.effective_support(tail)
-            self._seed_edges_cache[tail] = np.unique(np.concatenate(
+    def _seed_base(self):
+        # the geometric base and the ladders at the family's singular
+        # points, built once and thinned with the caller's ladder
+        if self._seed is None:
+            lo, hi = self.effective_support()
+            self._seed = (np.unique(np.concatenate(
                 [geometric_edges(lo, hi)]
                 + [ladder_edges(s, max(abs(s), lo) * 1e-9, lo, hi)
-                   for s in self._fam.singular(self.params)]))
-        return self._seed_edges_cache[tail]
+                   for s in self._fam.singular(self.params)])), lo, hi)
+        return self._seed
 
-    def _seed_base(self):
-        return (self._seed_edges(), *self.effective_support())
-
-    def _panel_edges(self, points=(), scales=()) -> np.ndarray:
-        """build_edges over the effective support with the caller's and the
-        family's trouble points; only the caller's ladders are built anew."""
-        lo, hi = self.effective_support()
-        return merge_edges([self._seed_edges()]
-                           + [ladder_edges(float(p), float(s), lo, hi)
-                              for p, s in zip(points, scales)])
-
-    def integrate(self, kernel, points=(), scales=(), rtol=TOL_QUAD):
-        edges = self._panel_edges(points, scales)
-        val, _err = adaptive_quad(
-            lambda u: np.asarray(kernel(u)) * self.density(u),
-            edges, rtol=rtol)
-        return val
+    # defined here, not inherited, because the benchmark tracer wraps it
+    integrate = Measure.integrate
 
     def invert(self) -> Measure:
         mapped = self._fam.invert(self.params)

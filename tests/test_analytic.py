@@ -116,9 +116,9 @@ def _per_point_psi_prime(nu, z, rtol=1e-8):
     z = complex(z)
     lo, hi = nu.effective_support()
     w = 1.0 / z
-    seed = ((), ())
+    seed = (math.nan, math.nan)
     if lo - (hi - lo) < w.real < hi + (hi - lo):
-        seed = ((w.real,), (max(abs(w.imag), abs(w.real) * 1e-12, 1e-300),))
+        seed = (w.real, max(abs(w.imag), abs(w.real) * 1e-12, 1e-300))
     if z.real > 0.0:
         rtol = max(rtol, 4e-16 * abs(z.real) / abs(z.imag))
     return complex(relaxed_retry(

@@ -536,16 +536,34 @@ def test_strong_check_on_non_lambda_fails_before_the_checks(tmp_path, capsys,
 def test_boolean_stable_edge_cases_exit_cleanly(tmp_path, capsys):
     # alpha 0.02: its 1e-12 quantile is beyond the float range; alpha 0.055:
     # r * xi overflows on the sweep window; alpha 0.07: hi / lo overflows,
-    # and the sweep runs on differences of logs
-    def argv(command, alpha):
+    # and the sweep runs on differences of logs; alpha 0.1: the curve's
+    # flow kernels meet r * xi up to about 7e204, where their denominators
+    # overflow
+    def argv(command, alpha, *extra):
         return [command, "--measure",
                 json.dumps(_named("boolean_stable", alpha=alpha)), "--t", "1",
-                "--out", str(tmp_path / f"{command}{alpha}")]
+                *extra, "--out", str(tmp_path / f"{command}{alpha}")]
 
     assert main(argv("density", 0.02)) == cli.EXIT_CONFIG
     assert main(argv("sweep", 0.055)) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.count("config error: DomainError") == 2
     assert main(argv("sweep", 0.07)) == cli.EXIT_OK
+    assert main(argv("density", 0.1, "--points", "128")) == cli.EXIT_OK
+    report = json.loads((tmp_path / "density0.1" / "density_report.json")
+                        .read_text())
+    assert report["results"]["per_t"][0]["mass_pass"]
+
+
+def test_uniform_support_narrower_than_the_clamp_is_a_config_error(tmp_path,
+                                                                    capsys):
+    def argv(hi):
+        return ["density", "--measure",
+                json.dumps(_named("uniform", lo=1.0, hi=hi)), "--t", "1",
+                "--points", "64", "--out", str(tmp_path / repr(hi))]
+
+    assert main(argv(1.0 + 1e-15)) == cli.EXIT_CONFIG
+    assert "config error: DomainError" in capsys.readouterr().err
+    assert main(argv(1.0 + 1e-14)) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("later", [

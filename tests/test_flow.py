@@ -243,6 +243,15 @@ def test_angle_monotone_decreasing_in_theta():
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def test_flow_kernels_take_their_limits_where_the_denominator_overflows():
+    # r * xi = 1e205: (1 - r*xi)^2 overflows, and the radial kernel tends
+    # to 1 and the angle-slope kernel to 0 there
+    ctx = fm.FlowContext(fm.dirac(1e200), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert flow._radial_exponent(ctx, 1e5, 0.5) == 1.0
+        assert flow._angle_lhs_dtheta(ctx, 1e5, 0.5, 0.0) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # blow-up predicate
 # ---------------------------------------------------------------------------

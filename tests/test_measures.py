@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 from scipy import special, stats
 
 import freemult as fm
-from freemult._quad import batch_edges, build_edges, ladder_edges, merge_edges
+from freemult._quad import batch_edges, build_edges
 from freemult.analytic import _pole_seeds
 from freemult.errors import (
     AtomicHasNoDensity,
@@ -14,6 +16,7 @@ from freemult.errors import (
     InvariantViolation,
     NonIntegrable,
 )
+from freemult.flow import kernel_denominator
 
 ALL_DENSITY_FAMILIES = [
     fm.lambda_measure(2.0),
@@ -98,7 +101,40 @@ def test_integrate_matches_scipy_oracle():
 def test_integrate_interior_pole_raises():
     with pytest.raises(NonIntegrable):
         fm.uniform_interval(1, 2).integrate(lambda x: 1.0 / (x - 1.5) ** 2,
-                     points=(1.5,), scales=(1e-9,))
+                                            1.5, 1e-9)
+
+
+# each row: r, theta of a flow kernel, and a trouble point with its scale
+# (nan: none), anywhere with respect to the kernel's pole 1/r
+_FLOW_ROWS = st.lists(
+    st.tuples(st.floats(0.1, 10.0), st.floats(1e-3, 3.0),
+              st.one_of(st.just((math.nan, math.nan)),
+                        st.tuples(st.floats(0.01, 50.0),
+                                  st.floats(1e-12, 1.0)))),
+    min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("nu", [fm.gamma_measure(2.0, 1.0),
+                                fm.beta_measure(0.5, 0.5),
+                                fm.lambda_measure(math.pi / 2),
+                                fm.to_grid(fm.gamma_measure(2.0, 1.0), n=128),
+                                fm.atomic([(0.5, 1.0), (0.5, 4.0)])],
+                         ids=["gamma", "beta_singular", "lambda", "grid",
+                              "atomic"])
+@given(rows=_FLOW_ROWS)
+def test_integrate_equals_its_row_of_integrate_batch(nu, rows):
+    r = np.array([row[0] for row in rows])
+    s2 = np.sin(0.5 * np.array([row[1] for row in rows])) ** 2
+    pts = np.array([row[2][0] for row in rows])
+    scl = np.array([row[2][1] for row in rows])
+
+    def kernel(u, k):
+        return r[k] * u / kernel_denominator(r[k] * u, s2[k])
+
+    values, failed = nu.integrate_batch(kernel, pts, scl, 1e-9)
+    for k in np.flatnonzero(~failed):
+        one = nu.integrate(lambda u: kernel(u, k), pts[k], scl[k], rtol=1e-9)
+        assert np.float64(one).tobytes() == values[k].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +289,14 @@ def test_boolean_stable_support_beyond_floats_is_a_domain_error(alpha):
         fm.boolean_stable(alpha).effective_support()
 
 
+def test_uniform_support_narrower_than_the_clamp_is_a_domain_error():
+    # clamping 4 ulps inside each end would cross the ends over
+    with pytest.raises(DomainError, match="too narrow"):
+        fm.uniform_interval(1.0, 1.0 + 1e-15).effective_support()
+    lo, hi = fm.uniform_interval(1.0, 1.0 + 1e-14).effective_support()
+    assert 1.0 < lo < hi < 1.0 + 1e-14
+
+
 @pytest.mark.parametrize("nu", [fm.gamma_measure(2.0, 1.0),
                                 fm.gamma_measure(0.5, 1.0),
                                 fm.beta_measure(0.5, 0.5),
@@ -261,10 +305,9 @@ def test_cached_panel_edges_equal_build_edges(nu):
     lo, hi = nu.effective_support()
     sing = list(nu._fam.singular(nu.params))
     for r, theta in ((0.5, 1e-3), (1.0, 1e-9), (3.0, 0.3), (40.0, 2.0)):
-        pts, scl = [1.0 / r], [theta / r]
-        want = build_edges(lo, hi, pts + sing,
-                           scl + [max(abs(s), lo) * 1e-9 for s in sing])
-        assert nu._panel_edges(pts, scl).tobytes() == want.tobytes()
+        want = build_edges(lo, hi, [1.0 / r] + sing,
+                           [theta / r] + [max(abs(s), lo) * 1e-9 for s in sing])
+        assert nu._panel_edges(1.0 / r, theta / r).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("nu", [fm.gamma_measure(2.0, 1.0),
@@ -280,12 +323,7 @@ def test_batch_edges_equal_the_per_point_edges_over_the_grid(nu):
     pts, scl = _pole_seeds(fm.HalfPlaneGrid().points(), lo, hi)
     edges, offsets = batch_edges(base, pts, scl, lo, hi)
     for k, (p, s) in enumerate(zip(pts, scl)):
-        seed = ((), ()) if np.isnan(p) else ((p,), (s,))
-        if isinstance(nu, fm.GridDensity):
-            want = merge_edges([nu.x] + [ladder_edges(float(p), float(s), lo, hi)
-                                         for p, s in zip(*seed)])
-        else:
-            want = nu._panel_edges(*seed)
+        want = nu._panel_edges(p, s)
         assert edges[offsets[k]:offsets[k + 1]].tobytes() == want.tobytes()
 
 
