@@ -36,7 +36,9 @@ from .errors import (
 from .flow import FlowContext, blowup_region, density_curve
 from .measures import GridDensity, Measure, is_mult_symmetric
 from .unimodality import (
+    DEFAULT_HYSTERESIS,
     PSI_PRIME_RTOL,
+    TOL_PICK,
     is_log_unimodal,
     lambda_strong_check,
     pick_inequality_check,
@@ -118,8 +120,8 @@ def _check_expectations(expect: dict | None, summaries: list[dict]) -> list[str]
 # commands: each has an input reader, which checks a run record's fields and
 # returns them parsed, and a runner, which takes them as keywords with the
 # effective tolerances, writes its CSVs, and returns (exit code, inputs echo,
-# results, warnings, the summaries that `expect` is checked against); `run`
-# does the rest
+# results, warnings, the summaries that `expect` is checked against);
+# `prepare` and `run` do the rest
 # ---------------------------------------------------------------------------
 
 def density_inputs(cfg: dict) -> dict:
@@ -405,31 +407,109 @@ def run_pick(tol: dict, out_dir: str, nu, modes):
             {"per_mode": per_mode}, _relaxation_warnings(reports[0]), per_mode)
 
 
-# per command: its input reader and its runner
-_COMMANDS = {
-    "density": (density_inputs, run_density),
-    "check": (check_inputs, run_check),
-    "sweep": (sweep_inputs, run_sweep),
-    "counterexample": (counterexample_inputs, run_counterexample),
-    "pick": (pick_inputs, run_pick),
+_TOLERANCE_DEFAULTS = {
+    "tol_root": FlowContext.tol_root,
+    "tol_quad": FlowContext.tol_quad,
+    "tol_int": 1e-4,
+    "tol_pick": TOL_PICK,
+    "hysteresis": DEFAULT_HYSTERESIS,
+    "tol_mean_rel": 1e-3,
+    "tol_symmetry": 1e-3,
 }
 
 
-def run(command: str, cfg: dict, out_dir: str, parsed: dict | None = None) -> int:
+# per command: the fields a run may set besides `command` and `expect`, with
+# the keys of each object field; the tolerances it reads and reports, which a
+# run sets in `tolerances` or in a field of the same name (a check run's
+# `hysteresis`); the numeric summary fields that an `expect` key `<field>_min`
+# may bound; its input reader; and its runner
+_COMMANDS = {
+    "density": ({"measure": (), "times": (), "grid": ("points", "window"),
+                 "checks": (), "tolerances": ()}, tuple(_TOLERANCE_DEFAULTS),
+                {"t", "support_components", "mass", "mean", "mean_expected",
+                 "symmetry_defect", "theta_sweep_max_count"},
+                density_inputs, run_density),
+    "check": ({"measure": (), "checks": (), "hysteresis": ()},
+              ("tol_pick", "hysteresis"), set(), check_inputs, run_check),
+    "sweep": ({"measure": (), "times": (), "angles": ("count",), "window": (),
+               "grid": ()}, (), {"t", "max_count"}, sweep_inputs, run_sweep),
+    "counterexample": ({"n_atoms": (), "times": (), "k_max": (), "rule": (),
+                        "tolerances": ()}, ("tol_root", "tol_quad"),
+                       {"t", "support_components", "k", "midpoint", "f_value"},
+                       counterexample_inputs, run_counterexample),
+    "pick": ({"measure": (), "mode": (), "mode_sweep": ("lo", "hi", "count")},
+             ("tol_pick",), {"mode", "violations", "scale"}, pick_inputs,
+             run_pick),
+}
+
+
+def effective_tolerances(command: str, run: dict) -> dict:
+    """The tolerances `command` reads, defaults overridden by `run`; a
+    tolerance the command does not read, or one that is not a finite
+    number > 0, is a ParseError."""
+    tol = {k: _TOLERANCE_DEFAULTS[k] for k in _COMMANDS[command][1]}
+    over = run.get("tolerances")
+    over = {} if over is None else over
+    if not isinstance(over, dict):
+        raise ParseError(f"tolerances must be an object, got {over!r}")
+    fields = {k: run[k] for k in tol if k in run}
+    for k, v in {**fields, **over}.items():
+        if k not in tol:
+            raise ParseError(f"{command} reads no tolerance {k!r}; "
+                             f"it reads: {sorted(tol)}")
+        tol[k] = config_io.parse_number(v, f"tolerance {k!r}")
+        if not 0.0 < tol[k] < math.inf:
+            raise ParseError(f"tolerance {k!r} must be finite and > 0, "
+                             f"got {v!r}")
+    return tol
+
+
+def _check_expect(command: str, expect, where: str) -> None:
+    """An `expect` is an object; a `<field>_min` key bounds a numeric
+    summary field of the command by a finite number."""
+    if expect is None:
+        return
+    if not isinstance(expect, dict):
+        raise ParseError(f"{where}: expect must be an object, got {expect!r}")
+    numeric = _COMMANDS[command][2]
+    for key, want in expect.items():
+        if not key.endswith("_min"):
+            continue
+        if key[:-4] not in numeric:
+            raise ParseError(f"{where}: expect {key!r} bounds no numeric "
+                             f"field; those are: {sorted(numeric)}")
+        if (isinstance(want, bool) or not isinstance(want, (int, float))
+                or not math.isfinite(want)):
+            raise ParseError(f"{where}: expect {key!r} must be a finite "
+                             f"number, got {want!r}")
+
+
+def prepare(run: dict, where: str) -> tuple[dict, dict]:
+    """Check the run record `run`, which `where` names in errors, and read
+    its inputs, writing nothing; returns its effective tolerances and its
+    inputs as its runner takes them."""
+    command = run["command"]
+    if command not in _COMMANDS:
+        raise ParseError(f"{where}: unknown command {command!r}; known: "
+                         f"{sorted(_COMMANDS)}")
+    fields, _, _, read_inputs, _ = _COMMANDS[command]
+    where = f"{where} ({command})"
+    config_io.reject_unknown(run, set(fields) | {"command", "expect"}, where)
+    tol = effective_tolerances(command, run)
+    _check_expect(command, run.get("expect"), where)
+    return tol, read_inputs(run)
+
+
+def run(command: str, cfg: dict, out_dir: str, tol: dict, inputs: dict) -> int:
     """Run `command` on the run record `cfg` (a scenario run, or the flags
-    of one subcommand) and write `<command>_report.json` to `out_dir`; a
-    mismatched `expect` is a negative verdict.  `parsed` is the record's
-    fields as its input reader returns them, when they have been read
-    already.  A numeric failure carries the tolerances of the run as
-    `exc.tolerances`."""
-    tol = config_io.effective_tolerances(command, cfg)
-    read_inputs, runner = _COMMANDS[command]
+    of one subcommand) with the tolerances and inputs that `prepare` returned
+    for it, and write `<command>_report.json` to `out_dir`; a mismatched
+    `expect` is a negative verdict.  A numeric failure carries the
+    tolerances of the run as `exc.tolerances`."""
     try:
-        if parsed is None:
-            parsed = read_inputs(cfg)
         os.makedirs(out_dir, exist_ok=True)
-        code, inputs, results, warnings, summaries = runner(tol, out_dir,
-                                                            **parsed)
+        code, inputs, results, warnings, summaries = _COMMANDS[command][4](
+            tol, out_dir, **inputs)
     except FreemultError as exc:
         exc.tolerances = tol
         raise
@@ -444,8 +524,9 @@ def run(command: str, cfg: dict, out_dir: str, parsed: dict | None = None) -> in
 def run_scenario(path: str, out_dir: str | None) -> int:
     scenario = config_io.load_scenario(path)
     base = out_dir or scenario.get("out_dir") or "."
-    # every run's fields are read before the first run writes anything
-    parsed = [_COMMANDS[cfg["command"]][0](cfg) for cfg in scenario["runs"]]
+    # every run is checked and read before the first run writes anything
+    prepared = [prepare(cfg, f"runs[{i}]")
+                for i, cfg in enumerate(scenario["runs"])]
     codes = []
     for i, cfg in enumerate(scenario["runs"]):
         command = cfg["command"]
@@ -453,7 +534,7 @@ def run_scenario(path: str, out_dir: str | None) -> int:
         try:
             codes.append(run(command, cfg,
                              os.path.join(base, f"run{i:02d}_{command}"),
-                             parsed[i]))
+                             *prepared[i]))
         finally:
             print(f"[scenario] run {i} ({command}): "
                   f"{time.perf_counter() - t0:.2f}s", file=sys.stderr)
@@ -579,7 +660,8 @@ def main(argv=None) -> int:
         if args.command == "scenario":
             code = run_scenario(args.path, args.out)
         else:
-            code = run(args.command, _run_record(args), args.out)
+            record = _run_record(args)
+            code = run(args.command, record, args.out, *prepare(record, "flags"))
     except (ParseError, InvariantViolation, IoError, DomainError) as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,9 +17,7 @@ import tempfile
 import numpy as np
 
 from .errors import IoError, ParseError
-from .flow import DensityCurve, FlowContext
 from .measures import GridDensity, Measure, Named, atomic, dirac
-from .unimodality import DEFAULT_HYSTERESIS, TOL_PICK
 
 SCHEMA_VERSION = 1
 
@@ -102,10 +100,27 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# measure schema
+# measure and scenario files
 # ---------------------------------------------------------------------------
 
-def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def _json(text: str, what: str):
+    """`text` as JSON; a ParseError names `what` and the line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} JSON invalid at line {exc.lineno}, "
+                         f"column {exc.colno}: {exc.msg}") from exc
+
+
+def reject_unknown(d: dict, allowed: set[str], where: str) -> None:
     unknown = set(d) - allowed
     if unknown:
         raise ParseError(f"unknown field(s) {sorted(unknown)} in {where}; "
@@ -134,7 +149,7 @@ def measure_from_dict(d: dict) -> Measure:
         raise ParseError("measure needs a 'kind' field (atomic | grid | named)")
     kind = d["kind"]
     if kind == "atomic":
-        _reject_unknown(d, {"kind", "atoms", "schema_version"}, "atomic measure")
+        reject_unknown(d, {"kind", "atoms", "schema_version"}, "atomic measure")
         atoms = d.get("atoms")
         if not isinstance(atoms, list) or not atoms:
             raise ParseError("atomic measure needs a non-empty 'atoms' array")
@@ -142,27 +157,27 @@ def measure_from_dict(d: dict) -> Measure:
         for i, rec in enumerate(atoms):
             if not isinstance(rec, dict):
                 raise ParseError(f"atoms[{i}] must be an object with 'w' and 'a'")
-            _reject_unknown(rec, {"w", "a"}, f"atoms[{i}]")
+            reject_unknown(rec, {"w", "a"}, f"atoms[{i}]")
             if "w" not in rec or "a" not in rec:
                 raise ParseError(f"atoms[{i}] needs both 'w' and 'a'")
             pairs.append((parse_number(rec["w"], f"atoms[{i}].w"),
                           parse_number(rec["a"], f"atoms[{i}].a")))
         return atomic(pairs)
     if kind == "grid":
-        _reject_unknown(d, {"kind", "grid", "normalize", "schema_version"},
-                        "grid measure")
+        reject_unknown(d, {"kind", "grid", "normalize", "schema_version"},
+                       "grid measure")
         g = d.get("grid")
         if not isinstance(g, dict):
             raise ParseError("grid measure needs a 'grid' object")
-        _reject_unknown(g, {"x", "f"}, "grid")
+        reject_unknown(g, {"x", "f"}, "grid")
         if "x" not in g or "f" not in g:
             raise ParseError("grid needs 'x' and 'f' arrays")
         return GridDensity(parse_numbers(g["x"], "grid.x"),
                            parse_numbers(g["f"], "grid.f"),
                            normalize=bool(d.get("normalize", False)))
     if kind == "named":
-        _reject_unknown(d, {"kind", "family", "params", "schema_version"},
-                        "named measure")
+        reject_unknown(d, {"kind", "family", "params", "schema_version"},
+                       "named measure")
         family = d.get("family")
         if not isinstance(family, str):
             raise ParseError("named measure needs a 'family' string")
@@ -186,21 +201,11 @@ def parse_measure(text: str) -> Measure:
     Raises ParseError on malformed input (with line/column information) and
     InvariantViolation when a construction invariant fails.
     """
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"measure JSON invalid at line {exc.lineno}, "
-                         f"column {exc.colno}: {exc.msg}") from exc
-    return measure_from_dict(d)
+    return measure_from_dict(_json(text, "measure"))
 
 
 def load_measure(path: str) -> Measure:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    return parse_measure(text)
+    return parse_measure(_read(path))
 
 
 def parse_measure_arg(value: str) -> Measure:
@@ -211,71 +216,13 @@ def parse_measure_arg(value: str) -> Measure:
     return load_measure(value)
 
 
-# ---------------------------------------------------------------------------
-# scenario schema
-# ---------------------------------------------------------------------------
-
-_TOLERANCE_DEFAULTS = {
-    "tol_root": FlowContext.tol_root,
-    "tol_quad": FlowContext.tol_quad,
-    "tol_int": 1e-4,
-    "tol_pick": TOL_PICK,
-    "hysteresis": DEFAULT_HYSTERESIS,
-    "tol_mean_rel": 1e-3,
-    "tol_symmetry": 1e-3,
-}
-# per command: the fields a run may set besides `command` and `expect`, the
-# tolerances it reads and reports, and the numeric fields of its summaries,
-# which an `expect` key `<field>_min` may bound.  A run sets a tolerance
-# through its `tolerances` object, or through a field of the same name (a
-# check run's `hysteresis`).
-_RUN_SETTINGS = {
-    "density": ({"measure", "times", "grid", "checks", "tolerances"},
-                tuple(_TOLERANCE_DEFAULTS),
-                {"t", "support_components", "mass", "mean", "mean_expected",
-                 "symmetry_defect", "theta_sweep_max_count"}),
-    "check": ({"measure", "checks", "hysteresis"}, ("tol_pick", "hysteresis"),
-              set()),
-    "sweep": ({"measure", "times", "angles", "window", "grid"}, (),
-              {"t", "max_count"}),
-    "counterexample": ({"n_atoms", "times", "k_max", "rule", "tolerances"},
-                       ("tol_root", "tol_quad"),
-                       {"t", "support_components", "k", "midpoint", "f_value"}),
-    "pick": ({"measure", "mode", "mode_sweep"}, ("tol_pick",),
-             {"mode", "violations", "scale"}),
-}
-
-
-def effective_tolerances(command: str, run: dict) -> dict:
-    """The tolerances `command` reads, defaults overridden by `run`; a
-    tolerance the command does not read, or one that is not a finite
-    number > 0, is a ParseError."""
-    tol = {k: _TOLERANCE_DEFAULTS[k] for k in _RUN_SETTINGS[command][1]}
-    over = run.get("tolerances")
-    over = {} if over is None else over
-    if not isinstance(over, dict):
-        raise ParseError(f"tolerances must be an object, got {over!r}")
-    fields = {k: run[k] for k in tol if k in run}
-    for k, v in {**fields, **over}.items():
-        if k not in tol:
-            raise ParseError(f"{command} reads no tolerance {k!r}; "
-                             f"it reads: {sorted(tol)}")
-        tol[k] = parse_number(v, f"tolerance {k!r}")
-        if not 0.0 < tol[k] < math.inf:
-            raise ParseError(f"tolerance {k!r} must be finite and > 0, "
-                             f"got {v!r}")
-    return tol
-
-
 def parse_scenario(text: str) -> dict:
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"scenario JSON invalid at line {exc.lineno}, "
-                         f"column {exc.colno}: {exc.msg}") from exc
+    """A scenario's envelope: its `schema_version` and a non-empty `runs`
+    list of objects with a `command`; `cli.prepare` checks each run."""
+    d = _json(text, "scenario")
     if not isinstance(d, dict):
         raise ParseError("scenario must be a JSON object")
-    _reject_unknown(d, {"schema_version", "name", "runs", "out_dir"}, "scenario")
+    reject_unknown(d, {"schema_version", "name", "runs", "out_dir"}, "scenario")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"scenario needs schema_version = {SCHEMA_VERSION}")
     runs = d.get("runs")
@@ -284,44 +231,11 @@ def parse_scenario(text: str) -> dict:
     for i, run in enumerate(runs):
         if not isinstance(run, dict) or "command" not in run:
             raise ParseError(f"runs[{i}] needs a 'command' field")
-        cmd = run["command"]
-        if cmd not in _RUN_SETTINGS:
-            raise ParseError(f"runs[{i}]: unknown command {cmd!r}; known: "
-                             f"{sorted(_RUN_SETTINGS)}")
-        _reject_unknown(run, _RUN_SETTINGS[cmd][0] | {"command", "expect"},
-                        f"runs[{i}] ({cmd})")
-        effective_tolerances(cmd, run)
-        _check_expect(cmd, run.get("expect"), f"runs[{i}] ({cmd})")
     return d
 
 
-def _check_expect(command: str, expect, where: str) -> None:
-    """An `expect` is an object; a `<field>_min` key bounds a numeric
-    summary field of the command by a finite number."""
-    if expect is None:
-        return
-    if not isinstance(expect, dict):
-        raise ParseError(f"{where}: expect must be an object, got {expect!r}")
-    numeric = _RUN_SETTINGS[command][2]
-    for key, want in expect.items():
-        if not key.endswith("_min"):
-            continue
-        if key[:-4] not in numeric:
-            raise ParseError(f"{where}: expect {key!r} bounds no numeric "
-                             f"field; those are: {sorted(numeric)}")
-        if (isinstance(want, bool) or not isinstance(want, (int, float))
-                or not math.isfinite(want)):
-            raise ParseError(f"{where}: expect {key!r} must be a finite "
-                             f"number, got {want!r}")
-
-
 def load_scenario(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    return parse_scenario(text)
+    return parse_scenario(_read(path))
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +249,10 @@ def write_report(record: dict, path: str) -> None:
     _atomic_write(path, dumps({"schema_version": SCHEMA_VERSION, **record}))
 
 
-def write_curve_csv(curve: DensityCurve, path: str) -> None:
-    """Fixed column order x,q,xq at 17 significant digits; a curve with
-    empty support writes the header alone."""
+def write_curve_csv(curve, path: str) -> None:
+    """A density curve (`flow.DensityCurve`) in fixed column order x,q,xq at
+    17 significant digits; a curve with empty support writes the header
+    alone."""
     lines = ["x,q,xq"]
     if len(curve.support) > 0:
         for x, q in zip(curve.x, curve.q):

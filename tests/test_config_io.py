@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import freemult as fm
-from freemult import config_io
+from freemult import cli, config_io
 from freemult.errors import InvariantViolation, IoError, ParseError
 
 
@@ -152,20 +152,29 @@ def test_load_measure_missing_file():
 # scenarios
 # ---------------------------------------------------------------------------
 
+def _prepare(text):
+    """Parse a scenario and check and read each run, as `cli.run_scenario`
+    does before its first run."""
+    sc = config_io.parse_scenario(text)
+    for i, run in enumerate(sc["runs"]):
+        cli.prepare(run, f"runs[{i}]")
+    return sc
+
+
 def test_parse_scenario_validates():
     good = json.dumps({"schema_version": 1, "runs": [
         {"command": "check", "measure": {"kind": "named", "family": "gamma",
                                          "params": {"p": 2, "theta": 1}}}]})
-    sc = config_io.parse_scenario(good)
+    sc = _prepare(good)
     assert sc["runs"][0]["command"] == "check"
 
     with pytest.raises(ParseError):
-        config_io.parse_scenario(json.dumps({"runs": []}))
+        _prepare(json.dumps({"runs": []}))
     with pytest.raises(ParseError):
-        config_io.parse_scenario(json.dumps(
+        _prepare(json.dumps(
             {"schema_version": 1, "runs": [{"command": "dance"}]}))
     with pytest.raises(ParseError):
-        config_io.parse_scenario(json.dumps(
+        _prepare(json.dumps(
             {"schema_version": 1, "runs": [{"command": "check", "bogus": 1}]}))
 
 
@@ -188,9 +197,9 @@ def _scenario(command, **fields):
 
 @pytest.mark.parametrize("command", list(_RUNS))
 def test_scenario_runs_reject_outputs(command):
-    config_io.parse_scenario(_scenario(command))
+    _prepare(_scenario(command))
     with pytest.raises(ParseError, match="outputs"):
-        config_io.parse_scenario(_scenario(command, outputs={"csv": True}))
+        _prepare(_scenario(command, outputs={"csv": True}))
 
 
 @pytest.mark.parametrize("command", list(_RUNS))
@@ -200,10 +209,10 @@ def test_only_density_runs_take_tolerances(command):
                   else {"tol_pick": 1e-9})
     text = _scenario(command, tolerances=tolerances)
     if command in ("density", "counterexample"):
-        config_io.parse_scenario(text)
+        _prepare(text)
     else:
         with pytest.raises(ParseError, match="tolerances"):
-            config_io.parse_scenario(text)
+            _prepare(text)
 
 
 def test_shipped_scenarios_parse():
