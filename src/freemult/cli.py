@@ -1,6 +1,11 @@
 """Command-line front end.
 
-Subcommands: density, check, sweep, counterexample, pick, scenario.
+Subcommands: density, check, sweep, counterexample, pick, scenario.  Each
+command is one `_COMMANDS` entry: its run fields, its tolerances, its
+numeric summary fields, its input reader and its runner.  A run record (a
+scenario run, or the flags of one subcommand) goes through `prepare`, which
+checks and reads it and writes nothing, then through `run`; a scenario
+prepares every run before its first run starts.
 Exit codes: 0 pass, 1 negative verdict, 2 config error, 3 numeric failure,
 4 inconclusive.  All runs are deterministic; --seedless is accepted for
 interface stability and is a no-op.
@@ -62,6 +67,24 @@ def _window(value) -> list[float] | None:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ParseError(f"window must be 'lo,hi', got {value!r}")
     return config_io.parse_numbers(value, "window")
+
+
+def _object(cfg: dict, name: str, command: str) -> dict:
+    """The run's object field `name`, or {} when it is absent."""
+    value = cfg.get(name)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ParseError(f"{command} {name!r} must be an object, got {value!r}")
+    return value
+
+
+def _checks(cfg: dict, default) -> list:
+    """The run's `checks` list, or `default` when it is absent or empty."""
+    checks = cfg.get("checks")
+    if checks is not None and not isinstance(checks, list):
+        raise ParseError(f"checks must be a list, got {checks!r}")
+    return checks or list(default)
 
 
 def _measure_of(cfg: dict) -> Measure:
@@ -129,12 +152,10 @@ def density_inputs(cfg: dict) -> dict:
     times = config_io.parse_numbers(cfg.get("times") or [], "times")
     if not times:
         raise ParseError("density needs a non-empty 'times' list")
-    grid = cfg.get("grid") or {}
-    if not isinstance(grid, dict):
-        raise ParseError(f"density 'grid' must be an object, got {grid!r}")
+    grid = _object(cfg, "grid", "density")
     points = config_io.parse_number(grid.get("points", 512), "grid.points", int)
     window = _window(grid.get("window"))
-    checks = cfg.get("checks") or list(_DEFAULT_CHECKS)
+    checks = _checks(cfg, _DEFAULT_CHECKS)
     for c in checks:
         if c not in _ALL_CHECKS:
             raise ParseError(f"unknown check {c!r}; known: {list(_ALL_CHECKS)}")
@@ -218,8 +239,8 @@ def run_density(tol: dict, out_dir: str, nu, times, points, window, checks):
 def check_inputs(cfg: dict) -> dict:
     nu = _measure_of(cfg)
     is_lambda = getattr(nu, "family", None) == "lambda"
-    requested = cfg.get("checks") or (["logunimodal", "pick", "strong"]
-                                      if is_lambda else ["logunimodal", "pick"])
+    requested = _checks(cfg, ["logunimodal", "pick", "strong"] if is_lambda
+                        else ["logunimodal", "pick"])
     for c in requested:
         if c not in ("logunimodal", "pick", "strong"):
             raise ParseError(f"unknown check {c!r}; known: logunimodal, pick, "
@@ -286,9 +307,7 @@ def sweep_inputs(cfg: dict) -> dict:
     times = config_io.parse_numbers(cfg.get("times") or [], "times")
     if not times:
         raise ParseError("sweep needs a non-empty 'times' list")
-    angles = cfg.get("angles") or {}
-    if not isinstance(angles, dict):
-        raise ParseError(f"sweep 'angles' must be an object, got {angles!r}")
+    angles = _object(cfg, "angles", "sweep")
     n_angles = config_io.parse_number(angles.get("count", 64), "angles.count", int)
     grid = config_io.parse_number(cfg.get("grid", 4096), "grid", int)
     window = _window(cfg.get("window"))
@@ -330,6 +349,8 @@ def counterexample_inputs(cfg: dict) -> dict:
     times = config_io.parse_numbers(cfg.get("times") or [1.0], "times")
     k_max = config_io.parse_number(cfg.get("k_max", n_atoms - 1), "k_max", int)
     nu, spec = build_counterexample(n_atoms, rule=rule)
+    if k_max < 1:
+        raise ParseError(f"k_max must be >= 1, got {k_max}")
     return {"n_atoms": n_atoms, "rule": rule, "times": times, "k_max": k_max,
             "nu": nu, "spec": spec}
 
@@ -373,6 +394,8 @@ def pick_inputs(cfg: dict) -> dict:
     `count` modes of `mode_sweep` spaced geometrically from `lo` to `hi`."""
     nu = _measure_of(cfg)
     mode, sw = cfg.get("mode"), cfg.get("mode_sweep")
+    if mode is not None and sw is not None:
+        raise ParseError("pick takes a 'mode' or a 'mode_sweep', not both")
     if mode is not None:
         lo = hi = config_io.parse_number(mode, "pick mode")
         count = 1
@@ -495,12 +518,15 @@ def prepare(run: dict, where: str) -> tuple[dict, dict]:
     fields, _, _, read_inputs, _ = _COMMANDS[command]
     where = f"{where} ({command})"
     config_io.reject_unknown(run, set(fields) | {"command", "expect"}, where)
+    for name, keys in fields.items():
+        if keys and isinstance(run.get(name), dict):
+            config_io.reject_unknown(run[name], set(keys), f"{where} {name}")
     tol = effective_tolerances(command, run)
     _check_expect(command, run.get("expect"), where)
     return tol, read_inputs(run)
 
 
-def run(command: str, cfg: dict, out_dir: str, tol: dict, inputs: dict) -> int:
+def run(command: str, cfg: dict, out_dir: str, tol: dict, parsed: dict) -> int:
     """Run `command` on the run record `cfg` (a scenario run, or the flags
     of one subcommand) with the tolerances and inputs that `prepare` returned
     for it, and write `<command>_report.json` to `out_dir`; a mismatched
@@ -509,7 +535,7 @@ def run(command: str, cfg: dict, out_dir: str, tol: dict, inputs: dict) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
         code, inputs, results, warnings, summaries = _COMMANDS[command][4](
-            tol, out_dir, **inputs)
+            tol, out_dir, **parsed)
     except FreemultError as exc:
         exc.tolerances = tol
         raise

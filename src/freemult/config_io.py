@@ -1,10 +1,11 @@
-"""Measure/scenario file parsing and deterministic result serialization.
+"""File formats: measure and scenario files in, reports and CSVs out.
 
-This is the only module that touches the filesystem.  File formats are JSON
+This is the only module that reads or writes files.  Input files are JSON
 with one schema-version field; unknown fields are errors, not warnings, so
-golden files stay stable.  Numbers are serialized with 17 significant
-digits, which round-trips IEEE doubles exactly; writes are atomic (temp
-file plus rename).
+golden files stay stable.  A scenario is read here as an envelope only;
+`cli.prepare` checks each of its runs against the command table.  Numbers
+are serialized with 17 significant digits, which round-trips IEEE doubles
+exactly; writes are atomic (temp file plus rename).
 """
 
 from __future__ import annotations
@@ -217,14 +218,18 @@ def parse_measure_arg(value: str) -> Measure:
 
 
 def parse_scenario(text: str) -> dict:
-    """A scenario's envelope: its `schema_version` and a non-empty `runs`
-    list of objects with a `command`; `cli.prepare` checks each run."""
+    """A scenario's envelope: its `schema_version`, a string `out_dir` if it
+    has one, and a non-empty `runs` list of objects with a `command`;
+    `cli.prepare` checks each run."""
     d = _json(text, "scenario")
     if not isinstance(d, dict):
         raise ParseError("scenario must be a JSON object")
     reject_unknown(d, {"schema_version", "name", "runs", "out_dir"}, "scenario")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"scenario needs schema_version = {SCHEMA_VERSION}")
+    if d.get("out_dir") is not None and not isinstance(d["out_dir"], str):
+        raise ParseError(f"scenario out_dir must be a string, got "
+                         f"{d['out_dir']!r}")
     runs = d.get("runs")
     if not isinstance(runs, list) or not runs:
         raise ParseError("scenario needs a non-empty 'runs' array")

@@ -573,7 +573,29 @@ def test_uniform_support_narrower_than_the_clamp_is_a_config_error(tmp_path,
     {"command": "density", "measure": {"kind": "named"}, "times": [1]},
     {"command": "pick", "measure": json.loads(GAMMA21), "mode_sweep": {"lo": 1}},
     {"command": "counterexample", "rule": "zeta7"},
-], ids=["times", "grid", "measure", "mode_sweep", "rule"])
+    {"command": "density", "measure": json.loads(DIRAC1), "times": [1],
+     "grid": {"points": 64, "bogus": 2}},
+    {"command": "sweep", "measure": json.loads(DIRAC1), "times": [1],
+     "angles": {"count": 8, "bogus": 1}},
+    {"command": "pick", "measure": json.loads(GAMMA21),
+     "mode_sweep": {"lo": 1, "hi": 3, "count": 2, "bogus": 1}},
+    {"command": "density", "measure": json.loads(DIRAC1), "times": [1],
+     "grid": 0},
+    {"command": "sweep", "measure": json.loads(DIRAC1), "times": [1],
+     "angles": []},
+    {"command": "density", "measure": json.loads(DIRAC1), "times": [1],
+     "checks": "mass"},
+    {"command": "check", "measure": json.loads(GAMMA21), "checks": "pick"},
+    {"command": "pick", "measure": json.loads(GAMMA21), "mode": 2,
+     "mode_sweep": {"lo": 1, "hi": 3, "count": 2}},
+    {"command": "counterexample", "n_atoms": 5, "k_max": 0},
+    {"command": "counterexample", "n_atoms": 5, "bogus": 1},
+    {"command": "counterexample", "n_atoms": 5,
+     "tolerances": {"tol_root": -1}},
+], ids=["times", "grid", "measure", "mode_sweep", "rule", "grid_key",
+        "angles_key", "mode_sweep_key", "grid_falsy", "angles_falsy",
+        "checks_text", "check_checks_text", "mode_and_mode_sweep", "k_max",
+        "unknown_field", "tolerance"])
 def test_bad_later_run_fields_are_a_config_error_before_any_run(tmp_path, capsys,
                                                                 later):
     # run 0 would write its report; run 1 is malformed in one field
@@ -585,6 +607,46 @@ def test_bad_later_run_fields_are_a_config_error_before_any_run(tmp_path, capsys
     assert main(["scenario", path, "--out", str(out)]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_scenario_out_dir_must_be_a_string(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with open("scenario.json", "w") as fh:
+        json.dump({"schema_version": 1, "out_dir": 5, "runs": [
+            {"command": "counterexample", "n_atoms": 5}]}, fh)
+    assert main(["scenario", "scenario.json"]) == cli.EXIT_CONFIG
+    assert ("config error: ParseError: scenario out_dir must be a string"
+            in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["scenario.json"]
+
+
+@pytest.mark.parametrize("k_max", ["0", "-3"])
+def test_k_max_below_one_is_a_config_error(tmp_path, capsys, k_max):
+    # the scenario form is the `k_max` input of the test above
+    out = tmp_path / "out"
+    assert main(["counterexample", "--n-atoms", "5", "--k-max", k_max,
+                 "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "config error: ParseError: k_max" in capsys.readouterr().err
+    assert not out.exists()
+    # a k_max beyond the last gap is clipped to it
+    assert main(["counterexample", "--n-atoms", "5", "--k-max", "99",
+                 "--out", str(out)]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["density", "check"])
+def test_checks_must_be_a_list(tmp_path, capsys, command):
+    run = {"command": command, "measure": json.loads(GAMMA21), "checks": "mass"}
+    if command == "density":
+        run["times"] = [1]
+    assert _run_scenario(tmp_path, run) == cli.EXIT_CONFIG
+    assert "checks must be a list, got 'mass'" in capsys.readouterr().err
+
+
+def test_pick_flags_take_a_mode_or_a_mode_sweep(tmp_path, capsys):
+    assert main(["pick", "--measure", GAMMA21, "--mode", "2", "--mode-sweep",
+                 "1,3,2", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "not both" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def _noisy(density, amplitude):

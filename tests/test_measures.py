@@ -236,7 +236,17 @@ def test_cdfs_bitwise_equal_scipy(nu, ref):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("nu, ref", SCIPY_TWINS, ids=map(_twin_id, SCIPY_TWINS))
+def _ppf_case(pair):
+    # beta(2, 3) provokes Boost's "ibeta ... Root finding evaluation exceeded"
+    # warning at q = 5e-324 on purpose; the filter's message is a regex, and
+    # "::" would split it into filter fields
+    marks = (pytest.mark.filterwarnings(
+        r"ignore:Error in function boost.{2}math.{2}ibeta")
+        if _twin_id(pair) == "beta(2.0, 3.0)" else ())
+    return pytest.param(*pair, marks=marks, id=_twin_id(pair))
+
+
+@pytest.mark.parametrize("nu, ref", map(_ppf_case, SCIPY_TWINS))
 def test_ppfs_bitwise_equal_scipy(nu, ref):
     # effective_support reads the 1e-12 tails
     rng = np.random.default_rng(5)
