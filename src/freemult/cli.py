@@ -512,7 +512,7 @@ def prepare(run: dict, where: str) -> tuple[dict, dict]:
     its inputs, writing nothing; returns its effective tolerances and its
     inputs as its runner takes them."""
     command = run["command"]
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ParseError(f"{where}: unknown command {command!r}; known: "
                          f"{sorted(_COMMANDS)}")
     fields, _, _, read_inputs, _ = _COMMANDS[command]

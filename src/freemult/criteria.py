@@ -503,5 +503,6 @@ def gap_certificate(nu: Measure, t: float, k: int) -> GapCertificate:
             f"k={k} needs atoms k and k+1; measure has {locs.size} atoms")
     a_k, a_k1 = float(locs[k - 1]), float(locs[k])
     b_k = 0.5 * (1.0 / a_k1 + 1.0 / a_k)
-    f_val = capped_blowup(FlowContext(nu, t), b_k)
+    with np.errstate(over="ignore", invalid="ignore"):  # r*xi may overflow
+        f_val = capped_blowup(FlowContext(nu, t), b_k)
     return GapCertificate(k, b_k, f_val, f_val < 1.0 / t)

@@ -36,7 +36,7 @@ from .errors import (
     EmptyVSet,
     InvariantViolation,
 )
-from .measures import Measure
+from .measures import Atomic, Measure
 
 _THETA_EDGE = 1e-14
 # Angles below this floor are reported as 0: their density contribution is
@@ -47,6 +47,7 @@ _THETA_EDGE = 1e-14
 ANGLE_FLOOR = 1e-9
 _S2_FLOOR = math.sin(0.5 * ANGLE_FLOOR) ** 2
 _DENOM_FLOOR = 1e-280
+_NORMAL_MIN = np.finfo(float).tiny
 # relative Newton step and bracket width that end an angle solve
 _ANGLE_STEP = 1e-12
 _ANGLE_MAX_ITER = 100
@@ -207,8 +208,11 @@ def _radial_exponent(ctx: FlowContext, r: float, u: float) -> float:
 def _radial_point(ctx: FlowContext, r: float,
                   guess: float | None = None) -> tuple[float, float]:
     """(Lambda(r), u(r)), the angle solved from `guess`."""
-    u = solve_angle(ctx, r, guess=guess)
-    return r * math.exp(0.5 * ctx.t * _radial_exponent(ctx, r, u)), u
+    # the flow kernels take their limits where r*xi overflows (1e154 and
+    # beyond); one block for the whole solve, not one per atom sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = solve_angle(ctx, r, guess=guess)
+        return r * math.exp(0.5 * ctx.t * _radial_exponent(ctx, r, u)), u
 
 
 def radial_map(ctx: FlowContext, r: float) -> float:
@@ -326,48 +330,68 @@ def blowup_region(ctx: FlowContext, window=None) -> list[tuple[float, float]]:
             rs.append(np.geomspace(plo, phi_, 17))
     scan = np.unique(np.concatenate(rs))
 
-    above = np.array([capped_blowup(ctx, float(r)) > target for r in scan])
+    above = _capped_blowup_at(ctx, scan) > target
     if not above.any():
         raise EmptyVSet(
             f"f never exceeds 1/t={target} on the window [{wlo}, {whi}]")
 
-    intervals = []
-    i = 0
-    n = scan.size
-    while i < n:
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and above[j + 1]:
-            j += 1
-        lo_edge = (wlo if i == 0 else
-                   _refine_boundary(ctx, scan[i - 1], scan[i], target, rising=True))
-        hi_edge = (whi if j == n - 1 else
-                   _refine_boundary(ctx, scan[j], scan[j + 1], target, rising=False))
-        intervals.append((float(lo_edge), float(hi_edge)))
-        i = j + 1
-    return intervals
+    # scan[k] and scan[k + 1] straddle a boundary; the boundaries alternate
+    # rising (lower edge) and falling (upper edge) along the scan
+    k = np.flatnonzero(above[1:] != above[:-1])
+    edges = _bisect_boundaries(ctx, scan[k], scan[k + 1], above[k + 1], target)
+    bounds = edges.tolist()
+    if above[0]:
+        bounds.insert(0, wlo)
+    if above[-1]:
+        bounds.append(whi)
+    return list(zip(bounds[0::2], bounds[1::2]))
 
 
-def _refine_boundary(ctx, a, b, target, rising: bool) -> float:
-    """Bisect the predicate f(r) > target on (a, b).
+def _capped_blowup_at(ctx: FlowContext, rs: np.ndarray) -> np.ndarray:
+    """capped_blowup at each radius of rs, bitwise.  An atomic nu takes one
+    batch of exact atom sums for all radii; a density nu takes the scalar
+    quadrature at each radius."""
+    nu = ctx.nu
+    if not isinstance(nu, Atomic):
+        return np.array([capped_blowup(ctx, float(r)) for r in rs])
 
-    For a rising (lower) boundary, a is outside the region and b inside;
-    for a falling (upper) boundary, a is inside and b outside.  Returns the
-    inside-leaning edge.
+    def kernel(xi, k):
+        u = rs[k] * xi
+        return u / kernel_denominator(u, _S2_FLOOR)
+
+    # the kernel tends to 0 where (1 - u)^2 overflows; atom sums are exact,
+    # so the trouble points and the tolerance go unused
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, _ = nu.integrate_batch(kernel, rs, rs, ctx.tol_quad)
+    return math.sin(ANGLE_FLOOR) / ANGLE_FLOOR * vals
+
+
+def _bisect_boundaries(ctx: FlowContext, lo: np.ndarray, hi: np.ndarray,
+                       rising: np.ndarray, target: float) -> np.ndarray:
+    """Bisect the predicate f(r) > target in log r on every bracket
+    (lo[m], hi[m]) at once, one predicate batch a step.
+
+    A rising (lower) boundary has lo outside the region and hi inside, a
+    falling (upper) one the reverse; each returns its inside end.  A
+    bracket stops once hi - lo <= 1e-12 hi, or after _BOUNDARY_MAX_ITER
+    midpoints, so every bracket takes the midpoints it would take alone.
     """
-    lo, hi = float(a), float(b)
+    lo, hi = lo.copy(), hi.copy()
     for _ in range(_BOUNDARY_MAX_ITER):
-        if hi - lo <= 1e-12 * hi:
+        live = np.flatnonzero(hi - lo > 1e-12 * hi)
+        if not live.size:
             break
-        mid = math.sqrt(lo * hi)
-        inside = capped_blowup(ctx, mid) > target
-        if inside == rising:
-            hi = mid
-        else:
-            lo = mid
-    return hi if rising else lo
+        a, b = lo[live], hi[live]
+        with np.errstate(over="ignore"):
+            ab = a * b
+        # sqrt(a * b) wherever a * b is a normal float, and a form that
+        # stays in range where it overflows or underflows
+        mid = np.where((ab >= _NORMAL_MIN) & (ab < math.inf),
+                       np.sqrt(ab), np.sqrt(a) * np.sqrt(b))
+        to_hi = (_capped_blowup_at(ctx, mid) > target) == rising[live]
+        hi[live[to_hi]] = mid[to_hi]
+        lo[live[~to_hi]] = mid[~to_hi]
+    return np.where(rising, hi, lo)
 
 
 # ---------------------------------------------------------------------------

@@ -592,10 +592,13 @@ def test_uniform_support_narrower_than_the_clamp_is_a_config_error(tmp_path,
     {"command": "counterexample", "n_atoms": 5, "bogus": 1},
     {"command": "counterexample", "n_atoms": 5,
      "tolerances": {"tol_root": -1}},
+    {"command": ["density"], "measure": json.loads(DIRAC1), "times": [1]},
+    {"command": {"name": "density"}, "measure": json.loads(DIRAC1),
+     "times": [1]},
 ], ids=["times", "grid", "measure", "mode_sweep", "rule", "grid_key",
         "angles_key", "mode_sweep_key", "grid_falsy", "angles_falsy",
         "checks_text", "check_checks_text", "mode_and_mode_sweep", "k_max",
-        "unknown_field", "tolerance"])
+        "unknown_field", "tolerance", "command_list", "command_object"])
 def test_bad_later_run_fields_are_a_config_error_before_any_run(tmp_path, capsys,
                                                                 later):
     # run 0 would write its report; run 1 is malformed in one field

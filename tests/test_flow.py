@@ -328,6 +328,83 @@ def test_blowup_region_empty_window():
         fm.blowup_region(ctx, window=(100.0, 200.0))
 
 
+def _scalar_blowup_region(ctx):
+    """Reference: the scan of `blowup_region` with one scalar
+    `capped_blowup` a radius, and each boundary bisected on its own."""
+    wlo, whi = flow.default_window(ctx.nu)
+    target = 1.0 / ctx.t
+    recips = 1.0 / ctx.nu.atoms()[1]
+    scan = np.unique(np.concatenate([
+        np.geomspace(wlo, whi, flow._SCAN_POINTS),
+        recips[(recips > wlo) & (recips < whi)]]))
+    above = [flow.capped_blowup(ctx, float(r)) > target for r in scan]
+
+    def refine(a, b, rising):
+        lo, hi = float(a), float(b)
+        for _ in range(200):
+            if hi - lo <= 1e-12 * hi:
+                break
+            mid = math.sqrt(lo * hi)
+            if (flow.capped_blowup(ctx, mid) > target) == rising:
+                hi = mid
+            else:
+                lo = mid
+        return hi if rising else lo
+
+    bounds = [wlo] if above[0] else []
+    for k in range(scan.size - 1):
+        if above[k] != above[k + 1]:
+            bounds.append(refine(scan[k], scan[k + 1], above[k + 1]))
+    if above[-1]:
+        bounds.append(whi)
+    return list(zip(bounds[0::2], bounds[1::2]))
+
+
+@given(n=st.integers(1, 12), decades=st.floats(0.0, 8.0),
+       seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.05, 20.0))
+def test_blowup_region_of_atoms_equals_the_scalar_scan(n, decades, seed, t):
+    rng = np.random.default_rng(seed)
+    locs = np.unique(10.0 ** (decades * (rng.random(n) - 0.5)))
+    ctx = fm.FlowContext(_atoms(rng.uniform(0.05, 1.0, locs.size), locs), t)
+    assert fm.blowup_region(ctx) == _scalar_blowup_region(ctx)
+
+
+@pytest.mark.parametrize("nu", [
+    fm.build_counterexample(30)[0], fm.gamma_measure(2.0, 1.0),
+    fm.GridDensity(np.linspace(1.0, 3.0, 41), np.full(41, 0.5))],
+    ids=["atomic", "named", "grid"])
+def test_batched_blowup_predicate_is_the_scalar_one(monkeypatch, nu):
+    # 3 rows of 30 atoms a chunk: the atomic batch spans several chunks
+    monkeypatch.setattr(measures, "_BATCH_NODES", 90)
+    ctx = fm.FlowContext(nu, 1.0)
+    lo, hi = flow.default_window(nu)
+    rs = np.concatenate([np.geomspace(lo, hi, 37),
+                         1.0 / np.array(nu.effective_support())])
+    batch = flow._capped_blowup_at(ctx, rs)
+    assert batch.tolist() == [flow.capped_blowup(ctx, float(r)) for r in rs]
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-160, 1e160, 1e200])
+def test_blowup_region_scales_with_the_point_mass(c):
+    # the midpoint of a bisection stays in range where lo * hi does not
+    (lo1, hi1), = fm.blowup_region(fm.FlowContext(fm.dirac(1.0), 1.0))
+    (lo, hi), = fm.blowup_region(fm.FlowContext(fm.dirac(c), 1.0))
+    assert lo * c == pytest.approx(lo1, rel=1e-11)
+    assert hi * c == pytest.approx(hi1, rel=1e-11)
+
+
+def test_huge_point_mass_runs_without_overflow_warnings():
+    # r*xi = 1e205 at r = 1e5: the kernels take their limits silently, and
+    # the map is exactly r * e^{t/2} off the region
+    ctx = fm.FlowContext(fm.dirac(1e200), 1.0)
+    assert flow.radial_map(ctx, 1e5) == 1e5 * math.exp(0.5)
+    one = fm.FlowContext(fm.dirac(1.0), 1.0)
+    assert fm.density(ctx, 1e200) == pytest.approx(
+        fm.density(one, 1.0) / 1e200, rel=1e-9)
+    (lo, hi), = fm.blowup_region(ctx)
+    assert lo < 1e-200 < hi
+
+
 # ---------------------------------------------------------------------------
 # the radial homeomorphism
 # ---------------------------------------------------------------------------
