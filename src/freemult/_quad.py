@@ -106,13 +106,6 @@ def merge_edges(parts) -> np.ndarray:
     return edges[keep]
 
 
-def build_edges(lo: float, hi: float, points=(), scales=()) -> np.ndarray:
-    """Seeded panel edges: geometric base plus ladders at known trouble points."""
-    return merge_edges([geometric_edges(lo, hi)]
-                       + [ladder_edges(float(p), float(s), lo, hi)
-                          for p, s in zip(points, scales)])
-
-
 def batch_edges(base, points, scales, lo: float, hi: float):
     """merge_edges([base, ladder_edges(p, s, lo, hi)]) for each pair (p, s)
     of `points` and `scales` (a nan point adds no ladder), built together.

@@ -7,8 +7,7 @@ scenario run, or the flags of one subcommand) goes through `prepare`, which
 checks and reads it and writes nothing, then through `run`; a scenario
 prepares every run before its first run starts.
 Exit codes: 0 pass, 1 negative verdict, 2 config error, 3 numeric failure,
-4 inconclusive.  All runs are deterministic; --seedless is accepted for
-interface stability and is a no-op.
+4 inconclusive.  All runs are deterministic.
 """
 
 from __future__ import annotations
@@ -326,9 +325,8 @@ def run_sweep(tol: dict, out_dir: str, nu, times, n_angles, grid, window):
             warnings.append(f"time threshold unavailable: {exc}")
     per_t = []
     for t in times:
-        sweep = sweep_level_counts(
-            nu, t, angles=None if n_angles == 64 else default_angle_sweep(n_angles),
-            window=window, grid=grid)
+        sweep = sweep_level_counts(nu, t, angles=default_angle_sweep(n_angles),
+                                   window=window, grid=grid)
         csv_path = os.path.join(out_dir, f"sweep_t{t:.17g}.csv")
         config_io.write_sweep_csv(sweep, csv_path)
         per_t.append({"t": t, "csv": os.path.basename(csv_path),
@@ -574,8 +572,6 @@ def run_scenario(path: str, out_dir: str | None) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seedless", action="store_true",
-                   help="reserved; all runs are deterministic")
 
 
 def _add_flow_tolerances(p: argparse.ArgumentParser) -> None:
@@ -662,7 +658,7 @@ def _run_record(args: argparse.Namespace) -> dict:
     such as 'grid.points' nests, and unset flags are left out."""
     record: dict = {}
     for dest, value in vars(args).items():
-        if value is None or dest in ("out", "seedless"):
+        if value is None or dest == "out":
             continue
         *outer, leaf = dest.split(".")
         node = record

@@ -173,9 +173,13 @@ def measure_from_dict(d: dict) -> Measure:
         reject_unknown(g, {"x", "f"}, "grid")
         if "x" not in g or "f" not in g:
             raise ParseError("grid needs 'x' and 'f' arrays")
+        normalize = d.get("normalize")
+        if normalize is not None and not isinstance(normalize, bool):
+            raise ParseError(f"grid measure 'normalize' must be true or "
+                             f"false, got {normalize!r}")
         return GridDensity(parse_numbers(g["x"], "grid.x"),
                            parse_numbers(g["f"], "grid.f"),
-                           normalize=bool(d.get("normalize", False)))
+                           normalize=bool(normalize))
     if kind == "named":
         reject_unknown(d, {"kind", "family", "params", "schema_version"},
                        "named measure")

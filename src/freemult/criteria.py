@@ -48,6 +48,8 @@ _TANGENT_TOL = 1e-9
 # below about 1e-5 times the support's log-width, each radius is solved
 # alone.  The FFT's lattice may hold four times as many samples.
 _LATTICE_MAX = 2 ** 20
+# samples of a density result of mult_convolve
+_CONVOLVE_POINTS = 4096
 
 
 def level_function(nu: Measure, R: float, r: float, rtol: float = 1e-12) -> float:
@@ -241,12 +243,13 @@ def count_level_solutions(nu: Measure, R: float, t: float, window=None,
 
 
 def default_angle_sweep(n: int = 64) -> np.ndarray:
-    """Angles in (0, pi), log-spaced toward both ends where the criterion
-    transitions live."""
+    """n angles in (0, pi), symmetric about pi/2 and log-spaced toward both
+    ends where the criterion transitions live; an odd n adds pi/2."""
     if n < 2:
         raise DomainError(f"need at least 2 angles, got {n}")
     half = np.geomspace(0.01, math.pi / 2, n // 2 + 1)[:-1]
-    return np.unique(np.concatenate([half, math.pi - half]))
+    mid = [math.pi / 2] if n % 2 else []
+    return np.unique(np.concatenate([half, mid, math.pi - half]))
 
 
 @dataclass(frozen=True)
@@ -290,30 +293,27 @@ def time_threshold(lo: float, hi: float) -> float:
     return 2.0 * hi ** 2 * (lo + hi) ** 2 * math.pi / math.sqrt(disc)
 
 
-def reciprocal_interval_check(nu: Measure, t: float, n_r: int = 64,
-                              n_angle: int = 64) -> bool:
+def reciprocal_interval_check(nu: Measure, t: float) -> bool:
     """Verify the level function stays above 1/t on the reciprocal-support
     block for all angles with cos R above the interval threshold.
 
     For such angles the level equation then has no solutions between 1/hi
     and 1/lo, which closes the at-most-two count for times past the
-    threshold.  Vacuously true when no angle qualifies.  `n_r` is the
-    minimum number of radial samples over [1/hi, 1/lo]."""
+    threshold.  Vacuously true when no angle qualifies.  The check runs 64
+    angles, each over at least 64 radial samples of [1/hi, 1/lo]."""
     lo, hi = nu.math_support()
     if not (0.0 < lo) or math.isinf(hi):
         raise DomainError("measure must be supported on a bounded interval")
     if t <= 0:
         raise DomainError(f"t must be positive, got {t}")
-    if n_r < 2:
-        raise DomainError(f"need at least 2 radial samples, got {n_r}")
     thr = (3.0 * lo ** 4 - hi ** 4) / (2.0 * lo ** 3 * hi)
-    angles = np.linspace(1e-3, math.pi - 1e-3, n_angle)
+    angles = np.linspace(1e-3, math.pi - 1e-3, 64)
     angles = angles[np.cos(angles) > thr]
     if angles.size == 0:
         return True
     target = 1.0 / t
     for R in angles:
-        _r, vals = _level_profile(nu, float(R), 1.0 / hi, 1.0 / lo, n_r)
+        _r, vals = _level_profile(nu, float(R), 1.0 / hi, 1.0 / lo, 64)
         if np.min(vals) <= target:
             return False
     return True
@@ -323,15 +323,14 @@ def reciprocal_interval_check(nu: Measure, t: float, n_r: int = 64,
 # classical multiplicative convolution
 # ---------------------------------------------------------------------------
 
-def mult_convolve(mu: Measure, nu: Measure, n: int = 4096) -> Measure:
+def mult_convolve(mu: Measure, nu: Measure) -> Measure:
     """Classical multiplicative convolution: the law of a product of
     independent draws.
 
     Atomic (*) atomic stays atomic; atomic (*) density is the finite mixture
     of dilations; density (*) density goes through additive convolution of
-    the log-pushforwards on a shared uniform log grid."""
-    if n < 16:
-        raise GridUnderflow(f"need at least 16 grid points, got {n}")
+    the log-pushforwards on a shared uniform log grid.  Both density routes
+    size their log grid by _CONVOLVE_POINTS."""
     mu_at, nu_at = mu.atoms(), nu.atoms()
     if mu_at is not None and nu_at is not None:
         # products that coincide exactly merge into one atom
@@ -344,7 +343,7 @@ def mult_convolve(mu: Measure, nu: Measure, n: int = 4096) -> Measure:
         if a.size == 1 and abs(a[0] - 1.0) < 1e-15:
             return dens  # convolving with a unit point mass is the identity
         slo, shi = dens.effective_support(1e-9)
-        x = np.geomspace(a[0] * slo, a[-1] * shi, n)
+        x = np.geomspace(a[0] * slo, a[-1] * shi, _CONVOLVE_POINTS)
         f = np.zeros_like(x)
         for wk, ak in zip(w, a):
             f += wk * dens.density(x / ak) / ak
@@ -353,7 +352,7 @@ def mult_convolve(mu: Measure, nu: Measure, n: int = 4096) -> Measure:
     l1, h1 = (math.log(v) for v in mu.effective_support(1e-9))
     l2, h2 = (math.log(v) for v in nu.effective_support(1e-9))
     span = (h1 - l1) + (h2 - l2)
-    h = span / (n - 1)
+    h = span / (_CONVOLVE_POINTS - 1)
     m1 = int(math.ceil((h1 - l1) / h)) + 1
     m2 = int(math.ceil((h2 - l2) / h)) + 1
     # both grids share the exact spacing h so the discrete convolution is a
@@ -368,7 +367,7 @@ def mult_convolve(mu: Measure, nu: Measure, n: int = 4096) -> Measure:
     if mass < 0.99:
         raise GridUnderflow(
             f"log-grid convolution captured only {mass:.4f} of the mass; "
-            f"the supports are too separated for {n} points")
+            f"the supports are too separated for {_CONVOLVE_POINTS} points")
     return GridDensity(x, f, normalize=True)
 
 

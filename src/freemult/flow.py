@@ -443,15 +443,16 @@ class DensityCurve:
         return float(np.trapezoid(self.x * self.xq(), np.log(self.x)))
 
 
-def density_curve(ctx: FlowContext, points: int = 512, window=None,
-                  r_window=None) -> DensityCurve:
+def density_curve(ctx: FlowContext, points: int = 512,
+                  window=None) -> DensityCurve:
     """Sample the marginal density over its support.
 
     The curve is sampled parametrically: inside each blow-up component the
     radial variable runs over a log grid and every sample is an exact
     (r -> 1/Lambda(r), u/(pi t x)) pair, so no interpolation error enters.
-    `window`, when given, clips the curve in x-space; `r_window` overrides
-    the radial scan window.
+    `window`, when given, clips the curve in x-space.  The metadata holds
+    the curve's `warnings`, its `mass` and the number of components
+    `merged` below the sampling resolution.
     """
     if points < 64:
         raise DomainError(f"need at least 64 points, got {points}")
@@ -459,15 +460,12 @@ def density_curve(ctx: FlowContext, points: int = 512, window=None,
         wlo, whi = float(window[0]), float(window[1])
         if not (0.0 < wlo < whi < math.inf):
             raise DomainError(f"bad window {window}")
-    tolerances = {"tol_root": ctx.tol_root, "tol_quad": ctx.tol_quad}
-    meta = {"t": ctx.t, "measure": ctx.nu.to_dict(), "points": points,
-            "window": list(window) if window else None,
-            "tolerances": tolerances, "warnings": [], "merged": 0}
+    meta = {"warnings": [], "merged": 0}
 
     try:
-        r_ints = blowup_region(ctx, window=r_window)
+        r_ints = blowup_region(ctx)
     except EmptyVSet:
-        rw = r_window or default_window(ctx.nu)
+        rw = default_window(ctx.nu)
         x = np.geomspace(1.0 / rw[1], 1.0 / rw[0], points)
         meta["warnings"].append("empty blow-up region: zero curve")
         meta["mass"] = 0.0

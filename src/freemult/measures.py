@@ -800,13 +800,13 @@ def log_normal(m: float, s: float) -> Named:
     return Named("log_normal", m=m, s=s)
 
 
-def to_grid(nu: Measure, n: int = 2048, tail: float = 1e-7) -> GridDensity:
+def to_grid(nu: Measure, n: int = 2048) -> GridDensity:
     """Sample a density measure onto the canonical log-spaced grid."""
     if not nu.has_density():
         raise AtomicHasNoDensity("cannot grid a purely atomic measure")
     if isinstance(nu, GridDensity):
         return nu
-    lo, hi = nu.effective_support(tail)
+    lo, hi = nu.effective_support(1e-7)
     x = np.geomspace(lo, hi, n)
     return GridDensity(x, nu.density(x), normalize=True)
 
@@ -855,9 +855,9 @@ def is_mult_symmetric(nu: Measure, tol: float = 1e-9) -> bool:
     return float(np.max(np.abs(nu.cdf(x) - inv.cdf(x)))) <= tol
 
 
-def sup_cdf_distance(mu: Measure, nu: Measure, points: int = 1025) -> float:
+def sup_cdf_distance(mu: Measure, nu: Measure) -> float:
     """Sup-distance of distribution functions on a shared log grid."""
     bounds = [*mu.effective_support(1e-9), *nu.effective_support(1e-9)]
     lo, hi = min(bounds), max(bounds)
-    x = np.geomspace(max(lo, 1e-300), hi, points)
+    x = np.geomspace(max(lo, 1e-300), hi, 1025)
     return float(np.max(np.abs(mu.cdf(x) - nu.cdf(x))))

@@ -161,28 +161,24 @@ def count_modes(x, y, hysteresis: float = DEFAULT_HYSTERESIS) -> ModeReport:
                       hysteresis)
 
 
-def is_log_unimodal(obj, hysteresis: float = DEFAULT_HYSTERESIS,
-                    points: int = 4096) -> ModeReport:
+def is_log_unimodal(obj, hysteresis: float = DEFAULT_HYSTERESIS) -> ModeReport:
     """Log-unimodality verdict via mode counting on x * density(x).
 
-    Accepts a density measure, a DensityCurve, or an (x, f) pair of sampled
-    density values; atomic inputs are rejected (sampled-curve analysis
-    cannot see atoms)."""
+    Accepts a density measure, sampled at 4096 log-spaced points of its
+    effective support, or a DensityCurve; atomic measures are rejected
+    (sampled-curve analysis cannot see atoms).  For other samples (x, f),
+    call count_modes(x, x * f)."""
     if isinstance(obj, Measure):
         if not obj.has_density():
             raise AtomicHasNoDensity(
                 "log-unimodality via curves needs a density; atomic measures "
                 "are rejected rather than mis-judged")
         lo, hi = obj.effective_support(1e-9)
-        x = np.geomspace(lo, hi, points)
+        x = np.geomspace(lo, hi, 4096)
         y = x * obj.density(x)
-    elif hasattr(obj, "x") and hasattr(obj, "q"):
+    else:
         x = np.asarray(obj.x, float)
         y = x * np.asarray(obj.q, float)
-    else:
-        x, f = obj
-        x = np.asarray(x, float)
-        y = x * np.asarray(f, float)
     return count_modes(x, y, hysteresis)
 
 

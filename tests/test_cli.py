@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -109,6 +110,16 @@ def test_sweep_command(tmp_path):
     assert report["results"]["per_t"][0]["log_unimodal"] is True
     csv = open(os.path.join(out, "sweep_t1.csv")).read()
     assert csv.startswith("R,count,effective_count,boundary,roots\n")
+
+
+def test_sweep_runs_an_odd_angle_count(tmp_path):
+    out = str(tmp_path)
+    assert main(["sweep", "--measure", DIRAC1, "--t", "1", "--angles", "65",
+                 "--grid", "1024", "--out", out]) == 0
+    report = json.loads(open(os.path.join(out, "sweep_report.json")).read())
+    assert report["inputs"]["angles"] == {"count": 65}
+    rows = open(os.path.join(out, "sweep_t1.csv")).read().splitlines()
+    assert len(rows) == 1 + 65
 
 
 def test_sweep_pinned_window_is_not_widened(tmp_path):
@@ -256,6 +267,35 @@ def test_bad_dirac_params_are_config_errors(tmp_path, capsys, params):
     assert main(["check", "--measure", measure,
                  "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ['"false"', '"no"', "1"])
+def test_grid_normalize_must_be_a_boolean(tmp_path, capsys, value):
+    measure = ('{"kind": "grid", "grid": {"x": [1, 2], "f": [2, 2]}, '
+               f'"normalize": {value}}}')
+    assert main(["check", "--measure", measure,
+                 "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: ParseError" in err and "normalize" in err
+
+
+def test_every_flag_sets_one_field_of_its_run():
+    # a flag's dest is the run field it sets, dotted where the field nests;
+    # a nested tolerance is one the command reads
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        if command == "scenario":
+            continue
+        fields, tolerances = cli._COMMANDS[command][:2]
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction) or action.dest == "out":
+                continue
+            field, *keys = action.dest.split(".")
+            assert field in fields, (command, action.dest)
+            known = tolerances if field == "tolerances" else fields[field]
+            assert len(keys) <= 1 and set(keys) <= set(known), (
+                command, action.dest)
 
 
 def test_reports_list_the_tolerances_read(tmp_path):
@@ -485,9 +525,17 @@ def test_scenario_symmetric(tmp_path):
                for e in report["results"]["per_t"])
 
 
-def test_seedless_flag_accepted(tmp_path):
-    assert main(["density", "--measure", DIRAC1, "--t", "1", "--points", "128",
-                 "--seedless", "--out", str(tmp_path)]) == 0
+def test_density_of_an_empty_blow_up_region_is_a_zero_curve(tmp_path):
+    # no radius blows up at t = 1e-20: the curve has no samples
+    out = str(tmp_path)
+    assert main(["density", "--measure", DIRAC1, "--t", "1e-20",
+                 "--out", out]) == 0
+    report = json.loads(open(os.path.join(out, "density_report.json")).read())
+    entry = report["results"]["per_t"][0]
+    assert open(os.path.join(out, entry["csv"])).read() == "x,q,xq\n"
+    assert entry["support_components"] == 0
+    assert report["warnings"] == [
+        f"t={1e-20:.17g}: empty blow-up region: zero curve"]
 
 
 def test_check_inconclusive_exit(tmp_path):

@@ -45,6 +45,25 @@ def test_parse_rejects_unknown_fields():
             '{"kind": "atomic", "atoms": [{"w": 1.0, "a": 1, "x": 2}]}')
 
 
+GRID2 = '{"kind": "grid", "grid": {"x": [1, 2], "f": [2, 2]}'
+
+
+@pytest.mark.parametrize("value", ['"false"', '"no"', "1"])
+def test_grid_normalize_must_be_a_boolean(value):
+    with pytest.raises(ParseError, match="normalize"):
+        config_io.parse_measure(GRID2 + f', "normalize": {value}}}')
+
+
+def test_grid_normalize_absent_or_null_is_false():
+    nu = config_io.parse_measure(GRID2 + ', "normalize": true}')
+    assert nu.to_dict()["grid"]["f"] == [1.0, 1.0]
+    # f of mass 2 is not normalized, so it breaks the mass invariant
+    for text in (GRID2 + "}", GRID2 + ', "normalize": null}',
+                 GRID2 + ', "normalize": false}'):
+        with pytest.raises(InvariantViolation, match="grid.mass"):
+            config_io.parse_measure(text)
+
+
 def test_parse_reports_location():
     with pytest.raises(ParseError) as e:
         config_io.parse_measure('{"kind": "named",\n  broken}')
@@ -136,8 +155,9 @@ def test_write_report_and_curve(tmp_path):
 
 
 def test_zero_support_curve_header_only(tmp_path):
-    ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
-    curve = fm.density_curve(ctx, points=128, r_window=(100.0, 200.0))
+    # an empty blow-up region: no radius blows up at t = 1e-20
+    ctx = fm.FlowContext(fm.dirac(1.0), 1e-20)
+    curve = fm.density_curve(ctx, points=128)
     path = str(tmp_path / "zero.csv")
     config_io.write_curve_csv(curve, path)
     assert open(path).read() == "x,q,xq\n"

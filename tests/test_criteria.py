@@ -9,7 +9,6 @@ import freemult as fm
 from freemult import criteria, flow
 from freemult.errors import (
     DomainError,
-    GridUnderflow,
     HypothesisViolated,
     IndexOutOfRange,
     WindowTooNarrow,
@@ -75,8 +74,6 @@ def test_level_profiles_reject_coarse_grids():
     for grid in (63, 1, 0, -5):
         with pytest.raises(DomainError):
             fm.count_level_solutions(nu, 1.0, 22.0, grid=grid)
-    with pytest.raises(DomainError):
-        fm.reciprocal_interval_check(nu, 22.0, n_r=1)
 
 
 def _profile_matches_level_function(nu, R, picks):
@@ -178,6 +175,14 @@ def test_default_angle_sweep_shape():
     angles = fm.criteria.default_angle_sweep()
     assert angles.size == 64
     assert np.all((angles > 0) & (angles < math.pi))
+
+
+def test_angle_sweep_has_the_count_asked_for():
+    for n in range(2, 66):
+        angles = fm.criteria.default_angle_sweep(n)
+        assert angles.size == n
+        assert np.all((angles > 0) & (angles < math.pi))
+        assert np.allclose(math.pi - angles[::-1], angles, rtol=0, atol=1e-15)
 
 
 def test_angle_sweep_needs_two_angles():
@@ -288,11 +293,6 @@ def test_convolve_atom_mixture_with_density():
     assert float(out.density(1.7)) == pytest.approx(0.5, rel=1e-3)
     assert float(out.density(2.5)) == pytest.approx(0.25, rel=1e-3)
     assert float(out.density(1.5)) == pytest.approx(0.5, rel=1e-3)
-
-
-def test_convolve_grid_floor():
-    with pytest.raises(GridUnderflow):
-        fm.mult_convolve(fm.log_normal(0, 1), fm.log_normal(0, 1), n=8)
 
 
 # ---------------------------------------------------------------------------

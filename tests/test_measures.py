@@ -8,7 +8,7 @@ from scipy import integrate as sp_integrate
 from scipy import special, stats
 
 import freemult as fm
-from freemult._quad import batch_edges, build_edges
+from freemult._quad import batch_edges, geometric_edges, ladder_edges, merge_edges
 from freemult.analytic import _pole_seeds
 from freemult.errors import (
     AtomicHasNoDensity,
@@ -315,8 +315,10 @@ def test_cached_panel_edges_equal_build_edges(nu):
     lo, hi = nu.effective_support()
     sing = list(nu._fam.singular(nu.params))
     for r, theta in ((0.5, 1e-3), (1.0, 1e-9), (3.0, 0.3), (40.0, 2.0)):
-        want = build_edges(lo, hi, [1.0 / r] + sing,
-                           [theta / r] + [max(abs(s), lo) * 1e-9 for s in sing])
+        want = merge_edges([geometric_edges(lo, hi),
+                            ladder_edges(1.0 / r, theta / r, lo, hi)]
+                           + [ladder_edges(s, max(abs(s), lo) * 1e-9, lo, hi)
+                              for s in sing])
         assert nu._panel_edges(1.0 / r, theta / r).tobytes() == want.tobytes()
 
 

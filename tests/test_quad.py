@@ -13,7 +13,6 @@ from freemult._quad import (
     adaptive_quad,
     adaptive_quad_batch,
     batch_edges,
-    build_edges,
     geometric_edges,
     ladder_edges,
     merge_edges,
@@ -34,7 +33,7 @@ def test_peaked_kernel_with_ladder():
     # Lorentzian of relative width 1e-6 must converge with seeded panels
     c, w = 2.0, 2e-6
     f = lambda x: w / ((x - c) ** 2 + w * w)
-    edges = build_edges(0.5, 8.0, points=(c,), scales=(w,))
+    edges = merge_edges([geometric_edges(0.5, 8.0), ladder_edges(c, w, 0.5, 8.0)])
     val, err = adaptive_quad(f, edges, rtol=1e-11)
     exact = math.atan((8.0 - c) / w) - math.atan((0.5 - c) / w)
     assert abs(val - exact) < 1e-9 * exact
@@ -51,7 +50,8 @@ def test_complex_integrand():
 
 def test_genuine_singularity_raises():
     f = lambda x: 1.0 / (x - 1.0) ** 2
-    edges = build_edges(0.5, 2.0, points=(1.0,), scales=(1e-9,))
+    edges = merge_edges([geometric_edges(0.5, 2.0),
+                         ladder_edges(1.0, 1e-9, 0.5, 2.0)])
     with pytest.raises(NonIntegrable):
         adaptive_quad(f, edges, rtol=1e-9, max_panels=5000)
 
@@ -115,8 +115,8 @@ def test_batch_matches_adaptive_quad_bitwise(specs, cplx):
     for lo, ratio, frac, logw, logrtol, ladder, singular in specs:
         hi = lo * ratio
         c, w = lo + frac * (hi - lo), 10.0 ** logw * (hi - lo)
-        rows.append(build_edges(lo, hi, points=(c,) if ladder else (),
-                                scales=(w,) if ladder else ()))
+        rows.append(merge_edges([geometric_edges(lo, hi)]
+                                + ([ladder_edges(c, w, lo, hi)] if ladder else [])))
         params.append((c, w, singular))
         rtols.append(10.0 ** logrtol)
     c, w, singular = (np.array(v) for v in zip(*params))

@@ -119,7 +119,7 @@ def test_atomic_rejected():
 def test_accepts_xy_pair():
     x = np.geomspace(0.01, 100, 512)
     f = np.asarray(fm.gamma_measure(2, 1).density(x))
-    rep = fm.is_log_unimodal((x, f))
+    rep = fm.count_modes(x, x * f)
     assert rep.verdict == "unimodal"
 
 
