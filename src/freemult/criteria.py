@@ -37,7 +37,7 @@ from .errors import (
 )
 from .flow import (
     FlowContext,
-    capped_blowup,
+    _capped_blowup_at,
     kernel_denominator,
     poisson_kernel_integral,
 )
@@ -485,7 +485,7 @@ class GapCertificate:
 def gap_certificate(nu: Measure, t: float, k: int) -> GapCertificate:
     """Evaluate the blow-up integral at the k-th reciprocal-gap midpoint,
     by the predicate `blowup_region` scans with (`flow.capped_blowup`, the
-    angle kernel at the floor angle).
+    angle kernel at the floor angle, in the scan's batched form).
 
     `below=True` certifies that the blow-up region excludes the midpoint
     while containing the reciprocals of the two adjacent atoms (poles of
@@ -502,6 +502,5 @@ def gap_certificate(nu: Measure, t: float, k: int) -> GapCertificate:
             f"k={k} needs atoms k and k+1; measure has {locs.size} atoms")
     a_k, a_k1 = float(locs[k - 1]), float(locs[k])
     b_k = 0.5 * (1.0 / a_k1 + 1.0 / a_k)
-    with np.errstate(over="ignore", invalid="ignore"):  # r*xi may overflow
-        f_val = capped_blowup(FlowContext(nu, t), b_k)
+    f_val = float(_capped_blowup_at(FlowContext(nu, t), np.array([b_k]))[0])
     return GapCertificate(k, b_k, f_val, f_val < 1.0 / t)

@@ -39,6 +39,7 @@ from .errors import (
 from .measures import Atomic, Measure
 
 _THETA_EDGE = 1e-14
+_THETA_HI = math.pi - _THETA_EDGE
 # Angles below this floor are reported as 0: their density contribution is
 # u/(pi t x) < 1e-9, far below every curve tolerance, while the kernel peak
 # they would require resolving has relative width below the floor.  The
@@ -115,9 +116,50 @@ def _kernel_integral(nu: Measure, r: float, s2: float, integrand,
         _kernel_rtol(rtol, s2)))
 
 
+def _atom_sums(nu: Atomic, rs: np.ndarray, s2, integrand,
+               *cols) -> np.ndarray:
+    """int integrand(r*xi, denom, *(c[k] for c in cols)) d nu(xi) at each
+    radius r = rs[k] with sin^2(theta/2) = s2[k] (or the one s2), for an
+    atomic nu: one batch of exact atom sums, each row bitwise its own
+    `integrate`."""
+    s2 = np.asarray(s2, float)
+
+    def kernel(xi, k):
+        u = rs[k] * xi
+        d = kernel_denominator(u, s2[k] if s2.ndim else s2)
+        return integrand(u, d, *(c[k] for c in cols))
+
+    # atom sums are exact: the trouble points and the tolerance go unused
+    return nu.integrate_batch(kernel, rs, rs, 0.0)[0]
+
+
+def _poisson(u, d):
+    """The Poisson kernel u / d of the atom sums, with its limit 0 where
+    u = r*xi overflows to inf (there u / d reads inf / inf)."""
+    return np.minimum(u, 1e308) / d
+
+
+def _slope(u, d, sin_t):
+    """d/d theta of u / d, times d^2 / (-2 u^2): the kernel tends to 0; the
+    numerator's floor, reached only where d^2 overflows, keeps it from
+    -inf / inf there."""
+    return np.maximum(-u * (2.0 * u * sin_t), -1e308) / d ** 2
+
+
+def _radial(q, d):
+    """(q^2 - 1) / d, which tends to 1, not inf / inf, where d overflows
+    (q = r*xi beyond 1e154)."""
+    return np.where(np.isinf(d), 1.0, (q * q - 1.0) / d)
+
+
 def poisson_kernel_integral(nu: Measure, r: float, sin_half_sq: float,
                             rtol: float = 1e-12) -> float:
     """int r*xi / ((1 - r*xi)^2 + 4 r*xi sin^2(theta/2)) d nu(xi)."""
+    if isinstance(nu, Atomic):
+        # atom sums take the kernel's limits where r*xi overflows; density
+        # quadratures stay inside the window's range, with no per-node cost
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _kernel_integral(nu, r, sin_half_sq, _poisson, rtol)
     return _kernel_integral(nu, r, sin_half_sq, lambda u, d: u / d, rtol)
 
 
@@ -126,12 +168,8 @@ def _angle_lhs_dtheta(ctx: FlowContext, r: float, theta: float,
     """d/d theta of the angle-equation LHS (the Newton slope of
     solve_angle), given ival = poisson_kernel_integral at (r, theta)."""
     sin_t, cos_t = math.sin(theta), math.cos(theta)
-    # the kernel tends to 0; the numerator's floor, reached only where d^2
-    # overflows, keeps it from -inf / inf there
-    dival = _kernel_integral(
-        ctx.nu, r, math.sin(0.5 * theta) ** 2,
-        lambda u, d: np.maximum(-u * (2.0 * u * sin_t), -1e308) / d ** 2,
-        ctx.tol_quad)
+    dival = _kernel_integral(ctx.nu, r, math.sin(0.5 * theta) ** 2,
+                             lambda u, d: _slope(u, d, sin_t), ctx.tol_quad)
     return (cos_t * theta - sin_t) / theta ** 2 * ival + sin_t / theta * dival
 
 
@@ -155,16 +193,15 @@ def solve_angle(ctx: FlowContext, r: float, guess: float | None = None) -> float
     Safeguarded Newton on log LHS against log theta (where the kernel's
     small-angle shapes c/theta and c/theta^2 are straight lines), started
     at `guess` or at theta = 1; see README "Numerical policy" for the
-    bracket and the stop rule.  Roots below ANGLE_FLOOR are reported as 0."""
+    bracket and the stop rule.  Roots below ANGLE_FLOOR are reported as 0.
+    An atomic start is solved by the lockstep of `_radial_points`."""
+    if isinstance(ctx.nu, Atomic):
+        return float(_radial_points(ctx, np.array([float(r)]), guess)[1][0])
     target = 1.0 / ctx.t
     if capped_blowup(ctx, r) <= target:
         return 0.0
-    lo, hi = ANGLE_FLOOR, math.pi - _THETA_EDGE
-    # the kernel is at most 1/(4 sin^2(hi/2)) = 1/4 and nu has mass one
-    if math.sin(hi) / (4.0 * hi) >= target:
-        raise BracketFailure(
-            f"t={ctx.t} is too large: the angle equation keeps its sign "
-            f"up to theta = pi - {_THETA_EDGE}")
+    _require_sign_change(ctx)
+    lo, hi = ANGLE_FLOOR, _THETA_HI
     theta = guess if guess is not None and lo < guess < hi else 1.0
     prev = math.inf
     for _ in range(_ANGLE_MAX_ITER):
@@ -191,28 +228,101 @@ def solve_angle(ctx: FlowContext, r: float, guess: float | None = None) -> float
         else:
             theta = math.sqrt(lo * hi)
             prev = 0.5 * math.log(hi / lo)
-    raise BracketFailure(
+    raise _no_convergence(r, lo, hi)
+
+
+def _require_sign_change(ctx: FlowContext) -> None:
+    """The angle bracket [ANGLE_FLOOR, _THETA_HI] holds a root at every
+    radius of the blow-up region unless t is too large."""
+    # the kernel is at most 1/(4 sin^2(hi/2)) = 1/4 and nu has mass one
+    if math.sin(_THETA_HI) / (4.0 * _THETA_HI) >= 1.0 / ctx.t:
+        raise BracketFailure(
+            f"t={ctx.t} is too large: the angle equation keeps its sign "
+            f"up to theta = pi - {_THETA_EDGE}")
+
+
+def _no_convergence(r, lo, hi) -> BracketFailure:
+    return BracketFailure(
         f"angle solve at r={r} did not converge in {_ANGLE_MAX_ITER} steps; "
         f"bracket [{lo}, {hi}]")
 
 
 def _radial_exponent(ctx: FlowContext, r: float, u: float) -> float:
     """int (r^2 xi^2 - 1) / ((1 - r*xi)^2 + 4 r*xi sin^2(u/2)) d nu(xi)."""
-    # the kernel -> 1, not inf / inf, where d overflows (r*xi beyond 1e154)
-    return _kernel_integral(
-        ctx.nu, r, math.sin(0.5 * u) ** 2,
-        lambda q, d: np.where(np.isinf(d), 1.0, (q * q - 1.0) / d),
-        ctx.tol_quad)
+    return _kernel_integral(ctx.nu, r, math.sin(0.5 * u) ** 2, _radial,
+                            ctx.tol_quad)
 
 
 def _radial_point(ctx: FlowContext, r: float,
                   guess: float | None = None) -> tuple[float, float]:
     """(Lambda(r), u(r)), the angle solved from `guess`."""
+    if isinstance(ctx.nu, Atomic):
+        lam, u = _radial_points(ctx, np.array([float(r)]), guess)
+        return float(lam[0]), float(u[0])
     # the flow kernels take their limits where r*xi overflows (1e154 and
-    # beyond); one block for the whole solve, not one per atom sum
+    # beyond); one block for the whole solve, not one per quadrature
     with np.errstate(over="ignore", invalid="ignore"):
         u = solve_angle(ctx, r, guess=guess)
         return r * math.exp(0.5 * ctx.t * _radial_exponent(ctx, r, u)), u
+
+
+def _radial_points(ctx: FlowContext, rs: np.ndarray,
+                   guess: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(Lambda(r), u(r)) at every radius of rs, for an atomic start.
+
+    solve_angle's safeguarded Newton, run on all radii in lockstep: each
+    radius keeps its own bracket, step, stop rule and iteration limit, and
+    starts at `guess` or at theta = 1.  An iteration makes one batch of atom
+    sums for the LHS and one for its slope over the radii still unsolved,
+    and the radial exponent is one batch at the end.  No row's arithmetic
+    reads another row, so a radius solved alone is bitwise the radius
+    solved in a grid."""
+    nu, target = ctx.nu, 1.0 / ctx.t
+    if not np.all(rs > 0):
+        raise DomainError(f"r must be positive, got {rs[~(rs > 0)][0]}")
+    u = np.zeros(rs.size)
+    # one block for the solve: the kernels take their limits where r*xi
+    # overflows (1e154 and beyond), and a slope of 0 gives no Newton step
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        idx = np.flatnonzero(_capped_blowup_at(ctx, rs) > target)
+        if idx.size:
+            _require_sign_change(ctx)
+        r = rs[idx]
+        lo, hi = np.full(idx.size, ANGLE_FLOOR), np.full(idx.size, _THETA_HI)
+        theta = np.full(idx.size, guess if guess is not None
+                        and ANGLE_FLOOR < guess < _THETA_HI else 1.0)
+        prev = np.full(idx.size, math.inf)
+        for _ in range(_ANGLE_MAX_ITER):
+            if not idx.size:
+                break
+            s2 = np.sin(0.5 * theta) ** 2
+            sin_t, cos_t = np.sin(theta), np.cos(theta)
+            ival = _atom_sums(nu, r, s2, _poisson)
+            lhs = sin_t / theta * ival
+            above = lhs > target
+            lo = np.where(above, theta, lo)
+            hi = np.where(above, hi, theta)
+            dival = _atom_sums(nu, r, s2, _slope, sin_t)
+            der = (cos_t * theta - sin_t) / theta ** 2 * ival + sin_t / theta * dival
+            step = np.where(der < 0.0, -np.log(lhs / target) * lhs / (theta * der),
+                            math.nan)
+            newton = ((np.abs(lhs - target) <= ctx.tol_root * target)
+                      & (np.abs(step) <= _ANGLE_STEP))
+            narrow = ~newton & (hi - lo <= _ANGLE_STEP * hi)
+            done = newton | narrow
+            if done.any():
+                u[idx[newton]] = theta[newton] * np.exp(step[newton])
+                u[idx[narrow]] = theta[narrow]
+                idx, r, theta, lo, hi, prev, step = (
+                    a[~done] for a in (idx, r, theta, lo, hi, prev, step))
+            inside = ((np.log(lo / theta) < step) & (step < np.log(hi / theta))
+                      & (np.abs(step) < prev))
+            theta, prev = (np.where(inside, theta * np.exp(step), np.sqrt(lo * hi)),
+                           np.where(inside, np.abs(step), 0.5 * np.log(hi / lo)))
+        if idx.size:
+            raise _no_convergence(r[0], lo[0], hi[0])
+        expo = _atom_sums(nu, rs, np.sin(0.5 * u) ** 2, _radial)
+    return rs * np.exp(0.5 * ctx.t * expo), u
 
 
 def radial_map(ctx: FlowContext, r: float) -> float:
@@ -351,18 +461,10 @@ def _capped_blowup_at(ctx: FlowContext, rs: np.ndarray) -> np.ndarray:
     """capped_blowup at each radius of rs, bitwise.  An atomic nu takes one
     batch of exact atom sums for all radii; a density nu takes the scalar
     quadrature at each radius."""
-    nu = ctx.nu
-    if not isinstance(nu, Atomic):
+    if not isinstance(ctx.nu, Atomic):
         return np.array([capped_blowup(ctx, float(r)) for r in rs])
-
-    def kernel(xi, k):
-        u = rs[k] * xi
-        return u / kernel_denominator(u, _S2_FLOOR)
-
-    # the kernel tends to 0 where (1 - u)^2 overflows; atom sums are exact,
-    # so the trouble points and the tolerance go unused
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, _ = nu.integrate_batch(kernel, rs, rs, ctx.tol_quad)
+        vals = _atom_sums(ctx.nu, rs, _S2_FLOOR, _poisson)
     return math.sin(ANGLE_FLOOR) / ANGLE_FLOOR * vals
 
 
@@ -472,10 +574,17 @@ def density_curve(ctx: FlowContext, points: int = 512,
         return DensityCurve(x, np.zeros_like(x), SupportSet(()), meta)
 
     # map components to x-space (reverse order: 1/Lambda is decreasing)
+    atomic = isinstance(ctx.nu, Atomic)
+    if atomic:
+        ends = np.array(r_ints).ravel()  # increasing
+        lam_e, u_e = _radial_points(ctx, ends)
+        lam_ends = lam_e.reshape(-1, 2)
+    else:
+        lam_ends = np.array([[radial_map(ctx, rlo), radial_map(ctx, rhi)]
+                             for rlo, rhi in r_ints])
     comps = []
-    for rlo, rhi in r_ints:
-        x_hi = 1.0 / radial_map(ctx, rlo)
-        x_lo = 1.0 / radial_map(ctx, rhi)
+    for (rlo, rhi), (lam_lo, lam_hi) in zip(r_ints, lam_ends):
+        x_hi, x_lo = 1.0 / lam_lo, 1.0 / lam_hi
         if x_lo > x_hi:
             meta["warnings"].append("radial map not increasing on a component")
             x_lo, x_hi = x_hi, x_lo
@@ -496,30 +605,51 @@ def density_curve(ctx: FlowContext, points: int = 512,
     widths = np.array([math.log(c[1] / c[0]) if c[1] > c[0] else 1e-12
                        for c in comps])
     alloc = np.maximum(16, np.round(points * widths / widths.sum())).astype(int)
+    grids = [np.geomspace(c[2], c[3], int(n_i))[::-1]
+             for c, n_i in zip(comps, alloc)]
+    if atomic:
+        # every other sample of every component in one lockstep solve; the
+        # grids' end radii were solved above, bitwise as here, and are the
+        # slowest rows of a solve
+        rs = np.concatenate(grids)
+        at = np.minimum(np.searchsorted(ends, rs), ends.size - 1)
+        known = ends[at] == rs
+        lam, u = np.empty(rs.size), np.empty(rs.size)
+        lam[known], u[known] = lam_e[at[known]], u_e[at[known]]
+        lam[~known], u[~known] = _radial_points(ctx, rs[~known])
+        points_of = np.split(np.stack([lam, u]), np.cumsum(alloc)[:-1], axis=1)
+    else:
+        points_of = [_continued_points(ctx, r_grid) for r_grid in grids]
 
     xs_parts, qs_parts = [], []
-    for (x_lo, x_hi, rlo, rhi), n_i in zip(comps, alloc):
-        r_grid = np.geomspace(rlo, rhi, int(n_i))[::-1]
-        xs = np.empty(r_grid.size)
-        qs = np.empty(r_grid.size)
-        u1 = u2 = 0.0  # the component's last two nonzero angles
-        for k, r in enumerate(r_grid):
-            # log-linear continuation along the log-spaced radii
-            lam, u = _radial_point(ctx, float(r),
-                                   guess=u1 * u1 / u2 if u2 else u1 or None)
-            if u > 0.0:
-                u1, u2 = u, u1
-            xs[k] = 1.0 / lam
-            qs[k] = 0.0 if u == 0.0 else u / (math.pi * ctx.t) * lam
+    for lam, u in points_of:
+        xs = 1.0 / lam
         order = np.argsort(xs)
         xs_parts.append(xs[order])
-        qs_parts.append(qs[order])
+        qs_parts.append((u / (math.pi * ctx.t) * lam)[order])
 
     x_all, q_all = _assemble_with_gaps(xs_parts, qs_parts)
-    support = SupportSet(tuple((c[0], c[1]) for c in comps))
+    # each component's interval is spanned by its own end samples, so no
+    # sample with q > 0 lies outside the reported support
+    support = SupportSet(tuple((float(xp[0]), float(xp[-1]))
+                               for xp in xs_parts))
     curve = DensityCurve(x_all, q_all, support, meta)
     meta["mass"] = curve.mass()
     return curve
+
+
+def _continued_points(ctx: FlowContext, r_grid: np.ndarray) -> np.ndarray:
+    """(Lambda, u) rows along the log-spaced radii of one component of a
+    density start, each angle solve started from the log-linear
+    extrapolation of the component's last two nonzero angles."""
+    out = np.empty((2, r_grid.size))
+    u1 = u2 = 0.0  # the component's last two nonzero angles
+    for k, r in enumerate(r_grid):
+        out[:, k] = _radial_point(ctx, float(r),
+                                  guess=u1 * u1 / u2 if u2 else u1 or None)
+        if out[1, k] > 0.0:
+            u1, u2 = float(out[1, k]), u1
+    return out
 
 
 def _clip_components(ctx, comps, x_lo_w, x_hi_w):

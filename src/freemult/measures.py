@@ -561,14 +561,14 @@ class Atomic(Measure):
         return complex(total) if np.iscomplexobj(vals) else float(total)
 
     def integrate_batch(self, kernel, points, scales, rtol):
-        # the exact weighted sum of `integrate`, one integral at a time, on
-        # kernel values evaluated _BATCH_NODES at a time
+        # the exact weighted sum of `integrate` (np.vecdot sums each row as
+        # np.dot does), on kernel values evaluated _BATCH_NODES at a time
         n = len(points)
         chunk = max(1, _BATCH_NODES // self.a.size)
-        values = [np.dot(self.w, row) for s in range(0, n, chunk)
-                  for row in np.asarray(kernel(
-                      self.a[None, :], np.arange(s, min(s + chunk, n))[:, None]))]
-        return np.array(values), np.zeros(n, dtype=bool)
+        values = [np.vecdot(self.w, np.asarray(kernel(
+                      self.a[None, :], np.arange(s, min(s + chunk, n))[:, None])))
+                  for s in range(0, n, chunk)]
+        return np.concatenate(values or [np.zeros(0)]), np.zeros(n, dtype=bool)
 
     def invert(self) -> "Atomic":
         inv = 1.0 / self.a[::-1]

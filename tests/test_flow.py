@@ -257,6 +257,90 @@ def test_density_reuses_the_inversion_angles(monkeypatch, x, parent_calls,
     assert len(set(radii)) == len(radii)  # no radius is solved twice
 
 
+class _ScalarAtoms(measures.Measure):
+    """The atoms of an `Atomic`, behind the plain `Measure` interface: flow
+    solves its angles one radius at a time in the scalar Newton loop."""
+
+    def __init__(self, nu):
+        self.nu = nu
+
+    def atoms(self):
+        return self.nu.atoms()
+
+    def integrate(self, kernel, point=math.nan, scale=math.nan, rtol=1e-9):
+        return self.nu.integrate(kernel)
+
+
+@given(n=st.integers(1, 12), decades=st.floats(0.0, 8.0),
+       seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.05, 20.0))
+def test_lockstep_angles_meet_the_scalar_contract(n, decades, seed, t):
+    rng = np.random.default_rng(seed)
+    locs = np.unique(10.0 ** (decades * (rng.random(n) - 0.5)))
+    nu = _atoms(rng.uniform(0.05, 1.0, locs.size), locs)
+    ctx = fm.FlowContext(nu, t)
+    scalar = fm.FlowContext(_ScalarAtoms(nu), t)
+    # every component's ends and interior, and radii off the region
+    wlo, whi = flow.default_window(nu)
+    rs = np.concatenate([np.geomspace(lo, hi, 7)
+                         for lo, hi in fm.blowup_region(ctx)]
+                        + [np.geomspace(wlo, whi, 5)])
+    _lam, us = flow._radial_points(ctx, rs)
+    for r, u in zip(rs.tolist(), us.tolist()):
+        cold = fm.solve_angle(scalar, r)
+        assert (u == 0.0) == (cold == 0.0)
+        if u == 0.0:
+            continue
+        noise = max(ctx.tol_quad, 1e-16 / u)
+        lhs = fm.level_function(nu, u, r, rtol=ctx.tol_quad)
+        assert abs(lhs - 1.0 / t) <= max(ctx.tol_root, noise) / t
+        ival = flow.poisson_kernel_integral(nu, r, math.sin(cold / 2) ** 2)
+        kappa = 1.0 / (t * cold * abs(flow._angle_lhs_dtheta(ctx, r, cold, ival)))
+        assert u == pytest.approx(cold, rel=1e-10 + 10.0 * kappa * noise)
+
+
+def test_lockstep_rows_are_independent(monkeypatch):
+    # 3 rows of 30 atoms a chunk: the grid's atom sums span many chunks
+    monkeypatch.setattr(measures, "_BATCH_NODES", 90)
+    ctx = fm.FlowContext(fm.build_counterexample(30)[0], 1.0)
+    lo, hi = fm.blowup_region(ctx)[-1]
+    rs = np.concatenate([np.geomspace(lo, hi, 29), np.geomspace(1e-3, 1e8, 11)])
+    lam, u = flow._radial_points(ctx, rs)
+    assert np.count_nonzero(u) > 29
+    for k, r in enumerate(rs.tolist()):
+        alone = flow._radial_points(ctx, np.array([r]))
+        assert (alone[0][0].tobytes(), alone[1][0].tobytes()) == (
+            lam[k].tobytes(), u[k].tobytes())
+        assert fm.solve_angle(ctx, r) == u[k]
+        assert fm.radial_map(ctx, r) == lam[k]
+
+
+def test_atomic_curve_makes_no_per_sample_atom_sum(monkeypatch):
+    # solved one radius at a time, the 512 samples made about 9 scalar atom
+    # sums each; now the region takes 36 batches, and the ends and the
+    # samples one lockstep each, of 2 batches an iteration (49 here)
+    calls, batches = [], []
+    one, many = measures.Atomic.integrate, measures.Atomic.integrate_batch
+    monkeypatch.setattr(measures.Atomic, "integrate",
+                        lambda *a, **k: calls.append(1) or one(*a, **k))
+    monkeypatch.setattr(measures.Atomic, "integrate_batch",
+                        lambda *a, **k: batches.append(1) or many(*a, **k))
+    curve = fm.density_curve(fm.FlowContext(fm.dirac(1.0), 1.0), points=512)
+    assert curve.x.size == 512
+    assert calls == []
+    assert len(batches) <= 250
+
+
+@pytest.mark.parametrize("nu, points", [
+    (fm.build_counterexample(30)[0], 512), (fm.dirac(1.0), 512),
+    (fm.gamma_measure(2.0, 1.0), 128), (fm.lambda_measure(math.pi / 2), 128)],
+    ids=["cascade30", "dirac", "gamma", "lambda"])
+def test_curve_support_holds_every_positive_sample(nu, points):
+    curve = fm.density_curve(fm.FlowContext(nu, 1.0), points=points)
+    outside = [x for x, q in zip(curve.x.tolist(), curve.q.tolist())
+               if q > 0.0 and not curve.support.contains(x)]
+    assert outside == []
+
+
 def test_angle_monotone_decreasing_in_theta():
     rng = np.random.default_rng(11)
     ctx = fm.FlowContext(fm.uniform_interval(1, 2), 1.0)
@@ -428,6 +512,26 @@ def test_huge_point_mass_runs_without_overflow_warnings():
         fm.density(one, 1.0) / 1e200, rel=1e-9)
     (lo, hi), = fm.blowup_region(ctx)
     assert lo < 1e-200 < hi
+
+
+def test_public_calls_on_a_huge_point_mass_run_without_warnings():
+    # r*xi = 1e205: (1 - r*xi)^2 overflows inside each call
+    ctx = fm.FlowContext(fm.dirac(1e200), 1.0)
+    assert fm.solve_angle(ctx, 1e5) == 0.0
+    assert 0.0 <= flow.poisson_kernel_integral(ctx.nu, 1e5, 0.1) < 1e-200
+    assert 0.0 <= flow.capped_blowup(ctx, 1e5) < 1e-200
+
+
+def test_atoms_308_decades_apart_keep_both_components():
+    # r*xi overflows to inf near r = 1e200, where the Poisson kernel tends
+    # to 0 and the atom at 1e-200 alone gives f = r*1e-200 / (1 - r*1e-200)^2
+    nu = fm.atomic([(0.5, 1e-200), (0.5, 1e200)])
+    (lo1, hi1), (lo2, hi2) = fm.blowup_region(fm.FlowContext(nu, 1.0))
+    assert (lo1, hi1) == pytest.approx((5e-201, 2e-200), rel=1e-11)
+    assert (lo2, hi2) == pytest.approx((5e199, 2e200), rel=1e-11)
+    cert = fm.gap_certificate(nu, 1.0, 1)
+    assert cert.midpoint == pytest.approx(5e199, rel=1e-15)
+    assert cert.f_value == pytest.approx(1.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
