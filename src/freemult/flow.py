@@ -98,12 +98,10 @@ def kernel_denominator(u, s2: float):
 
 def _kernel_integral(nu: Measure, r: float, s2: float, integrand,
                      rtol: float) -> float:
-    """int integrand(r*xi, denom) d nu(xi), denom = (1 - r*xi)^2 + 4 r*xi s2.
-
-    The one quadrature of the flow kernels: the denominator is floored, the
-    panels are seeded at the pole 1/r with the Lorentzian width, and the
-    tolerance is relaxed to the cancellation floor.  Atomic measures get the
-    exact weighted sum from their own `integrate`."""
+    """int integrand(r*xi, denom) d nu(xi), denom = (1 - r*xi)^2 + 4 r*xi s2,
+    for a density nu: the denominator is floored, the panels are seeded at
+    the pole 1/r with the Lorentzian width, and the tolerance is relaxed to
+    the cancellation floor."""
     xs = 1.0 / r
 
     def kernel(xi):
@@ -116,26 +114,33 @@ def _kernel_integral(nu: Measure, r: float, s2: float, integrand,
         _kernel_rtol(rtol, s2)))
 
 
-def _atom_sums(nu: Atomic, rs: np.ndarray, s2, integrand,
-               *cols) -> np.ndarray:
+def _kernel_sums(nu: Measure, rs: np.ndarray, s2, integrand, rtol: float,
+                 *cols) -> np.ndarray:
     """int integrand(r*xi, denom, *(c[k] for c in cols)) d nu(xi) at each
-    radius r = rs[k] with sin^2(theta/2) = s2[k] (or the one s2), for an
-    atomic nu: one batch of exact atom sums, each row bitwise its own
-    `integrate`."""
+    radius r = rs[k] with sin^2(theta/2) = s2[k] (or the one s2).
+
+    The one sum of the flow kernels: an atomic nu takes one batch of exact
+    atom sums, each row bitwise its own `integrate`; a density nu takes one
+    quadrature a row, `_kernel_integral`."""
     s2 = np.asarray(s2, float)
+    if isinstance(nu, Atomic):
+        def kernel(xi, k):
+            u = rs[k] * xi
+            return integrand(u, kernel_denominator(u, s2[k] if s2.ndim else s2),
+                             *(c[k] for c in cols))
 
-    def kernel(xi, k):
-        u = rs[k] * xi
-        d = kernel_denominator(u, s2[k] if s2.ndim else s2)
-        return integrand(u, d, *(c[k] for c in cols))
-
-    # atom sums are exact: the trouble points and the tolerance go unused
-    return nu.integrate_batch(kernel, rs, rs, 0.0)[0]
+        # atom sums are exact: the trouble points and the tolerance go unused
+        return nu.integrate_batch(kernel, rs, rs, 0.0)[0]
+    return np.array([
+        _kernel_integral(nu, r, s, lambda u, d, k=k: integrand(
+            u, d, *(c[k] for c in cols)), rtol)
+        for k, (r, s) in enumerate(zip(rs.tolist(),
+                                       np.broadcast_to(s2, rs.shape).tolist()))])
 
 
 def _poisson(u, d):
-    """The Poisson kernel u / d of the atom sums, with its limit 0 where
-    u = r*xi overflows to inf (there u / d reads inf / inf)."""
+    """The Poisson kernel u / d, with its limit 0 where u = r*xi overflows
+    to inf (there u / d reads inf / inf)."""
     return np.minimum(u, 1e308) / d
 
 
@@ -152,25 +157,30 @@ def _radial(q, d):
     return np.where(np.isinf(d), 1.0, (q * q - 1.0) / d)
 
 
+def _one(r, vals: np.ndarray):
+    """vals, or its one float where r is a single radius."""
+    return vals if np.ndim(r) else float(vals[0])
+
+
 def poisson_kernel_integral(nu: Measure, r: float, sin_half_sq: float,
                             rtol: float = 1e-12) -> float:
     """int r*xi / ((1 - r*xi)^2 + 4 r*xi sin^2(theta/2)) d nu(xi)."""
-    if isinstance(nu, Atomic):
-        # atom sums take the kernel's limits where r*xi overflows; density
-        # quadratures stay inside the window's range, with no per-node cost
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _kernel_integral(nu, r, sin_half_sq, _poisson, rtol)
-    return _kernel_integral(nu, r, sin_half_sq, lambda u, d: u / d, rtol)
+    # the kernel takes its limit where r*xi overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_kernel_sums(nu, np.array([float(r)]), sin_half_sq,
+                                  _poisson, rtol)[0])
 
 
-def _angle_lhs_dtheta(ctx: FlowContext, r: float, theta: float,
-                      ival: float) -> float:
-    """d/d theta of the angle-equation LHS (the Newton slope of
-    solve_angle), given ival = poisson_kernel_integral at (r, theta)."""
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    dival = _kernel_integral(ctx.nu, r, math.sin(0.5 * theta) ** 2,
-                             lambda u, d: _slope(u, d, sin_t), ctx.tol_quad)
-    return (cos_t * theta - sin_t) / theta ** 2 * ival + sin_t / theta * dival
+def _angle_lhs_dtheta(ctx: FlowContext, r, theta, ival):
+    """d/d theta of the angle-equation LHS at radii r and angles theta (the
+    Newton slope of `_radial_points`), given ival = poisson_kernel_integral
+    there; one radius gives a float."""
+    rs, theta = np.atleast_1d(r), np.atleast_1d(theta)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    dival = _kernel_sums(ctx.nu, rs, np.sin(0.5 * theta) ** 2, _slope,
+                         ctx.tol_quad, sin_t)
+    return _one(r, (cos_t * theta - sin_t) / theta ** 2 * ival
+                + sin_t / theta * dival)
 
 
 def capped_blowup(ctx: FlowContext, r: float) -> float:
@@ -181,54 +191,14 @@ def capped_blowup(ctx: FlowContext, r: float) -> float:
     diverging."""
     if r <= 0:
         raise DomainError(f"r must be positive, got {r}")
-    pref = math.sin(ANGLE_FLOOR) / ANGLE_FLOOR
-    return pref * poisson_kernel_integral(ctx.nu, r, _S2_FLOOR,
-                                          rtol=ctx.tol_quad)
+    return float(_capped_blowup_at(ctx, np.array([float(r)]))[0])
 
 
 def solve_angle(ctx: FlowContext, r: float, guess: float | None = None) -> float:
     """The angle u(r): 0 off the blow-up region, else the unique root of the
-    implicit equation, with |LHS - 1/t| <= tol_root / t.
-
-    Safeguarded Newton on log LHS against log theta (where the kernel's
-    small-angle shapes c/theta and c/theta^2 are straight lines), started
-    at `guess` or at theta = 1; see README "Numerical policy" for the
-    bracket and the stop rule.  Roots below ANGLE_FLOOR are reported as 0.
-    An atomic start is solved by the lockstep of `_radial_points`."""
-    if isinstance(ctx.nu, Atomic):
-        return float(_radial_points(ctx, np.array([float(r)]), guess)[1][0])
-    target = 1.0 / ctx.t
-    if capped_blowup(ctx, r) <= target:
-        return 0.0
-    _require_sign_change(ctx)
-    lo, hi = ANGLE_FLOOR, _THETA_HI
-    theta = guess if guess is not None and lo < guess < hi else 1.0
-    prev = math.inf
-    for _ in range(_ANGLE_MAX_ITER):
-        ival = poisson_kernel_integral(ctx.nu, r, math.sin(0.5 * theta) ** 2,
-                                       rtol=ctx.tol_quad)
-        lhs = math.sin(theta) / theta * ival
-        if lhs > target:
-            lo = theta
-        else:
-            hi = theta
-        der = _angle_lhs_dtheta(ctx, r, theta, ival)
-        step = (-math.log(lhs / target) * lhs / (theta * der)
-                if der < 0.0 else math.nan)
-        # near component edges LHS ~ f(r) - A theta^2 is flat in theta, so a
-        # small residual alone does not pin theta
-        if abs(lhs - target) <= ctx.tol_root * target and abs(step) <= _ANGLE_STEP:
-            return theta * math.exp(step)
-        if hi - lo <= _ANGLE_STEP * hi:  # quadrature noise at tiny angles
-            return theta
-        # a step that leaves the bracket or does not shrink: bisect log theta
-        if math.log(lo / theta) < step < math.log(hi / theta) and abs(step) < prev:
-            theta *= math.exp(step)
-            prev = abs(step)
-        else:
-            theta = math.sqrt(lo * hi)
-            prev = 0.5 * math.log(hi / lo)
-    raise _no_convergence(r, lo, hi)
+    implicit equation, with |LHS - 1/t| <= tol_root / t, solved from `guess`
+    by `_radial_points`."""
+    return _radial_point(ctx, r, guess)[1]
 
 
 def _require_sign_change(ctx: FlowContext) -> None:
@@ -241,42 +211,36 @@ def _require_sign_change(ctx: FlowContext) -> None:
             f"up to theta = pi - {_THETA_EDGE}")
 
 
-def _no_convergence(r, lo, hi) -> BracketFailure:
-    return BracketFailure(
-        f"angle solve at r={r} did not converge in {_ANGLE_MAX_ITER} steps; "
-        f"bracket [{lo}, {hi}]")
-
-
-def _radial_exponent(ctx: FlowContext, r: float, u: float) -> float:
-    """int (r^2 xi^2 - 1) / ((1 - r*xi)^2 + 4 r*xi sin^2(u/2)) d nu(xi)."""
-    return _kernel_integral(ctx.nu, r, math.sin(0.5 * u) ** 2, _radial,
-                            ctx.tol_quad)
+def _radial_exponent(ctx: FlowContext, r, u):
+    """int (r^2 xi^2 - 1) / ((1 - r*xi)^2 + 4 r*xi sin^2(u/2)) d nu(xi) at
+    radii r and angles u; one radius gives a float."""
+    s2 = np.sin(0.5 * np.atleast_1d(u)) ** 2
+    return _one(r, _kernel_sums(ctx.nu, np.atleast_1d(r), s2, _radial,
+                                ctx.tol_quad))
 
 
 def _radial_point(ctx: FlowContext, r: float,
                   guess: float | None = None) -> tuple[float, float]:
     """(Lambda(r), u(r)), the angle solved from `guess`."""
-    if isinstance(ctx.nu, Atomic):
-        lam, u = _radial_points(ctx, np.array([float(r)]), guess)
-        return float(lam[0]), float(u[0])
-    # the flow kernels take their limits where r*xi overflows (1e154 and
-    # beyond); one block for the whole solve, not one per quadrature
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = solve_angle(ctx, r, guess=guess)
-        return r * math.exp(0.5 * ctx.t * _radial_exponent(ctx, r, u)), u
+    lam, u = _radial_points(ctx, np.array([float(r)]), guess)
+    return float(lam[0]), float(u[0])
 
 
 def _radial_points(ctx: FlowContext, rs: np.ndarray,
-                   guess: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(Lambda(r), u(r)) at every radius of rs, for an atomic start.
+                   guess=None) -> tuple[np.ndarray, np.ndarray]:
+    """(Lambda(r), u(r)) at every radius of rs: the one angle solver.
 
-    solve_angle's safeguarded Newton, run on all radii in lockstep: each
-    radius keeps its own bracket, step, stop rule and iteration limit, and
-    starts at `guess` or at theta = 1.  An iteration makes one batch of atom
-    sums for the LHS and one for its slope over the radii still unsolved,
-    and the radial exponent is one batch at the end.  No row's arithmetic
-    reads another row, so a radius solved alone is bitwise the radius
-    solved in a grid."""
+    Safeguarded Newton on log LHS against log theta (where the kernel's
+    small-angle shapes c/theta and c/theta^2 are straight lines), run on all
+    radii in lockstep; see README "Numerical policy" for the bracket and
+    the stop rule.  Each radius keeps its own bracket, step, stop rule and
+    iteration limit, and starts at its own `guess` (one for all radii, or
+    one a radius), or at theta = 1 where that is None or outside the
+    bracket.  An iteration makes one kernel sum for the LHS and one for its
+    slope at each radius still unsolved, and the radial exponent is one
+    more at the end.  Roots below ANGLE_FLOOR are reported as 0.  No row's
+    arithmetic reads another row, so a radius solved alone is bitwise the
+    radius solved in a grid from the same guess."""
     nu, target = ctx.nu, 1.0 / ctx.t
     if not np.all(rs > 0):
         raise DomainError(f"r must be positive, got {rs[~(rs > 0)][0]}")
@@ -289,23 +253,25 @@ def _radial_points(ctx: FlowContext, rs: np.ndarray,
             _require_sign_change(ctx)
         r = rs[idx]
         lo, hi = np.full(idx.size, ANGLE_FLOOR), np.full(idx.size, _THETA_HI)
-        theta = np.full(idx.size, guess if guess is not None
-                        and ANGLE_FLOOR < guess < _THETA_HI else 1.0)
+        theta = np.full(rs.size, 1.0 if guess is None else guess)[idx]
+        theta = np.where((theta > ANGLE_FLOOR) & (theta < _THETA_HI), theta, 1.0)
         prev = np.full(idx.size, math.inf)
         for _ in range(_ANGLE_MAX_ITER):
             if not idx.size:
                 break
-            s2 = np.sin(0.5 * theta) ** 2
-            sin_t, cos_t = np.sin(theta), np.cos(theta)
-            ival = _atom_sums(nu, r, s2, _poisson)
+            sin_t = np.sin(theta)
+            ival = _kernel_sums(nu, r, np.sin(0.5 * theta) ** 2, _poisson,
+                                ctx.tol_quad)
             lhs = sin_t / theta * ival
             above = lhs > target
             lo = np.where(above, theta, lo)
             hi = np.where(above, hi, theta)
-            dival = _atom_sums(nu, r, s2, _slope, sin_t)
-            der = (cos_t * theta - sin_t) / theta ** 2 * ival + sin_t / theta * dival
+            der = _angle_lhs_dtheta(ctx, r, theta, ival)
             step = np.where(der < 0.0, -np.log(lhs / target) * lhs / (theta * der),
                             math.nan)
+            # near component edges LHS ~ f(r) - A theta^2 is flat in theta,
+            # so a small residual alone does not pin theta; a bracket this
+            # narrow is where quadrature noise leaves the tiniest angles
             newton = ((np.abs(lhs - target) <= ctx.tol_root * target)
                       & (np.abs(step) <= _ANGLE_STEP))
             narrow = ~newton & (hi - lo <= _ANGLE_STEP * hi)
@@ -315,13 +281,16 @@ def _radial_points(ctx: FlowContext, rs: np.ndarray,
                 u[idx[narrow]] = theta[narrow]
                 idx, r, theta, lo, hi, prev, step = (
                     a[~done] for a in (idx, r, theta, lo, hi, prev, step))
+            # a step that leaves the bracket or does not shrink: bisect log theta
             inside = ((np.log(lo / theta) < step) & (step < np.log(hi / theta))
                       & (np.abs(step) < prev))
             theta, prev = (np.where(inside, theta * np.exp(step), np.sqrt(lo * hi)),
                            np.where(inside, np.abs(step), 0.5 * np.log(hi / lo)))
         if idx.size:
-            raise _no_convergence(r[0], lo[0], hi[0])
-        expo = _atom_sums(nu, rs, np.sin(0.5 * u) ** 2, _radial)
+            raise BracketFailure(
+                f"angle solve at r={r[0]} did not converge in "
+                f"{_ANGLE_MAX_ITER} steps; bracket [{lo[0]}, {hi[0]}]")
+        expo = _radial_exponent(ctx, rs, u)
     return rs * np.exp(0.5 * ctx.t * expo), u
 
 
@@ -458,13 +427,10 @@ def blowup_region(ctx: FlowContext, window=None) -> list[tuple[float, float]]:
 
 
 def _capped_blowup_at(ctx: FlowContext, rs: np.ndarray) -> np.ndarray:
-    """capped_blowup at each radius of rs, bitwise.  An atomic nu takes one
-    batch of exact atom sums for all radii; a density nu takes the scalar
-    quadrature at each radius."""
-    if not isinstance(ctx.nu, Atomic):
-        return np.array([capped_blowup(ctx, float(r)) for r in rs])
+    """capped_blowup at each radius of rs, bitwise."""
+    # the kernel takes its limit where r*xi overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _atom_sums(ctx.nu, rs, _S2_FLOOR, _poisson)
+        vals = _kernel_sums(ctx.nu, rs, _S2_FLOOR, _poisson, ctx.tol_quad)
     return math.sin(ANGLE_FLOOR) / ANGLE_FLOOR * vals
 
 
@@ -538,11 +504,21 @@ class DensityCurve:
 
     def mass(self) -> float:
         """Trapezoid rule for x*q over log x, the samples' spacing variable."""
-        return float(np.trapezoid(self.xq(), np.log(self.x)))
+        return self._trapezoid(self.xq())
 
     def mean(self) -> float:
         """Trapezoid rule for x^2*q over log x."""
-        return float(np.trapezoid(self.x * self.xq(), np.log(self.x)))
+        return self._trapezoid(self.x * self.xq())
+
+    def _trapezoid(self, y: np.ndarray) -> float:
+        """The trapezoid rule for y over log x on each support component's
+        own samples, summed: a gap between components contributes 0."""
+        logx = np.log(self.x)
+        total = 0.0
+        for lo, hi in self.support.intervals:
+            own = (self.x >= lo) & (self.x <= hi)
+            total += np.trapezoid(y[own], logx[own])
+        return float(total)
 
 
 def density_curve(ctx: FlowContext, points: int = 512,
@@ -564,26 +540,14 @@ def density_curve(ctx: FlowContext, points: int = 512,
             raise DomainError(f"bad window {window}")
     meta = {"warnings": [], "merged": 0}
 
-    try:
-        r_ints = blowup_region(ctx)
-    except EmptyVSet:
-        rw = default_window(ctx.nu)
-        x = np.geomspace(1.0 / rw[1], 1.0 / rw[0], points)
-        meta["warnings"].append("empty blow-up region: zero curve")
-        meta["mass"] = 0.0
-        return DensityCurve(x, np.zeros_like(x), SupportSet(()), meta)
-
+    # an empty region is the floor-angle predicate saturating (the true one
+    # is never empty for t > 0), so EmptyVSet is raised, not a zero curve
+    r_ints = blowup_region(ctx)
     # map components to x-space (reverse order: 1/Lambda is decreasing)
-    atomic = isinstance(ctx.nu, Atomic)
-    if atomic:
-        ends = np.array(r_ints).ravel()  # increasing
-        lam_e, u_e = _radial_points(ctx, ends)
-        lam_ends = lam_e.reshape(-1, 2)
-    else:
-        lam_ends = np.array([[radial_map(ctx, rlo), radial_map(ctx, rhi)]
-                             for rlo, rhi in r_ints])
+    ends = np.array(r_ints).ravel()  # increasing
+    lam_e, u_e = _radial_points(ctx, ends)
     comps = []
-    for (rlo, rhi), (lam_lo, lam_hi) in zip(r_ints, lam_ends):
+    for (rlo, rhi), (lam_lo, lam_hi) in zip(r_ints, lam_e.reshape(-1, 2)):
         x_hi, x_lo = 1.0 / lam_lo, 1.0 / lam_hi
         if x_lo > x_hi:
             meta["warnings"].append("radial map not increasing on a component")
@@ -607,19 +571,8 @@ def density_curve(ctx: FlowContext, points: int = 512,
     alloc = np.maximum(16, np.round(points * widths / widths.sum())).astype(int)
     grids = [np.geomspace(c[2], c[3], int(n_i))[::-1]
              for c, n_i in zip(comps, alloc)]
-    if atomic:
-        # every other sample of every component in one lockstep solve; the
-        # grids' end radii were solved above, bitwise as here, and are the
-        # slowest rows of a solve
-        rs = np.concatenate(grids)
-        at = np.minimum(np.searchsorted(ends, rs), ends.size - 1)
-        known = ends[at] == rs
-        lam, u = np.empty(rs.size), np.empty(rs.size)
-        lam[known], u[known] = lam_e[at[known]], u_e[at[known]]
-        lam[~known], u[~known] = _radial_points(ctx, rs[~known])
-        points_of = np.split(np.stack([lam, u]), np.cumsum(alloc)[:-1], axis=1)
-    else:
-        points_of = [_continued_points(ctx, r_grid) for r_grid in grids]
+    lam, u = _curve_points(ctx, np.concatenate(grids), ends, lam_e, u_e)
+    points_of = np.split(np.stack([lam, u]), np.cumsum(alloc)[:-1], axis=1)
 
     xs_parts, qs_parts = [], []
     for lam, u in points_of:
@@ -638,18 +591,32 @@ def density_curve(ctx: FlowContext, points: int = 512,
     return curve
 
 
-def _continued_points(ctx: FlowContext, r_grid: np.ndarray) -> np.ndarray:
-    """(Lambda, u) rows along the log-spaced radii of one component of a
-    density start, each angle solve started from the log-linear
-    extrapolation of the component's last two nonzero angles."""
-    out = np.empty((2, r_grid.size))
-    u1 = u2 = 0.0  # the component's last two nonzero angles
-    for k, r in enumerate(r_grid):
-        out[:, k] = _radial_point(ctx, float(r),
-                                  guess=u1 * u1 / u2 if u2 else u1 or None)
-        if out[1, k] > 0.0:
-            u1, u2 = float(out[1, k]), u1
-    return out
+def _curve_points(ctx: FlowContext, rs: np.ndarray, ends: np.ndarray,
+                  lam_e: np.ndarray, u_e: np.ndarray):
+    """(Lambda, u) at the sample radii rs of a curve, given their values at
+    the component ends (sorted).  A radius that is an end takes the value
+    solved there; the others are solved in levels.  The stride runs from
+    the largest power of two not above their count down to 1, and a level
+    solves every stride-th of them not solved yet: the first level cold,
+    each later row from the log-log interpolation in r of the nonzero angles
+    solved so far.  An atomic start solves them in one cold level: its sums
+    are cheap batches, and its cost is the lockstep's iterations."""
+    at = np.minimum(np.searchsorted(ends, rs), ends.size - 1)
+    known = ends[at] == rs
+    lam, u = np.empty(rs.size), np.zeros(rs.size)
+    lam[known], u[known] = lam_e[at[known]], u_e[at[known]]
+    todo = np.flatnonzero(~known)
+    top = 1 << max(todo.size.bit_length() - 1, 0)
+    levels = ([todo] if isinstance(ctx.nu, Atomic) else [todo[::top]] + [
+        todo[s::2 * s] for s in (top >> j for j in range(1, top.bit_length()))])
+    for k, rows in enumerate(levels):
+        have = np.flatnonzero(u > 0.0)  # unsolved rows still read 0
+        have = have[np.argsort(rs[have])]
+        guess = (np.exp(np.interp(np.log(rs[rows]), np.log(rs[have]),
+                                  np.log(u[have])))
+                 if k and have.size else None)
+        lam[rows], u[rows] = _radial_points(ctx, rs[rows], guess)
+    return lam, u
 
 
 def _clip_components(ctx, comps, x_lo_w, x_hi_w):

@@ -525,17 +525,13 @@ def test_scenario_symmetric(tmp_path):
                for e in report["results"]["per_t"])
 
 
-def test_density_of_an_empty_blow_up_region_is_a_zero_curve(tmp_path):
-    # no radius blows up at t = 1e-20: the curve has no samples
+def test_density_of_an_empty_blow_up_region_exits_3(tmp_path, capsys):
+    # no radius blows up at t = 1e-20: a numeric failure, with no report
     out = str(tmp_path)
     assert main(["density", "--measure", DIRAC1, "--t", "1e-20",
-                 "--out", out]) == 0
-    report = json.loads(open(os.path.join(out, "density_report.json")).read())
-    entry = report["results"]["per_t"][0]
-    assert open(os.path.join(out, entry["csv"])).read() == "x,q,xq\n"
-    assert entry["support_components"] == 0
-    assert report["warnings"] == [
-        f"t={1e-20:.17g}: empty blow-up region: zero curve"]
+                 "--out", out]) == cli.EXIT_NUMERIC
+    assert not os.path.exists(os.path.join(out, "density_report.json"))
+    assert "EmptyVSet" in capsys.readouterr().err
 
 
 def test_check_inconclusive_exit(tmp_path):

@@ -27,6 +27,36 @@ def bisect_scalar(f, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+def bisect_angle(nu, t, r):
+    """The angle u(r) by plain bisection of log theta on the level function
+    over the solve's bracket: 0 where the LHS at the floor angle does not
+    exceed 1/t."""
+    def f(log_theta):
+        return fm.level_function(nu, math.exp(log_theta), r) - 1.0 / t
+    lo, hi = math.log(flow.ANGLE_FLOOR), math.log(math.pi - 1e-14)
+    if f(lo) <= 0.0:
+        return 0.0
+    return math.exp(bisect_scalar(f, lo, hi, iters=60))
+
+
+def assert_angle_contract(ctx, r, u, ref):
+    """The nonzero angle u at r meets the residual contract and agrees with
+    the reference angle ref within the quadrature noise's conditioning."""
+    t = ctx.t
+    # below about 1e-6 the kernel quadrature itself is only accurate to
+    # noise = 1e-16/u relative, and the residual with it
+    noise = max(ctx.tol_quad, 1e-16 / u)
+    lhs = fm.level_function(ctx.nu, u, r, rtol=ctx.tol_quad)
+    assert abs(lhs - 1.0 / t) <= max(ctx.tol_root, noise) / t
+    # the noise moves the root by kappa * noise relative, kappa the
+    # condition number |d log theta / d log LHS|; it is huge at component
+    # edges, where LHS ~ f(r) - A theta^2 and f(r) ~ 1/t
+    ival = flow.poisson_kernel_integral(ctx.nu, r, math.sin(ref / 2) ** 2,
+                                        rtol=ctx.tol_quad)
+    kappa = 1.0 / (t * ref * abs(flow._angle_lhs_dtheta(ctx, r, ref, ival)))
+    assert u == pytest.approx(ref, rel=1e-10 + 10.0 * kappa * noise)
+
+
 # ---------------------------------------------------------------------------
 # the implicit angle equation
 # ---------------------------------------------------------------------------
@@ -144,15 +174,18 @@ def _atoms(weights, locations):
     return fm.atomic(list(zip(w, locations)))
 
 
+_DENSITY_STARTS = (
+    st.builds(fm.gamma_measure, st.floats(0.5, 5.0), st.floats(0.2, 5.0)),
+    st.builds(fm.log_normal, st.floats(-1.0, 1.0), st.floats(0.1, 1.5)),
+    st.builds(lambda lo, d: fm.uniform_interval(lo, lo * (1 + d)),
+              st.floats(0.1, 10.0), st.floats(1e-2, 4.0)),
+)
 _START_MEASURES = st.one_of(
     st.integers(2, 5).flatmap(lambda n: st.builds(
         _atoms, st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n),
         st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n,
                  unique_by=lambda a: round(a, 6)))),
-    st.builds(fm.gamma_measure, st.floats(0.5, 5.0), st.floats(0.2, 5.0)),
-    st.builds(fm.log_normal, st.floats(-1.0, 1.0), st.floats(0.1, 1.5)),
-    st.builds(lambda lo, d: fm.uniform_interval(lo, lo * (1 + d)),
-              st.floats(0.1, 10.0), st.floats(1e-2, 4.0)),
+    *_DENSITY_STARTS,
 )
 
 
@@ -167,20 +200,8 @@ def test_solve_angle_any_guess_meets_contract(nu, t, pick, where, guess):
     u = fm.solve_angle(ctx, r, guess=guess)
     cold = fm.solve_angle(ctx, r)
     assert (u == 0.0) == (cold == 0.0)
-    if u == 0.0:
-        return
-    # below about 1e-6 the kernel quadrature itself is only accurate to
-    # noise = 1e-16/u relative, and the residual with it
-    noise = max(ctx.tol_quad, 1e-16 / u)
-    lhs = fm.level_function(ctx.nu, u, r, rtol=ctx.tol_quad)
-    assert abs(lhs - 1.0 / t) <= max(ctx.tol_root, noise) / t
-    # the noise moves the root by kappa * noise relative, kappa the
-    # condition number |d log theta / d log LHS|; it is huge at component
-    # edges, where LHS ~ f(r) - A theta^2 and f(r) ~ 1/t
-    ival = flow.poisson_kernel_integral(nu, r, math.sin(cold / 2) ** 2,
-                                        rtol=ctx.tol_quad)
-    kappa = 1.0 / (t * cold * abs(flow._angle_lhs_dtheta(ctx, r, cold, ival)))
-    assert u == pytest.approx(cold, rel=1e-10 + 10.0 * kappa * noise)
+    if u != 0.0:
+        assert_angle_contract(ctx, r, u, cold)
 
 
 def test_solve_angle_needs_a_sign_change_below_pi():
@@ -219,6 +240,17 @@ def _count_passes(monkeypatch) -> list[int]:
     return passes
 
 
+@pytest.mark.parametrize("nu, parent_calls", [
+    (fm.gamma_measure(2.0, 1.0), 2671), (fm.lambda_measure(math.pi / 2), 2569)],
+    ids=["gamma", "lambda"])
+def test_curve_levels_make_no_more_quadratures(monkeypatch, nu, parent_calls):
+    # parent_calls: the same 128-point curve when each sample's angle solve
+    # started from the extrapolation of the previous two along its component
+    passes = _count_passes(monkeypatch)
+    fm.density_curve(fm.FlowContext(nu, 1.0), points=128)
+    assert 0 < len(passes) <= parent_calls
+
+
 @pytest.mark.parametrize("nu", [
     fm.lambda_measure(math.pi / 2), fm.boolean_stable(0.5),
     fm.marchenko_pastur(), fm.marchenko_pastur_inverse()],
@@ -248,27 +280,13 @@ def test_density_reuses_the_inversion_angles(monkeypatch, x, parent_calls,
     # inversion started cold and the root's angle was solved again
     passes = _count_passes(monkeypatch)
     radii = []
-    solve = flow.solve_angle
-    monkeypatch.setattr(flow, "solve_angle",
-                        lambda ctx, r, **kw: radii.append(r) or solve(ctx, r, **kw))
+    solve = flow._radial_points
+    monkeypatch.setattr(flow, "_radial_points", lambda ctx, rs, guess=None: (
+        radii.extend(rs.tolist()) or solve(ctx, rs, guess)))
     ctx = fm.FlowContext(fm.gamma_measure(2.0, 1.0), 1.0)
     assert fm.density(ctx, x) == pytest.approx(value, rel=ctx.tol_root)
     assert len(passes) <= 0.6 * parent_calls
-    assert len(set(radii)) == len(radii)  # no radius is solved twice
-
-
-class _ScalarAtoms(measures.Measure):
-    """The atoms of an `Atomic`, behind the plain `Measure` interface: flow
-    solves its angles one radius at a time in the scalar Newton loop."""
-
-    def __init__(self, nu):
-        self.nu = nu
-
-    def atoms(self):
-        return self.nu.atoms()
-
-    def integrate(self, kernel, point=math.nan, scale=math.nan, rtol=1e-9):
-        return self.nu.integrate(kernel)
+    assert radii and len(set(radii)) == len(radii)  # none is solved twice
 
 
 @given(n=st.integers(1, 12), decades=st.floats(0.0, 8.0),
@@ -278,7 +296,6 @@ def test_lockstep_angles_meet_the_scalar_contract(n, decades, seed, t):
     locs = np.unique(10.0 ** (decades * (rng.random(n) - 0.5)))
     nu = _atoms(rng.uniform(0.05, 1.0, locs.size), locs)
     ctx = fm.FlowContext(nu, t)
-    scalar = fm.FlowContext(_ScalarAtoms(nu), t)
     # every component's ends and interior, and radii off the region
     wlo, whi = flow.default_window(nu)
     rs = np.concatenate([np.geomspace(lo, hi, 7)
@@ -286,16 +303,28 @@ def test_lockstep_angles_meet_the_scalar_contract(n, decades, seed, t):
                         + [np.geomspace(wlo, whi, 5)])
     _lam, us = flow._radial_points(ctx, rs)
     for r, u in zip(rs.tolist(), us.tolist()):
-        cold = fm.solve_angle(scalar, r)
-        assert (u == 0.0) == (cold == 0.0)
-        if u == 0.0:
-            continue
-        noise = max(ctx.tol_quad, 1e-16 / u)
-        lhs = fm.level_function(nu, u, r, rtol=ctx.tol_quad)
-        assert abs(lhs - 1.0 / t) <= max(ctx.tol_root, noise) / t
-        ival = flow.poisson_kernel_integral(nu, r, math.sin(cold / 2) ** 2)
-        kappa = 1.0 / (t * cold * abs(flow._angle_lhs_dtheta(ctx, r, cold, ival)))
-        assert u == pytest.approx(cold, rel=1e-10 + 10.0 * kappa * noise)
+        ref = bisect_angle(nu, t, r)
+        assert (u == 0.0) == (ref == 0.0)
+        if u != 0.0:
+            assert_angle_contract(ctx, r, u, ref)
+
+
+@given(nu=st.one_of(*_DENSITY_STARTS), t=st.floats(0.05, 20.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_density_lockstep_from_any_guesses_meets_the_contract(nu, t, seed):
+    # each row starts from its own random guess, as the rows of a curve's
+    # later levels start from their own interpolated angles
+    rng = np.random.default_rng(seed)
+    ctx = fm.FlowContext(nu, t)
+    rs = np.concatenate([lo * (hi / lo) ** rng.random(3)
+                         for lo, hi in fm.blowup_region(ctx)])
+    guess = np.exp(rng.uniform(math.log(1e-9), math.log(math.pi), rs.size))
+    _lam, us = flow._radial_points(ctx, rs, guess)
+    for r, u in zip(rs.tolist(), us.tolist()):
+        ref = bisect_angle(nu, t, r)
+        assert (u == 0.0) == (ref == 0.0)
+        if u != 0.0:
+            assert_angle_contract(ctx, r, u, ref)
 
 
 def test_lockstep_rows_are_independent(monkeypatch):
@@ -312,6 +341,19 @@ def test_lockstep_rows_are_independent(monkeypatch):
             lam[k].tobytes(), u[k].tobytes())
         assert fm.solve_angle(ctx, r) == u[k]
         assert fm.radial_map(ctx, r) == lam[k]
+
+
+def test_density_lockstep_rows_are_independent():
+    # each row keeps its own guess: a radius solved alone from its guess is
+    # bitwise the radius solved among others, as in a curve's later levels
+    ctx = fm.FlowContext(fm.gamma_measure(2.0, 1.0), 1.0)
+    (lo, hi), = fm.blowup_region(ctx)
+    rs = np.geomspace(lo, hi, 7)
+    guess = np.array([1.0, 0.3, 2.0, 1e-3, 0.7, 2.9, 0.05])
+    lam, u = flow._radial_points(ctx, rs, guess)
+    assert np.count_nonzero(u) >= 5
+    for k, r in enumerate(rs.tolist()):
+        assert flow._radial_point(ctx, r, float(guess[k])) == (lam[k], u[k])
 
 
 def test_atomic_curve_makes_no_per_sample_atom_sum(monkeypatch):
@@ -672,14 +714,27 @@ def test_curve_cascade_components_and_zero_gaps():
     assert gaps and all(curve.q[i] == 0.0 for i in gaps)
 
 
-def test_curve_empty_region_yields_zero_curve():
-    # the floor-angle predicate saturates near 1e18, so at t = 1e-20 no
-    # radius blows up
-    ctx = fm.FlowContext(fm.dirac(1.0), 1e-20)
-    curve = fm.density_curve(ctx, points=128)
-    assert len(curve.support) == 0
-    assert np.all(curve.q == 0.0)
-    assert "empty blow-up region: zero curve" in curve.metadata["warnings"][0]
+@pytest.mark.parametrize("nu, t", [(fm.dirac(1.0), 1e-20),
+                                  (fm.gamma_measure(2.0, 1.0), 1e-10)],
+                         ids=["dirac", "gamma"])
+def test_curve_of_an_empty_blow_up_region_is_a_numeric_failure(nu, t):
+    # the true region is never empty for t > 0: the floor-angle predicate
+    # saturates near 1e18 for atoms and far lower for densities, so an
+    # empty scan is a failure of the instrument, not a zero density
+    with pytest.raises(EmptyVSet):
+        fm.density_curve(fm.FlowContext(nu, t), points=128)
+
+
+def test_curve_mass_and_mean_skip_the_support_gaps():
+    # at t = 1e-6 the 30 components are narrow and x*q at their end samples
+    # is large: trapezoids from an end sample to a gap's zero read 1.0116
+    # for the mass and 0.7% over e^{t/2} mean(nu) for the mean
+    nu, _spec = fm.build_counterexample(30)
+    t = 1e-6
+    curve = fm.density_curve(fm.FlowContext(nu, t), points=512)
+    assert len(curve.support) == 30
+    assert curve.mass() == pytest.approx(1.0, abs=1e-3)
+    assert curve.mean() == pytest.approx(math.exp(t / 2) * nu.mean(), rel=1e-3)
 
 
 def test_curve_window_clips():
