@@ -56,8 +56,10 @@ _WG = np.array([
     0.129484966168870,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
-# refinement passes of adaptive_quad before it gives up
+# refinement passes of adaptive_quad before it gives up, and the most
+# panels it splits in one pass
 MAX_DEPTH = 48
+MAX_PANELS = 60_000
 # geometric base panels: per decade of the range, and at most in all
 _PANELS_PER_DECADE = 6.0
 _MAX_BASE_PANELS = 720
@@ -144,7 +146,7 @@ def batch_edges(base, points, scales, lo: float, hi: float):
     return rows[keep], offsets
 
 
-def adaptive_quad(f, edges, rtol: float = 1e-9, max_panels: int = 60_000):
+def adaptive_quad(f, edges, rtol: float):
     """Globally adaptive Gauss-Kronrod 15(7) over the seeded panels.
 
     Parameters
@@ -220,7 +222,7 @@ def adaptive_quad(f, edges, rtol: float = 1e-9, max_panels: int = 60_000):
             raise NonIntegrable(
                 f"quadrature stalled at error {tot_err:.3e} "
                 f"(budget {budget:.3e})")
-        if 2 * split.sum() > max_panels:
+        if 2 * split.sum() > MAX_PANELS:
             raise NonIntegrable("quadrature exceeded the panel limit; "
                                 "kernel appears singular on the support")
 
@@ -231,7 +233,7 @@ def adaptive_quad(f, edges, rtol: float = 1e-9, max_panels: int = 60_000):
         f"quadrature did not converge within {MAX_DEPTH} refinement passes")
 
 
-def adaptive_quad_batch(f, edges, offsets, rtol, max_panels: int = 60_000):
+def adaptive_quad_batch(f, edges, offsets, rtol, max_panels: int):
     """`adaptive_quad` of many independent integrals in one refinement loop.
 
     Integral k has the panel edges edges[offsets[k]:offsets[k + 1]] and the
@@ -240,10 +242,10 @@ def adaptive_quad_batch(f, edges, offsets, rtol, max_panels: int = 60_000):
     column of the rows' integral indices (so k broadcasts against u).
 
     Integral k gets bitwise the value and error of adaptive_quad(lambda u:
-    f(u, k), its edges, rtol[k], max_panels).  Each integral keeps its panels
-    in adaptive_quad's order, and its Gauss-Kronrod products and sums run on
-    its own contiguous rows: BLAS and numpy's pairwise summation round by
-    the length of the array they see.
+    f(u, k), its edges, rtol[k]) with MAX_PANELS = max_panels.  Each
+    integral keeps its panels in adaptive_quad's order, and its
+    Gauss-Kronrod products and sums run on its own contiguous rows: BLAS and
+    numpy's pairwise summation round by the length of the array they see.
 
     Returns
     -------

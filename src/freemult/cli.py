@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import config_io
+from . import config_io, flow, unimodality
 from .criteria import (
     build_counterexample,
     default_angle_sweep,
@@ -54,18 +54,31 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_INCONCLUSIVE = 4
 
-_DEFAULT_CHECKS = ("mass", "support")
+_DEFAULT_CHECKS = ("mass",)
 _ALL_CHECKS = ("mass", "mean", "symmetry", "logunimodal", "pick",
-               "theta_sweep", "support")
+               "theta_sweep")
+# the density checks that read the curve, with the summary field each sets
+_CURVE_CHECKS = {"mean": "mean_pass", "symmetry": "symmetry_pass",
+                 "logunimodal": "logunimodal", "pick": "pick_holds"}
 
 
-def _window(value) -> list[float] | None:
-    """A window [lo, hi] of two numbers, or None."""
+def _window(value) -> tuple[float, float] | None:
+    """A window (lo, hi) of two numbers with 0 < lo < hi < inf, or None."""
     if value is None:
         return None
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ParseError(f"window must be 'lo,hi', got {value!r}")
-    return config_io.parse_numbers(value, "window")
+    return flow.check_window(config_io.parse_numbers(value, "window"))
+
+
+def _times_of(value, nu: Measure, command: str) -> list[float]:
+    """The run's `times`: a non-empty list of times the flow of nu takes."""
+    times = config_io.parse_numbers(value or [], "times")
+    if not times:
+        raise ParseError(f"{command} needs a non-empty 'times' list")
+    for t in times:
+        FlowContext(nu, t)
+    return times
 
 
 def _object(cfg: dict, name: str, command: str) -> dict:
@@ -148,11 +161,10 @@ def _check_expectations(expect: dict | None, summaries: list[dict]) -> list[str]
 
 def density_inputs(cfg: dict) -> dict:
     nu = _measure_of(cfg)
-    times = config_io.parse_numbers(cfg.get("times") or [], "times")
-    if not times:
-        raise ParseError("density needs a non-empty 'times' list")
+    times = _times_of(cfg.get("times"), nu, "density")
     grid = _object(cfg, "grid", "density")
     points = config_io.parse_number(grid.get("points", 512), "grid.points", int)
+    flow.check_points(points)
     window = _window(grid.get("window"))
     checks = _checks(cfg, _DEFAULT_CHECKS)
     for c in checks:
@@ -189,7 +201,12 @@ def run_density(tol: dict, out_dir: str, nu, times, points, window, checks):
                             f"(band {tol['tol_int']})")
         if "mass" in checks:
             summary["mass_pass"] = abs(mass - 1.0) <= tol["tol_int"]
-        if "mean" in checks:
+        # the checks that read an empty curve have nothing to read
+        skipped = [] if len(curve.support) else [c for c in _CURVE_CHECKS
+                                                 if c in checks]
+        summary.update({_CURVE_CHECKS[c]: "skipped" for c in skipped})
+        todo = [c for c in checks if c not in skipped]
+        if "mean" in todo:
             base_mean = nu.mean()
             if math.isinf(base_mean):
                 warnings.append(f"t={t:.17g}: mean check skipped "
@@ -200,19 +217,19 @@ def run_density(tol: dict, out_dir: str, nu, times, points, window, checks):
                 summary["mean_expected"] = expected
                 summary["mean_pass"] = (abs(mean - expected)
                                         <= tol["tol_mean_rel"] * expected)
-        if "symmetry" in checks:
+        if "symmetry" in todo:
             if is_mult_symmetric(nu, 1e-6):
                 defect = _log_symmetry_defect(curve)
                 summary["symmetry_defect"] = defect
                 summary["symmetry_pass"] = defect <= tol["tol_symmetry"]
             else:
                 summary["symmetry_pass"] = "skipped"
-        if "logunimodal" in checks or "pick" in checks:
+        if "logunimodal" in todo or "pick" in todo:
             mode_report = is_log_unimodal(curve, hysteresis=tol["hysteresis"])
-        if "logunimodal" in checks:
+        if "logunimodal" in todo:
             summary["logunimodal"] = mode_report.verdict
             summary["modes"] = list(mode_report.modes)
-        if "pick" in checks:
+        if "pick" in todo:
             if mode_report.modes:
                 gcurve = GridDensity(curve.x, curve.q, normalize=True)
                 pick = pick_inequality_check(gcurve, mode_report.modes[0],
@@ -303,18 +320,17 @@ def run_check(tol: dict, out_dir: str, nu, requested):
 
 def sweep_inputs(cfg: dict) -> dict:
     nu = _measure_of(cfg)
-    times = config_io.parse_numbers(cfg.get("times") or [], "times")
-    if not times:
-        raise ParseError("sweep needs a non-empty 'times' list")
+    times = _times_of(cfg.get("times"), nu, "sweep")
     angles = _object(cfg, "angles", "sweep")
     n_angles = config_io.parse_number(angles.get("count", 64), "angles.count", int)
     grid = config_io.parse_number(cfg.get("grid", 4096), "grid", int)
+    flow.check_points(grid)
     window = _window(cfg.get("window"))
-    return {"nu": nu, "times": times, "n_angles": n_angles, "grid": grid,
-            "window": window}
+    return {"nu": nu, "times": times, "angles": default_angle_sweep(n_angles),
+            "grid": grid, "window": window}
 
 
-def run_sweep(tol: dict, out_dir: str, nu, times, n_angles, grid, window):
+def run_sweep(tol: dict, out_dir: str, nu, times, angles, grid, window):
     warnings: list[str] = []
     results: dict = {}
     lo, hi = nu.math_support()
@@ -325,8 +341,8 @@ def run_sweep(tol: dict, out_dir: str, nu, times, n_angles, grid, window):
             warnings.append(f"time threshold unavailable: {exc}")
     per_t = []
     for t in times:
-        sweep = sweep_level_counts(nu, t, angles=default_angle_sweep(n_angles),
-                                   window=window, grid=grid)
+        sweep = sweep_level_counts(nu, t, angles=angles, window=window,
+                                   grid=grid)
         csv_path = os.path.join(out_dir, f"sweep_t{t:.17g}.csv")
         config_io.write_sweep_csv(sweep, csv_path)
         per_t.append({"t": t, "csv": os.path.basename(csv_path),
@@ -336,28 +352,26 @@ def run_sweep(tol: dict, out_dir: str, nu, times, n_angles, grid, window):
 
     code = EXIT_OK if all(s["log_unimodal"] for s in per_t) else EXIT_NEGATIVE
     inputs = {"measure": nu.to_dict(), "times": times,
-              "angles": {"count": n_angles}, "grid": grid,
+              "angles": {"count": len(angles)}, "grid": grid,
               "window": list(window) if window else None}
     return code, inputs, results, warnings, per_t
 
 
 def counterexample_inputs(cfg: dict) -> dict:
     n_atoms = config_io.parse_number(cfg.get("n_atoms", 30), "n_atoms", int)
-    rule = cfg.get("rule", "zeta6")
-    times = config_io.parse_numbers(cfg.get("times") or [1.0], "times")
     k_max = config_io.parse_number(cfg.get("k_max", n_atoms - 1), "k_max", int)
-    nu, spec = build_counterexample(n_atoms, rule=rule)
+    nu, spec = build_counterexample(n_atoms)
+    times = _times_of(cfg.get("times") or [1.0], nu, "counterexample")
     if k_max < 1:
         raise ParseError(f"k_max must be >= 1, got {k_max}")
-    return {"n_atoms": n_atoms, "rule": rule, "times": times, "k_max": k_max,
-            "nu": nu, "spec": spec}
+    return {"n_atoms": n_atoms, "times": times, "k_max": k_max, "nu": nu,
+            "spec": spec}
 
 
-def run_counterexample(tol: dict, out_dir: str, n_atoms, rule, times, k_max,
-                       nu, spec):
+def run_counterexample(tol: dict, out_dir: str, n_atoms, times, k_max, nu,
+                       spec):
     results: dict = {
         "n_atoms": n_atoms,
-        "rule": rule,
         "partial_sum_w_over_a": spec.partial_sum_w_over_a,
         "ratios_decreasing": spec.ratios_decreasing,
         "truncated_mass": spec.truncated_mass,
@@ -371,8 +385,7 @@ def run_counterexample(tol: dict, out_dir: str, n_atoms, rule, times, k_max,
             if c.below:
                 cert = c
                 break
-        ctx = FlowContext(nu, t, tol_root=tol["tol_root"], tol_quad=tol["tol_quad"])
-        components = len(blowup_region(ctx))
+        components = len(blowup_region(FlowContext(nu, t)))
         entry = {"t": t, "support_components": components,
                  "certificate_found": cert is not None}
         if cert is not None:
@@ -383,7 +396,7 @@ def run_counterexample(tol: dict, out_dir: str, n_atoms, rule, times, k_max,
         per_t.append(entry)
     results["per_t"] = per_t
 
-    inputs = {"n_atoms": n_atoms, "rule": rule, "times": times, "k_max": k_max}
+    inputs = {"n_atoms": n_atoms, "times": times, "k_max": k_max}
     return (EXIT_NEGATIVE if negative else EXIT_OK), inputs, results, [], per_t
 
 
@@ -454,8 +467,7 @@ _COMMANDS = {
               ("tol_pick", "hysteresis"), set(), check_inputs, run_check),
     "sweep": ({"measure": (), "times": (), "angles": ("count",), "window": (),
                "grid": ()}, (), {"t", "max_count"}, sweep_inputs, run_sweep),
-    "counterexample": ({"n_atoms": (), "times": (), "k_max": (), "rule": (),
-                        "tolerances": ()}, ("tol_root", "tol_quad"),
+    "counterexample": ({"n_atoms": (), "times": (), "k_max": ()}, (),
                        {"t", "support_components", "k", "midpoint", "f_value"},
                        counterexample_inputs, run_counterexample),
     "pick": ({"measure": (), "mode": (), "mode_sweep": ("lo", "hi", "count")},
@@ -482,6 +494,8 @@ def effective_tolerances(command: str, run: dict) -> dict:
         if not 0.0 < tol[k] < math.inf:
             raise ParseError(f"tolerance {k!r} must be finite and > 0, "
                              f"got {v!r}")
+    if "hysteresis" in tol:
+        unimodality.check_hysteresis(tol["hysteresis"])
     return tol
 
 
@@ -574,12 +588,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory")
 
 
-def _add_flow_tolerances(p: argparse.ArgumentParser) -> None:
-    """Solver tolerances, for the subcommands that run the flow solver."""
-    p.add_argument("--tol-root", dest="tolerances.tol_root")
-    p.add_argument("--tol-quad", dest="tolerances.tol_quad")
-
-
 def _times(text: str) -> list[str]:
     """Comma-separated times, blank entries dropped."""
     return [v for v in text.split(",") if v.strip()]
@@ -614,7 +622,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", dest="checks", action="append",
                    choices=list(_ALL_CHECKS))
     _add_common(p)
-    _add_flow_tolerances(p)
+    p.add_argument("--tol-root", dest="tolerances.tol_root")
+    p.add_argument("--tol-quad", dest="tolerances.tol_quad")
 
     p = sub.add_parser("check", help="log-unimodality checks for a measure")
     p.add_argument("--measure", required=True)
@@ -635,11 +644,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample",
                        help="truncated atomic cascade with gap certificates")
     p.add_argument("--n-atoms")
-    p.add_argument("--rule", choices=["zeta6"])
     p.add_argument("--t", dest="times", type=_times)
     p.add_argument("--k-max")
     _add_common(p)
-    _add_flow_tolerances(p)
 
     p = sub.add_parser("pick", help="half-plane inequality check")
     p.add_argument("--measure", required=True)

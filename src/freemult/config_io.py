@@ -129,11 +129,17 @@ def reject_unknown(d: dict, allowed: set[str], where: str) -> None:
 
 
 def parse_number(value, what: str, kind=float):
-    """`kind(value)`, or a ParseError naming the field `what`."""
+    """`kind(value)`, or a ParseError naming the field `what`: a boolean is
+    no number, and an int field takes no fraction (8.9 is not 8)."""
     try:
-        return kind(value)
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what} must be a number, got {value!r}") from exc
+    if kind is int and not isinstance(value, str) and number != value:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return number
 
 
 def parse_numbers(values, what: str) -> list[float]:

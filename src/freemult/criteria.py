@@ -37,7 +37,9 @@ from .errors import (
 )
 from .flow import (
     FlowContext,
-    _capped_blowup_at,
+    capped_blowup,
+    check_points,
+    check_window,
     kernel_denominator,
     poisson_kernel_integral,
 )
@@ -169,15 +171,10 @@ def count_level_solutions(nu: Measure, R: float, t: float, window=None,
     never widened, and WindowTooNarrow is raised instead."""
     if t <= 0:
         raise DomainError(f"t must be positive, got {t}")
-    if grid < 64:
-        raise DomainError(f"need at least 64 grid points, got {grid}")
+    check_points(grid)
     target = 1.0 / t
-    if window is None:
-        wlo, whi = _default_level_window(nu)
-    else:
-        wlo, whi = float(window[0]), float(window[1])
-        if not (0.0 < wlo < whi < math.inf):
-            raise DomainError(f"bad window {window}")
+    wlo, whi = (_default_level_window(nu) if window is None
+                else check_window(window))
 
     for _ in range(80):
         r, vals = _level_profile(nu, R, wlo, whi, grid)
@@ -485,7 +482,7 @@ class GapCertificate:
 def gap_certificate(nu: Measure, t: float, k: int) -> GapCertificate:
     """Evaluate the blow-up integral at the k-th reciprocal-gap midpoint,
     by the predicate `blowup_region` scans with (`flow.capped_blowup`, the
-    angle kernel at the floor angle, in the scan's batched form).
+    angle kernel at the floor angle).
 
     `below=True` certifies that the blow-up region excludes the midpoint
     while containing the reciprocals of the two adjacent atoms (poles of
@@ -502,5 +499,5 @@ def gap_certificate(nu: Measure, t: float, k: int) -> GapCertificate:
             f"k={k} needs atoms k and k+1; measure has {locs.size} atoms")
     a_k, a_k1 = float(locs[k - 1]), float(locs[k])
     b_k = 0.5 * (1.0 / a_k1 + 1.0 / a_k)
-    f_val = float(_capped_blowup_at(FlowContext(nu, t), np.array([b_k]))[0])
+    f_val = capped_blowup(FlowContext(nu, t), b_k)
     return GapCertificate(k, b_k, f_val, f_val < 1.0 / t)

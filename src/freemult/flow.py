@@ -65,9 +65,9 @@ class FlowContext:
     """Immutable bundle of a starting measure, a time, and solver knobs.
 
     tol_root is the relative residual target of the angle and inversion
-    solves; tol_quad is the quadrature tolerance used inside the solver
-    (tighter than the public integration default so root residuals are not
-    limited by quadrature noise).
+    solves; tol_quad is the quadrature tolerance of the solver's kernel sums
+    over a density start, tight so that quadrature noise does not limit the
+    root residuals.
     """
 
     nu: Measure
@@ -80,6 +80,20 @@ class FlowContext:
             raise InvariantViolation("flow.t", f"time must be positive, got {self.t}")
         if self.tol_root <= 0 or self.tol_quad <= 0:
             raise InvariantViolation("flow.tol", "tolerances must be positive")
+
+
+def check_window(window) -> tuple[float, float]:
+    """A window's ends (lo, hi) as floats, with 0 < lo < hi < inf."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (0.0 < lo < hi < math.inf):
+        raise DomainError(f"bad window {window}")
+    return lo, hi
+
+
+def check_points(points: int) -> None:
+    """A density curve, or a level profile, takes at least 64 samples."""
+    if points < 64:
+        raise DomainError(f"need at least 64 points, got {points}")
 
 
 def _kernel_rtol(rtol: float, sin_half_sq: float) -> float:
@@ -96,24 +110,6 @@ def kernel_denominator(u, s2: float):
     return np.maximum((1.0 - u) ** 2 + 4.0 * u * s2, _DENOM_FLOOR)
 
 
-def _kernel_integral(nu: Measure, r: float, s2: float, integrand,
-                     rtol: float) -> float:
-    """int integrand(r*xi, denom) d nu(xi), denom = (1 - r*xi)^2 + 4 r*xi s2,
-    for a density nu: the denominator is floored, the panels are seeded at
-    the pole 1/r with the Lorentzian width, and the tolerance is relaxed to
-    the cancellation floor."""
-    xs = 1.0 / r
-
-    def kernel(xi):
-        u = r * xi
-        return integrand(u, kernel_denominator(u, s2))
-
-    scale = max(2.0 * math.sqrt(s2) * xs, xs * 1e-14)
-    return float(relaxed_retry(
-        lambda rt: nu.integrate(kernel, xs, scale, rtol=rt),
-        _kernel_rtol(rtol, s2)))
-
-
 def _kernel_sums(nu: Measure, rs: np.ndarray, s2, integrand, rtol: float,
                  *cols) -> np.ndarray:
     """int integrand(r*xi, denom, *(c[k] for c in cols)) d nu(xi) at each
@@ -121,7 +117,8 @@ def _kernel_sums(nu: Measure, rs: np.ndarray, s2, integrand, rtol: float,
 
     The one sum of the flow kernels: an atomic nu takes one batch of exact
     atom sums, each row bitwise its own `integrate`; a density nu takes one
-    quadrature a row, `_kernel_integral`."""
+    quadrature a row, seeded at the pole 1/r with the Lorentzian width and
+    relaxed to the cancellation floor."""
     s2 = np.asarray(s2, float)
     if isinstance(nu, Atomic):
         def kernel(xi, k):
@@ -131,11 +128,18 @@ def _kernel_sums(nu: Measure, rs: np.ndarray, s2, integrand, rtol: float,
 
         # atom sums are exact: the trouble points and the tolerance go unused
         return nu.integrate_batch(kernel, rs, rs, 0.0)[0]
-    return np.array([
-        _kernel_integral(nu, r, s, lambda u, d, k=k: integrand(
-            u, d, *(c[k] for c in cols)), rtol)
-        for k, (r, s) in enumerate(zip(rs.tolist(),
-                                       np.broadcast_to(s2, rs.shape).tolist()))])
+    out = np.empty(rs.size)
+    for k, (r, s) in enumerate(zip(rs.tolist(),
+                                   np.broadcast_to(s2, rs.shape).tolist())):
+        def kernel(xi):
+            u = r * xi
+            return integrand(u, kernel_denominator(u, s), *(c[k] for c in cols))
+
+        xs = 1.0 / r
+        scale = max(2.0 * math.sqrt(s) * xs, xs * 1e-14)
+        out[k] = relaxed_retry(lambda rt: nu.integrate(kernel, xs, scale, rt),
+                               _kernel_rtol(rtol, s))
+    return out
 
 
 def _poisson(u, d):
@@ -157,11 +161,6 @@ def _radial(q, d):
     return np.where(np.isinf(d), 1.0, (q * q - 1.0) / d)
 
 
-def _one(r, vals: np.ndarray):
-    """vals, or its one float where r is a single radius."""
-    return vals if np.ndim(r) else float(vals[0])
-
-
 def poisson_kernel_integral(nu: Measure, r: float, sin_half_sq: float,
                             rtol: float = 1e-12) -> float:
     """int r*xi / ((1 - r*xi)^2 + 4 r*xi sin^2(theta/2)) d nu(xi)."""
@@ -172,15 +171,12 @@ def poisson_kernel_integral(nu: Measure, r: float, sin_half_sq: float,
 
 
 def _angle_lhs_dtheta(ctx: FlowContext, r, theta, ival):
-    """d/d theta of the angle-equation LHS at radii r and angles theta (the
-    Newton slope of `_radial_points`), given ival = poisson_kernel_integral
-    there; one radius gives a float."""
-    rs, theta = np.atleast_1d(r), np.atleast_1d(theta)
+    """d/d theta of the angle-equation LHS at radii r and angles theta, the
+    Newton slope of `_radial_points`, given the Poisson kernel sums ival."""
     sin_t, cos_t = np.sin(theta), np.cos(theta)
-    dival = _kernel_sums(ctx.nu, rs, np.sin(0.5 * theta) ** 2, _slope,
+    dival = _kernel_sums(ctx.nu, r, np.sin(0.5 * theta) ** 2, _slope,
                          ctx.tol_quad, sin_t)
-    return _one(r, (cos_t * theta - sin_t) / theta ** 2 * ival
-                + sin_t / theta * dival)
+    return (cos_t * theta - sin_t) / theta ** 2 * ival + sin_t / theta * dival
 
 
 def capped_blowup(ctx: FlowContext, r: float) -> float:
@@ -213,10 +209,8 @@ def _require_sign_change(ctx: FlowContext) -> None:
 
 def _radial_exponent(ctx: FlowContext, r, u):
     """int (r^2 xi^2 - 1) / ((1 - r*xi)^2 + 4 r*xi sin^2(u/2)) d nu(xi) at
-    radii r and angles u; one radius gives a float."""
-    s2 = np.sin(0.5 * np.atleast_1d(u)) ** 2
-    return _one(r, _kernel_sums(ctx.nu, np.atleast_1d(r), s2, _radial,
-                                ctx.tol_quad))
+    radii r and angles u."""
+    return _kernel_sums(ctx.nu, r, np.sin(0.5 * u) ** 2, _radial, ctx.tol_quad)
 
 
 def _radial_point(ctx: FlowContext, r: float,
@@ -390,11 +384,7 @@ def blowup_region(ctx: FlowContext, window=None) -> list[tuple[float, float]]:
     force-included in the scan so no island is missed.
     """
     nu = ctx.nu
-    if window is None:
-        window = default_window(nu)
-    wlo, whi = float(window[0]), float(window[1])
-    if not (0.0 < wlo < whi):
-        raise DomainError(f"bad window {window}")
+    wlo, whi = check_window(default_window(nu) if window is None else window)
     target = 1.0 / ctx.t
 
     rs = [np.geomspace(wlo, whi, _SCAN_POINTS)]
@@ -529,16 +519,12 @@ def density_curve(ctx: FlowContext, points: int = 512,
     radial variable runs over a log grid and every sample is an exact
     (r -> 1/Lambda(r), u/(pi t x)) pair, so no interpolation error enters.
     `window`, when given, clips the curve in x-space.  The metadata holds
-    the curve's `warnings`, its `mass` and the number of components
-    `merged` below the sampling resolution.
+    the curve's `warnings` and its `mass`.
     """
-    if points < 64:
-        raise DomainError(f"need at least 64 points, got {points}")
+    check_points(points)
     if window is not None:
-        wlo, whi = float(window[0]), float(window[1])
-        if not (0.0 < wlo < whi < math.inf):
-            raise DomainError(f"bad window {window}")
-    meta = {"warnings": [], "merged": 0}
+        wlo, whi = check_window(window)
+    meta = {"warnings": []}
 
     # an empty region is the floor-angle predicate saturating (the true one
     # is never empty for t > 0), so EmptyVSet is raised, not a zero curve
@@ -563,8 +549,7 @@ def density_curve(ctx: FlowContext, points: int = 512,
             meta["mass"] = 0.0
             return DensityCurve(x, np.zeros_like(x), SupportSet(()), meta)
 
-    comps, merged = _merge_close(comps, points)
-    meta["merged"] = merged
+    comps = _merge_close(comps, points)
 
     widths = np.array([math.log(c[1] / c[0]) if c[1] > c[0] else 1e-12
                        for c in comps])
@@ -637,16 +622,14 @@ def _clip_components(ctx, comps, x_lo_w, x_hi_w):
 def _merge_close(comps, points):
     total = sum(math.log(c[1] / c[0]) for c in comps if c[1] > c[0]) or 1.0
     resolution = 2.0 * total / points
-    merged = 0
     out = [comps[0]]
     for comp in comps[1:]:
         gap = math.log(comp[0] / out[-1][1])
         if gap < resolution:
             out[-1] = [out[-1][0], comp[1], out[-1][2], comp[3]]
-            merged += 1
         else:
             out.append(comp)
-    return out, merged
+    return out
 
 
 def _assemble_with_gaps(xs_parts, qs_parts):

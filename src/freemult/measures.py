@@ -44,8 +44,7 @@ from .errors import (
 # carry discretization error
 TOL_MASS_ATOMIC = 1e-6
 TOL_MASS_GRID = 1e-3
-# quadrature defaults
-TOL_QUAD = 1e-9
+# the tail mass an effective support leaves out per side by default
 TOL_TAIL = 1e-12
 
 # integrate_batch refines its integrals in chunks of at most _BATCH_NODES
@@ -457,9 +456,8 @@ class Measure:
         """Positive finite bounds containing all but `tail` of the mass per side."""
         raise NotImplementedError
 
-    def integrate(self, kernel, point: float = math.nan,
-                  scale: float = math.nan,
-                  rtol: float = TOL_QUAD) -> complex | float:
+    def integrate(self, kernel, point: float, scale: float,
+                  rtol: float) -> complex | float:
         """int kernel(u) d nu(u) over a density measure, its panels seeded
         at the trouble point `point` of width `scale` (a nan point: none)."""
         val, _err = adaptive_quad(
@@ -555,7 +553,7 @@ class Atomic(Measure):
     def effective_support(self, tail: float = TOL_TAIL):
         return self.math_support()
 
-    def integrate(self, kernel, point=math.nan, scale=math.nan, rtol=TOL_QUAD):
+    def integrate(self, kernel, point, scale, rtol):
         vals = np.asarray(kernel(self.a))
         total = np.dot(self.w, vals)
         return complex(total) if np.iscomplexobj(vals) else float(total)

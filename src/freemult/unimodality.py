@@ -114,6 +114,12 @@ def _parabolic_refine(x: np.ndarray, y: np.ndarray, i: int) -> float:
     return float(vertex) if x0 < vertex < x2 else float(x1)
 
 
+def check_hysteresis(hysteresis: float) -> None:
+    """A mode count's hysteresis is a fraction in (0, 0.1) of the maximum."""
+    if not (0.0 < hysteresis < 0.1):
+        raise DomainError(f"hysteresis must be in (0, 0.1), got {hysteresis}")
+
+
 def count_modes(x, y, hysteresis: float = DEFAULT_HYSTERESIS) -> ModeReport:
     """Count local maxima of a sampled curve after hysteresis filtering.
 
@@ -128,8 +134,7 @@ def count_modes(x, y, hysteresis: float = DEFAULT_HYSTERESIS) -> ModeReport:
         raise DomainError("curve needs >= 64 samples with matching shapes")
     if not np.all(np.diff(x) > 0):
         raise DomainError("abscissae must be strictly increasing")
-    if not (0.0 < hysteresis < 0.1):
-        raise DomainError(f"hysteresis must be in (0, 0.1), got {hysteresis}")
+    check_hysteresis(hysteresis)
     vmax = float(y.max())
     if vmax <= 0.0:
         raise DegenerateInput("curve is identically zero")

@@ -1,7 +1,9 @@
 import argparse
+import ast
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -214,8 +216,8 @@ _SAME_RUNS = {
                 {"measure": json.loads(DIRAC1), "times": [1],
                  "grid": {"points": 64, "window": [0.2, 5]},
                  "tolerances": {"tol_root": 1e-9}}),
-    "counterexample": (["counterexample", "--n-atoms", "8", "--tol-quad", "1e-9"],
-                       {"n_atoms": 8, "tolerances": {"tol_quad": 1e-9}}),
+    "counterexample": (["counterexample", "--n-atoms", "8", "--t", "0.5,1"],
+                       {"n_atoms": 8, "times": [0.5, 1]}),
     "sweep": (["sweep", "--measure", DIRAC1, "--t", "1", "--angles", "8",
                "--grid", "512", "--window", "0.01,100"],
               {"measure": json.loads(DIRAC1), "times": [1],
@@ -298,6 +300,36 @@ def test_every_flag_sets_one_field_of_its_run():
                 command, action.dest)
 
 
+def _defaulted_public_parameters() -> int:
+    """Parameters with a default, over the public functions and methods
+    (names without a leading underscore, of public classes) of src/freemult."""
+    count = 0
+
+    def walk(body):
+        nonlocal count
+        for node in body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                walk(node.body)
+            elif (isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("_")):
+                count += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+
+    for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
+        walk(ast.parse(path.read_text()).body)
+    return count
+
+
+def test_settable_value_census():
+    # a knob added or removed changes this total on purpose: 32 defaulted
+    # public parameters and 27 subcommand flags
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = sum(1 for parser in sub.choices.values() for a in parser._actions
+                if a.option_strings and not isinstance(a, argparse._HelpAction))
+    assert _defaulted_public_parameters() + flags == 59
+
+
 def test_reports_list_the_tolerances_read(tmp_path):
     out = str(tmp_path)
     assert main(["sweep", "--measure", DIRAC1, "--t", "1", "--angles", "4",
@@ -358,11 +390,9 @@ def test_tolerance_flags_only_on_flow_commands(tmp_path):
                  "1e-9", "--out", out]) == 2
     assert main(["check", "--measure", GAMMA21, "--tol-root", "1e-3",
                  "--out", out]) == 2
+    # a counterexample's start is atomic: its atom sums read no tolerance
     assert main(["counterexample", "--n-atoms", "5", "--tol-quad", "1e-9",
-                 "--out", out]) == 0
-    report = json.loads(
-        open(os.path.join(out, "counterexample_report.json")).read())
-    assert report["tolerances"]["tol_quad"] == 1e-9
+                 "--out", out]) == 2
 
 
 def test_unwired_tolerance_rejected(tmp_path):
@@ -610,6 +640,9 @@ def test_uniform_support_narrower_than_the_clamp_is_a_config_error(tmp_path,
     assert main(argv(1.0 + 1e-14)) == cli.EXIT_OK
 
 
+_D = json.loads(DIRAC1)
+
+
 @pytest.mark.parametrize("later", [
     {"command": "density", "measure": json.loads(DIRAC1), "times": ["a"]},
     {"command": "density", "measure": json.loads(DIRAC1), "times": [1],
@@ -639,10 +672,38 @@ def test_uniform_support_narrower_than_the_clamp_is_a_config_error(tmp_path,
     {"command": ["density"], "measure": json.loads(DIRAC1), "times": [1]},
     {"command": {"name": "density"}, "measure": json.loads(DIRAC1),
      "times": [1]},
+    # values out of range, found by the library's own checks
+    {"command": "sweep", "measure": _D, "times": [1], "angles": {"count": 1}},
+    {"command": "density", "measure": _D, "times": [1], "grid": {"points": 10}},
+    {"command": "sweep", "measure": _D, "times": [1], "grid": 10},
+    {"command": "density", "measure": _D, "times": [-1]},
+    {"command": "sweep", "measure": _D, "times": [0]},
+    {"command": "counterexample", "n_atoms": 5, "times": [-1]},
+    {"command": "density", "measure": _D, "times": [1],
+     "grid": {"window": [2, 1]}},
+    {"command": "sweep", "measure": _D, "times": [1], "window": [0, 1]},
+    {"command": "check", "measure": json.loads(GAMMA21), "hysteresis": 0.1},
+    {"command": "density", "measure": _D, "times": [1],
+     "tolerances": {"hysteresis": 0.5}},
+    # counts that are not whole, and a boolean for a number
+    {"command": "sweep", "measure": _D, "times": [1],
+     "angles": {"count": 8.9}, "grid": 256},
+    {"command": "density", "measure": _D, "times": [1],
+     "grid": {"points": 256.7}},
+    {"command": "counterexample", "n_atoms": 8.9},
+    {"command": "counterexample", "n_atoms": 8, "k_max": 2.5},
+    {"command": "pick", "measure": json.loads(GAMMA21),
+     "mode_sweep": {"lo": 1, "hi": 3, "count": 2.5}},
+    {"command": "density", "measure": _D, "times": [1, True]},
 ], ids=["times", "grid", "measure", "mode_sweep", "rule", "grid_key",
         "angles_key", "mode_sweep_key", "grid_falsy", "angles_falsy",
         "checks_text", "check_checks_text", "mode_and_mode_sweep", "k_max",
-        "unknown_field", "tolerance", "command_list", "command_object"])
+        "unknown_field", "tolerance", "command_list", "command_object",
+        "angles_count_range", "grid_points_range", "sweep_grid_range",
+        "density_time", "sweep_time", "counterexample_time", "density_window",
+        "sweep_window", "check_hysteresis", "density_hysteresis",
+        "angles_count_fraction", "grid_points_fraction", "n_atoms_fraction",
+        "k_max_fraction", "mode_sweep_count_fraction", "times_true"])
 def test_bad_later_run_fields_are_a_config_error_before_any_run(tmp_path, capsys,
                                                                 later):
     # run 0 would write its report; run 1 is malformed in one field
@@ -654,6 +715,41 @@ def test_bad_later_run_fields_are_a_config_error_before_any_run(tmp_path, capsys
     assert main(["scenario", path, "--out", str(out)]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, run, field", [
+    (["counterexample", "--rule", "zeta6"], None, "--rule"),
+    (["counterexample", "--tol-root", "1e-9"], None, "--tol-root"),
+    (None, {"command": "counterexample", "tolerances": {"tol_root": 1e-9}},
+     "'tolerances'"),
+    (None, {"command": "density", "measure": _D, "times": [1],
+            "checks": ["support"]}, "'support'"),
+], ids=["rule_flag", "tol_root_flag", "counterexample_tolerances",
+        "support_check"])
+def test_removed_knobs_are_config_errors_naming_the_field(tmp_path, capsys,
+                                                          argv, run, field):
+    out = tmp_path / "out"
+    if argv is None:
+        path = str(tmp_path / "scenario.json")
+        with open(path, "w") as fh:
+            json.dump({"schema_version": 1, "runs": [run]}, fh)
+        argv = ["scenario", path]
+    assert main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("check", list(cli._CURVE_CHECKS))
+def test_curve_checks_of_an_empty_curve_are_skipped(tmp_path, check):
+    # dirac(1) at t = 1 is supported inside [0.125, 8.01]
+    out = str(tmp_path)
+    assert main(["density", "--measure", DIRAC1, "--t", "1", "--window",
+                 "100,200", "--check", check, "--out", out]) == cli.EXIT_OK
+    report = json.loads(open(os.path.join(out, "density_report.json")).read())
+    entry, = report["results"]["per_t"]
+    assert entry["support_components"] == 0
+    assert entry[cli._CURVE_CHECKS[check]] == "skipped"
+    assert report["warnings"] == ["t=1: window excludes the whole support"]
 
 
 def test_scenario_out_dir_must_be_a_string(tmp_path, capsys, monkeypatch):

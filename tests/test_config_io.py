@@ -14,6 +14,20 @@ from freemult.errors import InvariantViolation, IoError, ParseError
 # measure parsing
 # ---------------------------------------------------------------------------
 
+def test_parse_number_keeps_integers_whole_and_takes_no_booleans():
+    assert config_io.parse_number(8.0, "n", int) == 8
+    assert config_io.parse_number("8", "n", int) == 8
+    assert config_io.parse_number(0.5, "x") == 0.5
+    with pytest.raises(ParseError, match="n must be an integer, got 8.9"):
+        config_io.parse_number(8.9, "n", int)
+    for kind in (int, float):
+        with pytest.raises(ParseError, match="n must be a number, got True"):
+            config_io.parse_number(True, "n", kind)
+    with pytest.raises(ParseError, match="params.c must be a number"):
+        config_io.parse_measure('{"kind": "named", "family": "dirac", '
+                                '"params": {"c": true}}')
+
+
 def test_parse_named_gamma():
     nu = config_io.parse_measure(
         '{"kind": "named", "family": "gamma", "params": {"p": 2, "theta": 1}}')
@@ -225,11 +239,11 @@ def test_scenario_runs_reject_outputs(command):
 
 @pytest.mark.parametrize("command", list(_RUNS))
 def test_only_density_runs_take_tolerances(command):
-    # counterexample runs take the flow tolerances, as its flags do
+    # a counterexample's start is atomic: its atom sums read no tolerance
     tolerances = ({"tol_root": 1e-9} if command == "counterexample"
                   else {"tol_pick": 1e-9})
     text = _scenario(command, tolerances=tolerances)
-    if command in ("density", "counterexample"):
+    if command == "density":
         _prepare(text)
     else:
         with pytest.raises(ParseError, match="tolerances"):

@@ -53,7 +53,8 @@ def assert_angle_contract(ctx, r, u, ref):
     # edges, where LHS ~ f(r) - A theta^2 and f(r) ~ 1/t
     ival = flow.poisson_kernel_integral(ctx.nu, r, math.sin(ref / 2) ** 2,
                                         rtol=ctx.tol_quad)
-    kappa = 1.0 / (t * ref * abs(flow._angle_lhs_dtheta(ctx, r, ref, ival)))
+    der = flow._angle_lhs_dtheta(ctx, np.array([r]), np.array([ref]), ival)[0]
+    kappa = 1.0 / (t * ref * abs(der))
     assert u == pytest.approx(ref, rel=1e-10 + 10.0 * kappa * noise)
 
 
@@ -101,7 +102,8 @@ def test_angle_lhs_dtheta_matches_central_difference(nu):
                                             rtol=ctx.tol_quad)
         fd = (fm.level_function(nu, theta + h, r, rtol=ctx.tol_quad)
               - fm.level_function(nu, theta - h, r, rtol=ctx.tol_quad)) / (2 * h)
-        assert flow._angle_lhs_dtheta(ctx, r, theta, ival) == pytest.approx(
+        assert flow._angle_lhs_dtheta(
+            ctx, np.array([r]), np.array([theta]), ival)[0] == pytest.approx(
             fd, rel=1e-6)
 
 
@@ -117,7 +119,8 @@ def test_atomic_kernels_match_direct_sums():
         assert flow.poisson_kernel_integral(nu, r, s2) == pytest.approx(
             np.sum(w * u / denom), rel=1e-14)
         terms = w * (u * u - 1.0) / denom
-        assert flow._radial_exponent(ctx, r, theta) == pytest.approx(
+        assert flow._radial_exponent(
+            ctx, np.array([r]), np.array([theta]))[0] == pytest.approx(
             np.sum(terms), rel=1e-14, abs=1e-14 * np.sum(np.abs(terms)))
 
 
@@ -399,8 +402,9 @@ def test_flow_kernels_take_their_limits_where_the_denominator_overflows():
     # to 1 and the angle-slope kernel to 0 there
     ctx = fm.FlowContext(fm.dirac(1e200), 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert flow._radial_exponent(ctx, 1e5, 0.5) == 1.0
-        assert flow._angle_lhs_dtheta(ctx, 1e5, 0.5, 0.0) == 0.0
+        r, theta = np.array([1e5]), np.array([0.5])
+        assert flow._radial_exponent(ctx, r, theta)[0] == 1.0
+        assert flow._angle_lhs_dtheta(ctx, r, theta, 0.0)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

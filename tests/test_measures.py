@@ -69,29 +69,32 @@ def test_density_zero_outside_support():
 # ---------------------------------------------------------------------------
 
 def test_integrate_point_mass():
-    assert fm.dirac(3.0).integrate(lambda x: x ** 2) == 9.0
+    assert fm.dirac(3.0).integrate(lambda x: x ** 2, math.nan, math.nan,
+                                    1e-9) == 9.0
 
 
 def test_integrate_gamma_mean():
-    assert fm.gamma_measure(2, 1).integrate(lambda x: x) == pytest.approx(
-        2.0, rel=1e-8)
+    assert fm.gamma_measure(2, 1).integrate(
+        lambda x: x, math.nan, math.nan, 1e-9) == pytest.approx(2.0, rel=1e-8)
 
 
 def test_integrate_uniform_reciprocal():
-    assert fm.uniform_interval(1, 2).integrate(lambda x: 1.0 / x) == pytest.approx(
+    assert fm.uniform_interval(1, 2).integrate(
+        lambda x: 1.0 / x, math.nan, math.nan, 1e-9) == pytest.approx(
         math.log(2.0), rel=1e-10)
 
 
 @pytest.mark.parametrize("nu", ALL_DENSITY_FAMILIES,
                          ids=lambda m: f"{m.family}{tuple(m.params.values())}")
 def test_unit_mass(nu):
-    assert nu.integrate(lambda x: np.ones_like(x)) == pytest.approx(1.0, abs=1e-6)
+    assert nu.integrate(lambda x: np.ones_like(x), math.nan, math.nan,
+                        1e-9) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_integrate_matches_scipy_oracle():
     nu = fm.gamma_measure(2.5, 0.7)
     kernel = lambda x: np.log1p(x) / (1.0 + x)
-    mine = nu.integrate(kernel)
+    mine = nu.integrate(kernel, math.nan, math.nan, 1e-9)
     ref, _ = sp_integrate.quad(
         lambda x: math.log1p(x) / (1 + x) * float(nu.density(np.array([x]))[0]),
         0, np.inf, limit=300)
@@ -101,7 +104,7 @@ def test_integrate_matches_scipy_oracle():
 def test_integrate_interior_pole_raises():
     with pytest.raises(NonIntegrable):
         fm.uniform_interval(1, 2).integrate(lambda x: 1.0 / (x - 1.5) ** 2,
-                                            1.5, 1e-9)
+                                            1.5, 1e-9, 1e-9)
 
 
 # each row: r, theta of a flow kernel, and a trouble point with its scale
@@ -467,7 +470,8 @@ def test_grid_invariants():
     x = np.geomspace(0.1, 10, 64)
     f = 1.0 / (x * math.log(100.0))  # reciprocal density, unit mass
     m = fm.GridDensity(x, f, normalize=True)
-    assert m.integrate(lambda u: np.ones_like(u)) == pytest.approx(1.0, abs=1e-9)
+    assert m.integrate(lambda u: np.ones_like(u), math.nan, math.nan,
+                       1e-9) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_named_unknown_family_and_params():
