@@ -58,8 +58,9 @@ _DEFAULT_CHECKS = ("mass",)
 _ALL_CHECKS = ("mass", "mean", "symmetry", "logunimodal", "pick",
                "theta_sweep")
 # the density checks that read the curve, with the summary field each sets
-_CURVE_CHECKS = {"mean": "mean_pass", "symmetry": "symmetry_pass",
-                 "logunimodal": "logunimodal", "pick": "pick_holds"}
+_CURVE_CHECKS = {"mass": "mass_pass", "mean": "mean_pass",
+                 "symmetry": "symmetry_pass", "logunimodal": "logunimodal",
+                 "pick": "pick_holds"}
 
 
 def _window(value) -> tuple[float, float] | None:
@@ -182,9 +183,9 @@ def run_density(tol: dict, out_dir: str, nu, times, points, window, checks):
         curve = density_curve(ctx, points=points, window=window)
         csv_path = os.path.join(out_dir, f"density_t{t:.17g}.csv")
         config_io.write_curve_csv(curve, csv_path)
-        warnings.extend(f"t={t:.17g}: {w}" for w in curve.metadata["warnings"])
+        warnings.extend(f"t={t:.17g}: {w}" for w in curve.warnings)
 
-        mass = curve.metadata["mass"]
+        mass = curve.mass()
         summary: dict = {
             "t": t,
             "csv": os.path.basename(csv_path),
@@ -199,13 +200,13 @@ def run_density(tol: dict, out_dir: str, nu, times, points, window, checks):
                      "the sampled window")
             warnings.append(f"t={t:.17g}: curve mass {mass:.6g} {cause} "
                             f"(band {tol['tol_int']})")
-        if "mass" in checks:
-            summary["mass_pass"] = abs(mass - 1.0) <= tol["tol_int"]
         # the checks that read an empty curve have nothing to read
         skipped = [] if len(curve.support) else [c for c in _CURVE_CHECKS
                                                  if c in checks]
         summary.update({_CURVE_CHECKS[c]: "skipped" for c in skipped})
         todo = [c for c in checks if c not in skipped]
+        if "mass" in todo:
+            summary["mass_pass"] = abs(mass - 1.0) <= tol["tol_int"]
         if "mean" in todo:
             base_mean = nu.mean()
             if math.isinf(base_mean):

@@ -22,6 +22,10 @@ class BracketFailure(FreemultError):
     """A bracketed root solve could not locate a sign change."""
 
 
+class FloatOverflow(FreemultError):
+    """A result leaves the floating-point range."""
+
+
 class EmptyVSet(FreemultError):
     """No blow-up region was found inside the search window."""
 

@@ -25,7 +25,7 @@ parametrically in r inside each component (exact values, no interpolation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
@@ -34,6 +34,7 @@ from .errors import (
     BracketFailure,
     DomainError,
     EmptyVSet,
+    FloatOverflow,
     InvariantViolation,
 )
 from .measures import Atomic, Measure
@@ -487,7 +488,7 @@ class DensityCurve:
     x: np.ndarray
     q: np.ndarray
     support: SupportSet
-    metadata: dict = field(default_factory=dict)
+    warnings: tuple[str, ...]
 
     def xq(self) -> np.ndarray:
         return self.x * self.q
@@ -516,27 +517,33 @@ def density_curve(ctx: FlowContext, points: int = 512,
     """Sample the marginal density over its support.
 
     The curve is sampled parametrically: inside each blow-up component the
-    radial variable runs over a log grid and every sample is an exact
-    (r -> 1/Lambda(r), u/(pi t x)) pair, so no interpolation error enters.
-    `window`, when given, clips the curve in x-space.  The metadata holds
-    the curve's `warnings` and its `mass`.
+    radial variable runs over its own log grid, of at least 16 samples and
+    the rest by the component's share of the summed log-widths in x, and
+    every sample is an exact (r -> 1/Lambda(r), u/(pi t x)) pair, so no
+    interpolation error enters.  `window`, when given, clips the curve in
+    x-space.  A radial map beyond the float range at a component's end (at
+    very large t) is a FloatOverflow.
     """
     check_points(points)
     if window is not None:
         wlo, whi = check_window(window)
-    meta = {"warnings": []}
+    warnings = []
 
     # an empty region is the floor-angle predicate saturating (the true one
     # is never empty for t > 0), so EmptyVSet is raised, not a zero curve
     r_ints = blowup_region(ctx)
     # map components to x-space (reverse order: 1/Lambda is decreasing)
     ends = np.array(r_ints).ravel()  # increasing
-    lam_e, u_e = _radial_points(ctx, ends)
+    with np.errstate(over="ignore"):  # an overflow is raised just below
+        lam_e, u_e = _radial_points(ctx, ends)
+    if not np.all((lam_e >= _NORMAL_MIN) & (lam_e < math.inf)):
+        raise FloatOverflow(f"t={ctx.t}: the radial map at a support "
+                            f"component's end leaves the float range")
     comps = []
     for (rlo, rhi), (lam_lo, lam_hi) in zip(r_ints, lam_e.reshape(-1, 2)):
         x_hi, x_lo = 1.0 / lam_lo, 1.0 / lam_hi
         if x_lo > x_hi:
-            meta["warnings"].append("radial map not increasing on a component")
+            warnings.append("radial map not increasing on a component")
             x_lo, x_hi = x_hi, x_lo
         comps.append([x_lo, x_hi, rlo, rhi])
     comps.sort(key=lambda c: c[0])
@@ -545,14 +552,13 @@ def density_curve(ctx: FlowContext, points: int = 512,
         comps = _clip_components(ctx, comps, wlo, whi)
         if not comps:
             x = np.geomspace(wlo, whi, points)
-            meta["warnings"].append("window excludes the whole support")
-            meta["mass"] = 0.0
-            return DensityCurve(x, np.zeros_like(x), SupportSet(()), meta)
+            warnings.append("window excludes the whole support")
+            return DensityCurve(x, np.zeros_like(x), SupportSet(()),
+                                tuple(warnings))
 
-    comps = _merge_close(comps, points)
-
-    widths = np.array([math.log(c[1] / c[0]) if c[1] > c[0] else 1e-12
-                       for c in comps])
+    # a difference of logs: the ratio x_hi / x_lo overflows past ~308 decades
+    widths = np.array([math.log(c[1]) - math.log(c[0]) if c[1] > c[0]
+                       else 1e-12 for c in comps])
     alloc = np.maximum(16, np.round(points * widths / widths.sum())).astype(int)
     grids = [np.geomspace(c[2], c[3], int(n_i))[::-1]
              for c, n_i in zip(comps, alloc)]
@@ -571,9 +577,7 @@ def density_curve(ctx: FlowContext, points: int = 512,
     # sample with q > 0 lies outside the reported support
     support = SupportSet(tuple((float(xp[0]), float(xp[-1]))
                                for xp in xs_parts))
-    curve = DensityCurve(x_all, q_all, support, meta)
-    meta["mass"] = curve.mass()
-    return curve
+    return DensityCurve(x_all, q_all, support, tuple(warnings))
 
 
 def _curve_points(ctx: FlowContext, rs: np.ndarray, ends: np.ndarray,
@@ -616,19 +620,6 @@ def _clip_components(ctx, comps, x_lo_w, x_hi_w):
             rlo = radial_map_inverse(ctx, 1.0 / x_hi_w, bracket=(rlo, rhi))
             x_hi = x_hi_w
         out.append([x_lo, x_hi, rlo, rhi])
-    return out
-
-
-def _merge_close(comps, points):
-    total = sum(math.log(c[1] / c[0]) for c in comps if c[1] > c[0]) or 1.0
-    resolution = 2.0 * total / points
-    out = [comps[0]]
-    for comp in comps[1:]:
-        gap = math.log(comp[0] / out[-1][1])
-        if gap < resolution:
-            out[-1] = [out[-1][0], comp[1], out[-1][2], comp[3]]
-        else:
-            out.append(comp)
     return out
 
 

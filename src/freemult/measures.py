@@ -627,7 +627,10 @@ class GridDensity(Measure):
         return np.where(x <= knots[0], 0.0, np.where(x >= knots[-1], cum[-1], out))
 
     def mean(self) -> float:
-        return float(np.trapezoid(self.x * self.f, self.x))
+        """Mean of the interpolant: x*f is quadratic on each panel."""
+        h = np.diff(self.x)
+        return float(np.trapezoid(self.x * self.f, self.x)
+                     - np.dot(h * h, np.diff(self.f)) / 6.0)
 
     def math_support(self):
         return float(self.x[0]), float(self.x[-1])

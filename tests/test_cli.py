@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ DIRAC1 = '{"kind": "named", "family": "dirac", "params": {"c": 1}}'
 GAMMA21 = '{"kind": "named", "family": "gamma", "params": {"p": 2, "theta": 1}}'
 LAMBDA1 = '{"kind": "named", "family": "lambda", "params": {"b": 1}}'
 TWO_ATOMS = '{"kind": "atomic", "atoms": [{"w": 0.5, "a": 1}, {"w": 0.5, "a": 4}]}'
+ONE_SIXTEEN = ('{"kind": "atomic", "atoms": [{"w": 0.5, "a": 1}, '
+               '{"w": 0.5, "a": 16}]}')
 
 
 def test_density_writes_outputs(tmp_path):
@@ -174,6 +177,60 @@ def test_mass_band_is_the_runs_tol_int(tmp_path, tolerances, warned):
                          "(band 0.0001)"]
     else:
         assert short == []
+
+
+def test_missed_expectations_are_a_negative_verdict(tmp_path):
+    # the 64-point dirac(1) curve at t = 1 has one component and mass 0.9979
+    run = {"command": "density", "measure": json.loads(DIRAC1), "times": [1],
+           "grid": {"points": 64},
+           "expect": {"support_components": 2, "mass_min": 2}}
+    assert _run_scenario(tmp_path, run) == cli.EXIT_NEGATIVE
+    report = json.loads(open(
+        str(tmp_path / "run00_density" / "density_report.json")).read())
+    assert report["warnings"][-2:] == [
+        "expected support_components = 2, got 1",
+        "expected mass >= 2, got 0.9979008914634676"]
+
+
+def test_density_theta_sweep_check_reports_its_verdict(tmp_path):
+    out = str(tmp_path)
+    assert main(["density", "--measure", DIRAC1, "--t", "1", "--points", "64",
+                 "--check", "theta_sweep", "--out", out]) == cli.EXIT_OK
+    report = json.loads(open(os.path.join(out, "density_report.json")).read())
+    entry, = report["results"]["per_t"]
+    assert entry["theta_sweep_log_unimodal"] is True
+    assert entry["theta_sweep_max_count"] == 2
+
+
+@pytest.mark.parametrize("measure, times", [(DIRAC1, "700,1000"),
+                                            (ONE_SIXTEEN, "1000")],
+                         ids=["dirac", "one_sixteen"])
+def test_density_at_very_large_times_meets_the_mass_band(tmp_path, measure,
+                                                         times):
+    # the support spans 311 decades at t = 700 and 441 at t = 1000, so its
+    # ends' ratio overflows
+    out = str(tmp_path)
+    assert main(["density", "--measure", measure, "--t", times,
+                 "--out", out]) == cli.EXIT_OK
+    report = json.loads(open(os.path.join(out, "density_report.json")).read())
+    assert all(e["mass_pass"] is True for e in report["results"]["per_t"])
+    assert report["warnings"] == []
+
+
+@pytest.mark.parametrize("measure, t", [(DIRAC1, "1500"), (DIRAC1, "1e6"),
+                                        (ONE_SIXTEEN, "1e4")],
+                         ids=["dirac-1500", "dirac-1e6", "one_sixteen-1e4"])
+def test_density_whose_support_leaves_the_float_range_exits_3(tmp_path,
+                                                              capsys, measure,
+                                                              t):
+    # from about t = 1450 the radial map at a component's end overflows
+    out = str(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["density", "--measure", measure, "--t", t,
+                     "--out", out]) == cli.EXIT_NUMERIC
+    assert f"FloatOverflow: t={float(t)}:" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "density_report.json"))
 
 
 def test_numeric_failure_prints_the_tolerances_run(tmp_path, capsys):
@@ -382,6 +439,18 @@ def test_counterexample_command(tmp_path):
         assert entry["support_components"] >= 2
 
 
+def test_counterexample_without_a_certificate_exits_1(tmp_path):
+    # at t = 50 the first gap of the 12-atom cascade has no certificate
+    out = str(tmp_path)
+    assert main(["counterexample", "--n-atoms", "12", "--k-max", "1", "--t",
+                 "50", "--out", out]) == cli.EXIT_NEGATIVE
+    report = json.loads(
+        open(os.path.join(out, "counterexample_report.json")).read())
+    entry, = report["results"]["per_t"]
+    assert entry["certificate_found"] is False
+    assert "k" not in entry
+
+
 def test_tolerance_flags_only_on_flow_commands(tmp_path):
     out = str(tmp_path)
     assert main(["sweep", "--measure", DIRAC1, "--t", "1", "--tol-root", "1e-3",
@@ -577,6 +646,25 @@ def test_check_inconclusive_exit(tmp_path):
     code = main(["check", "--measure", measure, "--hysteresis", "1e-3",
                  "--out", str(tmp_path)])
     assert code == 4
+
+
+def test_check_of_a_two_bump_density_is_negative(tmp_path):
+    # equal log-normal bumps at x = 1 and e^2: two modes, and the pick
+    # check fails at the first
+    x = np.geomspace(0.1, 100.0, 101)
+    f = (np.exp(-2 * np.log(x) ** 2) + np.exp(-2 * (np.log(x) - 2) ** 2)) / x
+    measure = json.dumps({"kind": "grid", "grid": {
+        "x": x.tolist(), "f": (f / np.trapezoid(f, x)).tolist()}})
+    out = str(tmp_path)
+    assert main(["check", "--measure", measure,
+                 "--out", out]) == cli.EXIT_NEGATIVE
+    results = json.loads(open(os.path.join(out, "check_report.json")).read())[
+        "results"]
+    assert results["logunimodal"]["verdict"] == "not_unimodal"
+    assert results["pick"]["holds"] is False
+    assert results["pick"]["violations"] == 36
+    with open(os.path.join(out, "pick_violations.csv")) as fh:
+        assert len(fh.readlines()) == 1 + 36
 
 
 @pytest.mark.parametrize("expect", [5, {"logunimodal_min": 1}],

@@ -56,6 +56,21 @@ def test_count_solutions_tangency():
     assert sol.roots[0] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("t, window", [(200.0, (0.0025, 400.0)),
+                                       (1000.0, (0.000625, 1600.0))],
+                         ids=["t200", "t1000"])
+def test_count_solutions_widens_the_default_window(t, window):
+    # dirac(1) at R = pi/2: the level (2/pi) r / (1 + r^2) = 1/t is met at
+    # r = t/pi +- sqrt(t^2/pi^2 - 1), beyond the default window (0.01, 100),
+    # which widens by 4 a step
+    sol = fm.count_level_solutions(fm.dirac(1.0), math.pi / 2, t)
+    assert sol.window == window
+    assert sol.count == 2
+    c = t / math.pi
+    assert sol.roots == pytest.approx((c - math.sqrt(c * c - 1),
+                                       c + math.sqrt(c * c - 1)), rel=1e-9)
+
+
 def test_count_solutions_pinned_window_raises():
     with pytest.raises(WindowTooNarrow):
         fm.count_level_solutions(fm.dirac(1.0), math.pi / 2, 2 * math.pi,

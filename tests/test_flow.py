@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import freemult as fm
@@ -671,7 +671,6 @@ def test_curve_mass_measures_the_curve():
     curve = fm.density_curve(fm.FlowContext(fm.gamma_measure(2.0, 1.0), 1.0),
                              points=128)
     assert curve.mass() == pytest.approx(0.99926, abs=1e-5)
-    assert curve.metadata["mass"] == curve.mass()
 
 
 def test_curve_mean_identity():
@@ -716,6 +715,30 @@ def test_curve_cascade_components_and_zero_gaps():
     gaps = [i for i in range(curve.x.size)
             if not curve.support.contains(float(curve.x[i]))]
     assert gaps and all(curve.q[i] == 0.0 for i in gaps)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.12])
+def test_curve_samples_each_component_of_a_split_support(t):
+    # the components of 1/2 delta_1 + 1/2 delta_2 are 0.03 (t = 0.1) and
+    # 4e-4 (t = 0.12) apart in x; each takes its own radii, however narrow
+    # the gap
+    ctx = fm.FlowContext(fm.atomic([(0.5, 1.0), (0.5, 2.0)]), t)
+    curve = fm.density_curve(ctx, points=128)
+    assert len(curve.support) == len(fm.blowup_region(ctx)) == 2
+    assert curve.mass() == pytest.approx(1.0, abs=2e-3)
+
+
+@example(atoms=[(0.5, 1.0), (0.5, 2.0)], t=0.1)
+@example(atoms=[(0.5, 1.0), (0.5, 2.0)], t=0.12)
+@given(atoms=st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(1.0, 8.0)),
+                      min_size=2, max_size=4, unique_by=lambda p: p[1]),
+       t=st.floats(0.01, 1.0))
+def test_curve_has_a_component_for_each_blowup_component(atoms, t):
+    total = sum(w for w, _ in atoms)
+    ctx = fm.FlowContext(fm.atomic([(w / total, a) for w, a in atoms]), t)
+    curve = fm.density_curve(ctx, points=256)
+    assert len(curve.support) == len(fm.blowup_region(ctx))
+    assert curve.mass() == pytest.approx(1.0, abs=5e-3)
 
 
 @pytest.mark.parametrize("nu, t", [(fm.dirac(1.0), 1e-20),

@@ -21,11 +21,16 @@ DIRAC1 = '{"kind": "named", "family": "dirac", "params": {"c": 1}}'
 GAMMA21 = '{"kind": "named", "family": "gamma", "params": {"p": 2, "theta": 1}}'
 LAMBDA1 = '{"kind": "named", "family": "lambda", "params": {"b": 1}}'
 TWO_ATOMS = '{"kind": "atomic", "atoms": [{"w": 0.5, "a": 1}, {"w": 0.5, "a": 4}]}'
+# at t = 0.1 the support of the flow of 1/2 delta_1 + 1/2 delta_2 has two
+# components, about 0.03 apart
+SPLIT = '{"kind": "atomic", "atoms": [{"w": 0.5, "a": 1}, {"w": 0.5, "a": 2}]}'
 
 # case -> argv without --out; every run exits 0 except those in NEGATIVE
 CASES = {
     "density_dirac": ["density", "--measure", DIRAC1, "--t", "1",
                       "--points", "128"],
+    "density_split": ["density", "--measure", SPLIT, "--t", "0.1",
+                      "--points", "128", "--check", "logunimodal"],
     "counterexample": ["counterexample", "--n-atoms", "12"],
     "sweep_dirac": ["sweep", "--measure", DIRAC1, "--t", "1", "--angles", "8",
                     "--grid", "256"],

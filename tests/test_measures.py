@@ -382,6 +382,15 @@ def test_involution_sup_cdf(nu):
     assert fm.sup_cdf_distance(nu, twice) < tol
 
 
+def test_mp_inverse_cdf_integrates_its_density():
+    mpi = fm.marchenko_pastur_inverse()
+    assert mpi.cdf([0.1, 0.25]).tolist() == [0.0, 0.0]
+    for x in (0.3, 1.0, 4.0, 100.0):
+        want, _ = sp_integrate.quad(lambda u: float(mpi.density(u)), 0.25, x,
+                                    limit=200)
+        assert float(mpi.cdf(x)) == pytest.approx(want, rel=1e-10)
+
+
 def test_mp_inverse_density_closed_form():
     # independent route: invert the sampled MP density by the x -> 1/x rule
     grid = fm.to_grid(fm.marchenko_pastur(), n=8192)
@@ -432,6 +441,7 @@ def test_symmetric_examples():
     assert fm.is_mult_symmetric(fm.boolean_stable(0.3), 1e-9)
     assert fm.is_mult_symmetric(fm.log_normal(0, 1), 1e-9)
     assert not fm.is_mult_symmetric(fm.gamma_measure(2, 1), 1e-9)
+    assert not fm.is_mult_symmetric(fm.marchenko_pastur(), 1e-9)
     assert not fm.is_mult_symmetric(fm.dirac(2.0), 1e-9)
     assert not fm.is_mult_symmetric(fm.atomic([(0.5, 1.0), (0.5, 4.0)]), 1e-9)
     assert fm.is_mult_symmetric(
@@ -472,6 +482,23 @@ def test_grid_invariants():
     m = fm.GridDensity(x, f, normalize=True)
     assert m.integrate(lambda u: np.ones_like(u), math.nan, math.nan,
                        1e-9) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_atomic_cdf_steps_at_each_atom():
+    nu = fm.atomic([(0.25, 1.0), (0.75, 3.0)])
+    assert nu.cdf([0.5, 1.0, 2.0, 3.0, 4.0]).tolist() == [0.0, 0.25, 0.25,
+                                                          1.0, 1.0]
+
+
+def test_grid_mean_is_the_mean_of_the_interpolant():
+    # f(x) = x/4 on [1, 3] is its own interpolant, with mean 13/6; the
+    # trapezoid rule for x*f reads 2.25
+    assert fm.GridDensity([1.0, 2.0, 3.0], [0.25, 0.5, 0.75]).mean() == \
+        pytest.approx(13.0 / 6.0, rel=1e-14)
+    x = np.geomspace(0.1, 10, 64)
+    m = fm.GridDensity(x, np.exp(-np.log(x) ** 2), normalize=True)
+    assert m.mean() == pytest.approx(
+        m.integrate(lambda u: u, math.nan, math.nan, 1e-12), rel=1e-12)
 
 
 def test_named_unknown_family_and_params():
