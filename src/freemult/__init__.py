@@ -2,8 +2,8 @@
 log-unimodality checkers."""
 
 from .analytic import (
-    HalfPlaneGrid,
     brownian_sigma_transform,
+    half_plane_grid,
     psi,
     psi_prime,
 )

@@ -14,45 +14,23 @@ integrals at all of them refine together in one batched loop
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._quad import relaxed_retry
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError
 from .measures import Measure
 
 
-@dataclass(frozen=True)
-class HalfPlaneGrid:
-    """Rectangular sampling grid in the open upper half-plane.
-
-    The imaginary axis is log-spaced: violations of the checker inequalities
+def half_plane_grid() -> np.ndarray:
+    """The half-plane check's 64 x 64 grid in the open upper half-plane, as
+    a flat complex array (row-major over im, re): Re z linear on [-10, 10],
+    Im z log-spaced on [1e-3, 10].  Violations of the checker inequalities
     concentrate near the real axis over the support of the measure, so
-    resolution is spent there.
-    """
-
-    re_min: float = -10.0
-    re_max: float = 10.0
-    re_count: int = 64
-    im_min: float = 1e-3
-    im_max: float = 10.0
-    im_count: int = 64
-
-    def __post_init__(self):
-        if not (self.re_min < self.re_max):
-            raise InvariantViolation("grid.re", "need re_min < re_max")
-        if not (0.0 < self.im_min < self.im_max):
-            raise InvariantViolation("grid.im", "need 0 < im_min < im_max")
-        if self.re_count < 2 or self.im_count < 2:
-            raise InvariantViolation("grid.count", "counts must be >= 2")
-
-    def points(self) -> np.ndarray:
-        """Flat complex array of all grid points (row-major over im, re)."""
-        re = np.linspace(self.re_min, self.re_max, self.re_count)
-        im = np.geomspace(self.im_min, self.im_max, self.im_count)
-        rr, ii = np.meshgrid(re, im)
-        return (rr + 1j * ii).ravel()
+    resolution is spent there."""
+    rr, ii = np.meshgrid(np.linspace(-10.0, 10.0, 64),
+                         np.geomspace(1e-3, 10.0, 64))
+    return (rr + 1j * ii).ravel()
 
 
 def _check_off_positive_axis(z) -> np.ndarray:

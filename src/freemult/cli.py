@@ -629,9 +629,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="log-unimodality checks for a measure")
     p.add_argument("--measure", required=True)
     p.add_argument("--hysteresis")
-    p.add_argument("--strong", dest="checks", action="store_const",
-                   const=["logunimodal", "pick", "strong"],
-                   help="also run the lambda-family strong check")
     _add_common(p)
 
     p = sub.add_parser("sweep", help="angle sweep of the solution count")

@@ -220,15 +220,17 @@ def count_level_solutions(nu: Measure, R: float, t: float, window=None,
                                        options={"xatol": 1e-14 * b})
         ext = -res.fun * sign
         r_ext = float(res.x)
-        if abs(ext) <= tol_t:
+        # an extremum on the crossing side of the level is a pair of
+        # crossings; those between its grid neighbours are polished here,
+        # those beyond them the flips polished already
+        inner = ([(aa, bb) for aa, bb in ((a, r_ext), (r_ext, b))
+                  if g(aa) * g(bb) <= 0] if sign * ext > 0 else [])
+        if abs(ext) <= tol_t and (sign * ext <= 0 or len(inner) == 2):
             roots.append(r_ext)
             n_tangent += 1
-        elif sign * ext > 0:
-            # grid missed a genuine double crossing around this extremum
-            for aa, bb in ((a, r_ext), (r_ext, b)):
-                if g(aa) * g(bb) <= 0:
-                    roots.append(optimize.brentq(g, aa, bb,
-                                                 xtol=1e-300, rtol=1e-12))
+        else:
+            roots.extend(optimize.brentq(g, aa, bb, xtol=1e-300, rtol=1e-12)
+                         for aa, bb in inner)
 
     roots = sorted(set(roots))
     merged: list[float] = []
@@ -368,8 +370,8 @@ def mult_convolve(mu: Measure, nu: Measure) -> Measure:
     return GridDensity(x, f, normalize=True)
 
 
-def scaled_convolution_density(nu: Measure, a: float, t: float, r: float,
-                               rtol: float = 1e-12) -> float:
+def scaled_convolution_density(nu: Measure, a: float, t: float,
+                               r: float) -> float:
     """(r / c_B) times the density of (lambda-family at angle B = a*pi*t)
     multiplicatively convolved with the inverted measure, evaluated at r.
 
@@ -391,7 +393,7 @@ def scaled_convolution_density(nu: Measure, a: float, t: float, r: float,
 
     xs = 1.0 / r
     scale = max(2.0 * math.sqrt(s2) * xs, xs * 1e-14)
-    total = float(nu.integrate(kernel, xs, scale, rtol=rtol))
+    total = float(nu.integrate(kernel, xs, scale, rtol=1e-12))
     return r / c_b * total
 
 
@@ -422,36 +424,18 @@ class CounterexampleSpec:
     truncated_mass: float                 # raw weight mass beyond the truncation
 
 
-def build_counterexample(n_atoms: int, rule: str = "zeta6",
-                         weight_rule=None, location_rule=None):
-    """Truncated atomic cascade whose marginals are never log-unimodal.
-
-    The built-in `zeta6` rule places weight n^-6 / zeta(6) at location n^-4.
-    Custom rules supply `weight_rule` and `location_rule` callables of the
-    1-based index; locations must decrease strictly.
+def build_counterexample(n_atoms: int):
+    """Truncated zeta6 cascade, whose marginals are never log-unimodal: the
+    k-th atom has weight k^-6 / zeta(6) at location k^-4.
 
     Returns (measure, spec): the measure has weights renormalized to total
     mass one; the spec records the raw quantities and certificates inputs.
     """
     if n_atoms < 3:
         raise DomainError(f"need at least 3 atoms, got {n_atoms}")
-    if rule == "zeta6":
-        weight_rule = lambda k: 1.0 / (_ZETA6 * k ** 6)
-        location_rule = lambda k: float(k) ** -4
-    elif rule == "custom":
-        if weight_rule is None or location_rule is None:
-            raise DomainError("custom rule needs weight_rule and location_rule")
-    else:
-        raise DomainError(f"unknown rule {rule!r}")
-
-    idx = np.arange(1, n_atoms + 1)
-    w_raw = np.array([float(weight_rule(int(k))) for k in idx])
-    locs = np.array([float(location_rule(int(k))) for k in idx])
-    if not np.all(w_raw > 0):
-        raise HypothesisViolated("weights must be positive")
-    if not np.all(locs > 0) or not np.all(np.diff(locs) < 0):
-        raise HypothesisViolated("locations must be positive and strictly "
-                                 "decreasing")
+    ks = range(1, n_atoms + 1)
+    w_raw = np.array([1.0 / (_ZETA6 * k ** 6) for k in ks])
+    locs = np.array([float(k) ** -4 for k in ks])
 
     ratios = locs[:-1] * locs[1:] * (locs[:-1] + locs[1:]) / (locs[:-1] - locs[1:]) ** 2
     mids = 0.5 * (1.0 / locs[1:] + 1.0 / locs[:-1])

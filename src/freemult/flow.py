@@ -191,11 +191,11 @@ def capped_blowup(ctx: FlowContext, r: float) -> float:
     return float(_capped_blowup_at(ctx, np.array([float(r)]))[0])
 
 
-def solve_angle(ctx: FlowContext, r: float, guess: float | None = None) -> float:
+def solve_angle(ctx: FlowContext, r: float) -> float:
     """The angle u(r): 0 off the blow-up region, else the unique root of the
-    implicit equation, with |LHS - 1/t| <= tol_root / t, solved from `guess`
-    by `_radial_points`."""
-    return _radial_point(ctx, r, guess)[1]
+    implicit equation, with |LHS - 1/t| <= tol_root / t, solved by
+    `_radial_points`."""
+    return _radial_point(ctx, r)[1]
 
 
 def _require_sign_change(ctx: FlowContext) -> None:
@@ -377,15 +377,15 @@ def default_window(nu: Measure) -> tuple[float, float]:
     return 1e-4 / shi, 1e4 / slo
 
 
-def blowup_region(ctx: FlowContext, window=None) -> list[tuple[float, float]]:
-    """Maximal open intervals of {r : f(r) > 1/t} inside the window.
+def blowup_region(ctx: FlowContext) -> list[tuple[float, float]]:
+    """Maximal open intervals of {r : f(r) > 1/t} inside `default_window`.
 
     Boundaries are refined by bisection on the predicate f(r) > 1/t.
     Reciprocal atoms and the reciprocal support of density measures are
     force-included in the scan so no island is missed.
     """
     nu = ctx.nu
-    wlo, whi = check_window(default_window(nu) if window is None else window)
+    wlo, whi = check_window(default_window(nu))
     target = 1.0 / ctx.t
 
     rs = [np.geomspace(wlo, whi, _SCAN_POINTS)]
@@ -521,8 +521,8 @@ def density_curve(ctx: FlowContext, points: int = 512,
     the rest by the component's share of the summed log-widths in x, and
     every sample is an exact (r -> 1/Lambda(r), u/(pi t x)) pair, so no
     interpolation error enters.  `window`, when given, clips the curve in
-    x-space.  A radial map beyond the float range at a component's end (at
-    very large t) is a FloatOverflow.
+    x-space.  A radial map beyond the float range at the end of a component
+    that the window keeps (at very large t) is a FloatOverflow.
     """
     check_points(points)
     if window is not None:
@@ -534,14 +534,13 @@ def density_curve(ctx: FlowContext, points: int = 512,
     r_ints = blowup_region(ctx)
     # map components to x-space (reverse order: 1/Lambda is decreasing)
     ends = np.array(r_ints).ravel()  # increasing
-    with np.errstate(over="ignore"):  # an overflow is raised just below
+    # an end whose Lambda leaves the float range reads x = 0 or inf; it is
+    # raised below unless the window clips it away
+    with np.errstate(over="ignore", divide="ignore"):
         lam_e, u_e = _radial_points(ctx, ends)
-    if not np.all((lam_e >= _NORMAL_MIN) & (lam_e < math.inf)):
-        raise FloatOverflow(f"t={ctx.t}: the radial map at a support "
-                            f"component's end leaves the float range")
+        x_e = 1.0 / lam_e
     comps = []
-    for (rlo, rhi), (lam_lo, lam_hi) in zip(r_ints, lam_e.reshape(-1, 2)):
-        x_hi, x_lo = 1.0 / lam_lo, 1.0 / lam_hi
+    for (rlo, rhi), (x_hi, x_lo) in zip(r_ints, x_e.reshape(-1, 2).tolist()):
         if x_lo > x_hi:
             warnings.append("radial map not increasing on a component")
             x_lo, x_hi = x_hi, x_lo
@@ -549,12 +548,18 @@ def density_curve(ctx: FlowContext, points: int = 512,
     comps.sort(key=lambda c: c[0])
 
     if window is not None:
-        comps = _clip_components(ctx, comps, wlo, whi)
+        # a bracket end whose Lambda overflows reads inf: brentq brackets it
+        with np.errstate(over="ignore"):
+            comps = _clip_components(ctx, comps, wlo, whi)
         if not comps:
             x = np.geomspace(wlo, whi, points)
             warnings.append("window excludes the whole support")
             return DensityCurve(x, np.zeros_like(x), SupportSet(()),
                                 tuple(warnings))
+    # x in (0, 1/_NORMAL_MIN] is Lambda in [_NORMAL_MIN, inf)
+    if not all(0.0 < c[0] and c[1] <= 1.0 / _NORMAL_MIN for c in comps):
+        raise FloatOverflow(f"t={ctx.t}: the radial map at a support "
+                            f"component's end leaves the float range")
 
     # a difference of logs: the ratio x_hi / x_lo overflows past ~308 decades
     widths = np.array([math.log(c[1]) - math.log(c[0]) if c[1] > c[0]

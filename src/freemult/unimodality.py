@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import HalfPlaneGrid, psi_prime
+from .analytic import half_plane_grid, psi_prime
 from .errors import AtomicHasNoDensity, DegenerateInput, DomainError, InvariantViolation
 from .measures import Measure
 
@@ -204,10 +204,9 @@ class PickCheckReport:
 
 
 def pick_inequality_check(mu: Measure, c: float | Sequence[float],
-                          grid: HalfPlaneGrid | None = None,
                           tol_pick: float = TOL_PICK
                           ) -> PickCheckReport | list[PickCheckReport]:
-    """Check Im[z (1 - c z) psi'(z)] >= 0 over a half-plane grid.
+    """Check Im[z (1 - c z) psi'(z)] >= 0 over `analytic.half_plane_grid`.
 
     This holds for every z in the upper half-plane exactly when mu is
     log-unimodal with mode c.  The tolerance scales with the grid maximum of
@@ -225,7 +224,7 @@ def pick_inequality_check(mu: Measure, c: float | Sequence[float],
         if not 0.0 < m < math.inf:
             raise DomainError(f"candidate mode must be positive and finite, "
                               f"got {m}")
-    zs = (grid or HalfPlaneGrid()).points()
+    zs = half_plane_grid()
     psi_p, relaxed = psi_prime(mu, zs, rtol=PSI_PRIME_RTOL, full_output=True)
     relaxed_points = int(relaxed.sum())
     # the products stay scalar, as the array product rounds differently

@@ -5,7 +5,7 @@ import pytest
 
 import freemult as fm
 from freemult._quad import relaxed_retry
-from freemult.errors import DomainError, InvariantViolation
+from freemult.errors import DomainError
 
 
 def test_psi_point_mass_closed_form():
@@ -35,10 +35,16 @@ def test_psi_rejects_positive_axis():
             fm.psi(fm.dirac(1.0), z)
 
 
+def _points(re, im):
+    """The grid re x im in the upper half-plane, row-major over im."""
+    rr, ii = np.meshgrid(re, im)
+    return (rr + 1j * ii).ravel()
+
+
 def test_psi_maps_upper_half_plane_into_itself():
-    grid = fm.HalfPlaneGrid(re_count=8, im_count=8)
+    zs = _points(np.linspace(-10.0, 10.0, 8), np.geomspace(1e-3, 10.0, 8))
     for nu in (fm.gamma_measure(2, 1), fm.atomic([(0.5, 1.0), (0.5, 4.0)])):
-        for z in grid.points():
+        for z in zs:
             assert fm.psi(nu, complex(z)).imag > 0
 
 
@@ -67,9 +73,7 @@ def test_psi_prime_two_atoms_exact():
                          ids=["gamma", "atomic"])
 def test_psi_prime_finite_difference(nu):
     h = 1e-5
-    grid = fm.HalfPlaneGrid(re_min=-3, re_max=3, re_count=5,
-                            im_min=0.3, im_max=3, im_count=4)
-    for z in grid.points():
+    for z in _points(np.linspace(-3, 3, 5), np.geomspace(0.3, 3, 4)):
         z = complex(z)
         fd = (fm.psi(nu, z + h) - fm.psi(nu, z - h)) / (2 * h)
         assert abs(fm.psi_prime(nu, z) - fd) <= 1e-6 * max(abs(fd), 1e-12)
@@ -97,12 +101,10 @@ def test_sigma_transform_singular_point():
 
 
 def test_half_plane_grid_invariants():
-    with pytest.raises(InvariantViolation):
-        fm.HalfPlaneGrid(im_min=-1.0)
-    with pytest.raises(InvariantViolation):
-        fm.HalfPlaneGrid(re_count=1)
-    grid = fm.HalfPlaneGrid()
-    pts = grid.points()
+    pts = fm.half_plane_grid()
+    # bitwise the 64 x 64 grid of Re z on [-10, 10] and Im z on [1e-3, 10]
+    assert pts.tobytes() == _points(np.linspace(-10.0, 10.0, 64),
+                                    np.geomspace(1e-3, 10.0, 64)).tobytes()
     assert pts.size == 64 * 64
     assert np.all(pts.imag > 0)
     ims = np.unique(pts.imag)
@@ -138,7 +140,7 @@ def _curve_grid_density():
     ids=["gamma", "lambda", "log_normal", "uniform", "curve_grid", "two_atoms"])
 def test_psi_prime_over_the_grid_equals_per_point_values(make):
     nu = make()
-    zs = fm.HalfPlaneGrid().points()
+    zs = fm.half_plane_grid()
     values, relaxed = fm.psi_prime(nu, zs, rtol=1e-8, full_output=True)
     assert values.shape == zs.shape and not relaxed.any()
     want = np.array([_per_point_psi_prime(nu, z) for z in zs])

@@ -58,8 +58,7 @@ def test_density_deterministic(tmp_path):
 
 def test_check_exit_codes(tmp_path):
     assert main(["check", "--measure", GAMMA21, "--out", str(tmp_path)]) == 0
-    assert main(["check", "--measure", LAMBDA1, "--strong",
-                 "--out", str(tmp_path)]) == 1
+    assert main(["check", "--measure", LAMBDA1, "--out", str(tmp_path)]) == 1
     assert main(["check", "--measure", TWO_ATOMS, "--out", str(tmp_path)]) == 3
 
 
@@ -233,6 +232,20 @@ def test_density_whose_support_leaves_the_float_range_exits_3(tmp_path,
     assert not os.path.exists(os.path.join(out, "density_report.json"))
 
 
+def test_density_window_clips_an_overflowing_end_away(tmp_path):
+    # at t = 1500 the support's ends leave the float range, but the window
+    # keeps only x in [1, 2]: the run needs neither end
+    out = str(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["density", "--measure", DIRAC1, "--t", "1500",
+                     "--window", "1,2", "--points", "64",
+                     "--out", out]) == cli.EXIT_OK
+    report = json.loads(open(os.path.join(out, "density_report.json")).read())
+    (lo, hi), = report["results"]["per_t"][0]["support"]
+    assert lo == 1.0 and 2.0 - 1e-9 < hi <= 2.0
+
+
 def test_numeric_failure_prints_the_tolerances_run(tmp_path, capsys):
     assert main(["density", "--measure", DIRAC1, "--t", "1e16", "--points",
                  "64", "--tol-root", "1e-3", "--out", str(tmp_path)]) == 3
@@ -284,9 +297,6 @@ _SAME_RUNS = {
               "mode_sweep": {"lo": 0.5, "hi": 5, "count": 3}}),
     "check_hysteresis": (["check", "--measure", GAMMA21, "--hysteresis", "2e-4"],
                          {"measure": json.loads(GAMMA21), "hysteresis": 2e-4}),
-    "check_strong": (["check", "--measure", LAMBDA1, "--strong"],
-                     {"measure": json.loads(LAMBDA1),
-                      "checks": ["logunimodal", "pick", "strong"]}),
 }
 
 
@@ -378,13 +388,13 @@ def _defaulted_public_parameters() -> int:
 
 
 def test_settable_value_census():
-    # a knob added or removed changes this total on purpose: 32 defaulted
-    # public parameters and 27 subcommand flags
+    # a knob added or removed changes this total on purpose: 25 defaulted
+    # public parameters and 26 subcommand flags
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     flags = sum(1 for parser in sub.choices.values() for a in parser._actions
                 if a.option_strings and not isinstance(a, argparse._HelpAction))
-    assert _defaulted_public_parameters() + flags == 59
+    assert _defaulted_public_parameters() + flags == 51
 
 
 def test_reports_list_the_tolerances_read(tmp_path):
@@ -690,8 +700,9 @@ def test_strong_check_on_non_lambda_fails_before_the_checks(tmp_path, capsys,
 
     monkeypatch.setattr(cli, "is_log_unimodal", never)
     monkeypatch.setattr(cli, "pick_inequality_check", never)
-    assert main(["check", "--measure", GAMMA21, "--strong",
-                 "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert _run_scenario(tmp_path, {
+        "command": "check", "measure": json.loads(GAMMA21),
+        "checks": ["logunimodal", "pick", "strong"]}) == cli.EXIT_CONFIG
     assert "lambda family only" in capsys.readouterr().err
 
 
@@ -895,9 +906,8 @@ def _noisy(density, amplitude):
     ["density", "--measure", DIRAC1, "--t", "1", "--points", "128",
      "--check", "pick"]], ids=["pick", "check", "density"])
 def test_relaxed_psi_prime_is_one_report_warning(tmp_path, monkeypatch, argv):
-    monkeypatch.setattr(unimodality, "HalfPlaneGrid", lambda: fm.HalfPlaneGrid(
-        re_min=-2.0, re_max=2.0, re_count=2, im_min=0.5, im_max=2.0,
-        im_count=2))
+    monkeypatch.setattr(unimodality, "half_plane_grid", lambda: np.array(
+        [-2.0 + 0.5j, 2.0 + 0.5j, -2.0 + 2.0j, 2.0 + 2.0j]))
     for cls in (measures.Named, measures.GridDensity):
         monkeypatch.setattr(cls, "density", _noisy(cls.density, 3e-7))
     command = argv[0]

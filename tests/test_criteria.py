@@ -56,6 +56,31 @@ def test_count_solutions_tangency():
     assert sol.roots[0] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_count_solutions_polishes_a_pair_between_grid_neighbours():
+    # dirac(1) at R = pi/2 just above t = pi: both roots c -+ sqrt(c^2 - 1)
+    # lie within one grid step of the peak, which the profile sees below
+    # the level; the tangency pass brackets and polishes each of them
+    t = math.pi * (1.0 + 1e-7)
+    sol = fm.count_level_solutions(fm.dirac(1.0), math.pi / 2, t)
+    c = t / math.pi
+    assert (sol.count, sol.effective_count, sol.boundary) == (2, 2, False)
+    assert sol.roots == pytest.approx((c - math.sqrt(c * c - 1),
+                                       c + math.sqrt(c * c - 1)), rel=1e-9)
+
+
+@pytest.mark.parametrize("grid", [4096, 16384])
+def test_count_solutions_in_a_narrow_four_root_band(grid):
+    # 1/2 delta_1 + 1/2 delta_13.9 at 0.99 t*: R is the middle of a band of
+    # angles 2.2e-11 wide with four roots.  The profile's three extrema sit
+    # within _TANGENT_TOL of the level, but each lies on the crossing side
+    # with its pair beyond its grid neighbours, found by the flips: none
+    # adds a root or a tangency
+    nu = fm.atomic([(0.5, 1.0), (0.5, 13.9)])
+    sol = fm.count_level_solutions(nu, 3.06830292268131, 251.045334153251,
+                                   grid=grid)
+    assert (sol.count, sol.effective_count, sol.boundary) == (4, 4, False)
+
+
 @pytest.mark.parametrize("t, window", [(200.0, (0.0025, 400.0)),
                                        (1000.0, (0.000625, 1600.0))],
                          ids=["t200", "t1000"])
@@ -258,6 +283,14 @@ def test_reciprocal_interval_check_degenerate_support():
     assert fm.reciprocal_interval_check(fm.dirac(1.0), 5.0)
 
 
+def test_reciprocal_interval_check_fails_at_a_small_time():
+    # at t = 0.1 the level 1/t = 10 lies above Theta_R on the reciprocal
+    # block, which the check reports; by t = 30 it lies below
+    nu = fm.uniform_interval(1.0, 1.1)
+    assert fm.reciprocal_interval_check(nu, 0.1) is False
+    assert fm.reciprocal_interval_check(nu, 30.0) is True
+
+
 def test_reciprocal_interval_check_below_threshold_is_raw():
     # one-directional statement: below the threshold the raw boolean is
     # whatever the grid says; it must at least be a bool
@@ -390,17 +423,6 @@ def test_build_counterexample_ratio_example():
     a10, a11 = 10.0 ** -4, 11.0 ** -4
     expect = a10 * a11 * (a10 + a11) / (a10 - a11) ** 2
     assert spec.ratios[9] == pytest.approx(expect, rel=1e-12)
-
-
-def test_build_counterexample_custom_rules():
-    nu, spec = fm.build_counterexample(
-        5, rule="custom", weight_rule=lambda k: 2.0 ** -k,
-        location_rule=lambda k: 3.0 ** -k)
-    assert spec.locations == pytest.approx((1 / 3, 1 / 9, 1 / 27, 1 / 81, 1 / 243))
-    with pytest.raises(HypothesisViolated):
-        fm.build_counterexample(5, rule="custom",
-                                weight_rule=lambda k: 1.0,
-                                location_rule=lambda k: float(k))
 
 
 def test_build_counterexample_inverted_variant():

@@ -200,7 +200,7 @@ def test_solve_angle_any_guess_meets_contract(nu, t, pick, where, guess):
     intervals = fm.blowup_region(ctx)
     lo, hi = intervals[min(int(pick * len(intervals)), len(intervals) - 1)]
     r = lo * (hi / lo) ** where
-    u = fm.solve_angle(ctx, r, guess=guess)
+    u = flow._radial_point(ctx, r, guess)[1]
     cold = fm.solve_angle(ctx, r)
     assert (u == 0.0) == (cold == 0.0)
     if u != 0.0:
@@ -477,12 +477,6 @@ def test_blowup_region_cascade_disconnected():
     assert len(fm.blowup_region(ctx)) >= 2
 
 
-def test_blowup_region_empty_window():
-    ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
-    with pytest.raises(EmptyVSet):
-        fm.blowup_region(ctx, window=(100.0, 200.0))
-
-
 def _scalar_blowup_region(ctx):
     """Reference: the scan of `blowup_region` with one scalar
     `capped_blowup` a radius, and each boundary bisected on its own."""
@@ -619,6 +613,14 @@ def test_radial_map_round_trip():
     for y in np.geomspace(0.1, 10, 200):
         r = fm.radial_map_inverse(ctx, float(y))
         assert abs(fm.radial_map(ctx, r) - y) <= 1e-8 * y
+
+
+def test_radial_map_inverse_returns_a_bracket_end_that_is_the_root():
+    ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
+    r0 = 1.3
+    y = fm.radial_map(ctx, r0)
+    assert fm.radial_map_inverse(ctx, y, bracket=(r0, 2 * r0)) == r0
+    assert fm.radial_map_inverse(ctx, y, bracket=(r0 / 2, r0)) == r0
 
 
 def test_radial_map_inverse_of_closed_form():

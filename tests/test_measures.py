@@ -17,6 +17,7 @@ from freemult.errors import (
     NonIntegrable,
 )
 from freemult.flow import kernel_denominator
+from freemult.measures import TOL_MASS_GRID
 
 ALL_DENSITY_FAMILIES = [
     fm.lambda_measure(2.0),
@@ -335,11 +336,28 @@ def test_cached_panel_edges_equal_build_edges(nu):
 def test_batch_edges_equal_the_per_point_edges_over_the_grid(nu):
     # the seeds of psi' at every point of the default half-plane grid
     base, lo, hi = nu._seed_base()
-    pts, scl = _pole_seeds(fm.HalfPlaneGrid().points(), lo, hi)
+    pts, scl = _pole_seeds(fm.half_plane_grid(), lo, hi)
     edges, offsets = batch_edges(base, pts, scl, lo, hi)
     for k, (p, s) in enumerate(zip(pts, scl)):
         want = nu._panel_edges(p, s)
         assert edges[offsets[k]:offsets[k + 1]].tobytes() == want.tobytes()
+
+
+def test_to_grid_of_a_grid_is_the_same_object():
+    grid = fm.to_grid(fm.gamma_measure(2.0, 1.0), n=128)
+    assert fm.to_grid(grid) is grid
+
+
+def test_invert_grid_renormalises_a_coarse_grid():
+    # the reciprocal's trapezoid mass on three knots is 1.0625, beyond
+    # TOL_MASS_GRID, so the inverted grid is renormalised
+    inv = fm.GridDensity([1.0, 1.5, 2.0], [1.0, 1.0, 1.0]).invert()
+    xi = np.array([0.5, 1.0 / 1.5, 1.0])
+    fi = np.array([4.0, 2.25, 1.0])
+    mass = float(np.trapezoid(fi, xi))
+    assert abs(mass - 1.0) > TOL_MASS_GRID
+    assert inv.x.tolist() == xi.tolist()
+    assert inv.f.tolist() == (fi / mass).tolist()
 
 
 def test_invert_dirac():

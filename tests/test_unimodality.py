@@ -9,7 +9,19 @@ from freemult import analytic, measures, unimodality
 from freemult.unimodality import ModeReport
 from freemult.errors import InvariantViolation, NonIntegrable
 
-SMALL_GRID = fm.HalfPlaneGrid(re_count=24, im_count=24)
+
+def _points(re, im):
+    """The grid re x im in the upper half-plane, row-major over im, as
+    `analytic.half_plane_grid` lays out its own."""
+    rr, ii = np.meshgrid(re, im)
+    return (rr + 1j * ii).ravel()
+
+
+@pytest.fixture
+def small_grid(monkeypatch):
+    """The pick check on a 24 x 24 grid over the default's ranges."""
+    zs = _points(np.linspace(-10.0, 10.0, 24), np.geomspace(1e-3, 10.0, 24))
+    monkeypatch.setattr(unimodality, "half_plane_grid", lambda: zs)
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +153,14 @@ def test_pick_check_two_atoms_never_unimodal():
         assert rep.violations
 
 
-def test_pick_check_gamma_small_grid():
-    rep = fm.pick_inequality_check(fm.gamma_measure(2, 1), 2.0, grid=SMALL_GRID)
+def test_pick_check_gamma_small_grid(small_grid):
+    rep = fm.pick_inequality_check(fm.gamma_measure(2, 1), 2.0)
     assert rep.holds
 
 
 def test_pick_check_of_several_modes_evaluates_psi_prime_once(monkeypatch):
-    grid = fm.HalfPlaneGrid(re_min=-1.0, re_max=2.0, re_count=4,
-                            im_min=0.01, im_max=1.0, im_count=3)
-    zs = grid.points()
+    zs = _points(np.linspace(-1.0, 2.0, 4), np.geomspace(0.01, 1.0, 3))
+    monkeypatch.setattr(unimodality, "half_plane_grid", lambda: zs)
     real = unimodality.psi_prime
     calls = []
     monkeypatch.setattr(unimodality, "psi_prime",
@@ -157,7 +168,7 @@ def test_pick_check_of_several_modes_evaluates_psi_prime_once(monkeypatch):
     modes = [0.5, 2.0, 1.0]
     for nu in (fm.gamma_measure(2, 1), fm.atomic([(0.5, 1.0), (0.5, 4.0)])):
         calls.clear()
-        reports = fm.pick_inequality_check(nu, modes, grid)
+        reports = fm.pick_inequality_check(nu, modes)
         # one call covering all of zs
         assert len(calls) == 1
         assert np.asarray(calls[0]).tobytes() == zs.tobytes()
@@ -169,8 +180,7 @@ def test_pick_check_of_several_modes_evaluates_psi_prime_once(monkeypatch):
             assert rep.violations == tuple((complex(z), float(v))
                                            for z, v in zip(zs, vals.imag)
                                            if v < -rep.tolerance)
-        assert reports == [fm.pick_inequality_check(nu, c, grid)
-                           for c in modes]
+        assert reports == [fm.pick_inequality_check(nu, c) for c in modes]
         assert [r.holds for r in reports] == [False, True, True]
 
 
@@ -183,16 +193,16 @@ class _Rippled(measures.Named):
         return super().density(x) * (1.0 + 3e-7 * np.sin(1e9 * x))
 
 
-def test_pick_check_counts_the_grid_points_whose_psi_prime_was_relaxed():
-    grid = fm.HalfPlaneGrid(re_min=-2.0, re_max=2.0, re_count=2,
-                            im_min=0.5, im_max=2.0, im_count=2)
-    assert fm.pick_inequality_check(fm.gamma_measure(2, 1), 2.0,
-                                    grid).relaxed_points == 0
+def test_pick_check_counts_the_grid_points_whose_psi_prime_was_relaxed(
+        monkeypatch):
+    zs = _points(np.array([-2.0, 2.0]), np.array([0.5, 2.0]))
+    monkeypatch.setattr(unimodality, "half_plane_grid", lambda: zs)
+    assert fm.pick_inequality_check(fm.gamma_measure(2, 1),
+                                    2.0).relaxed_points == 0
     nu = _Rippled("gamma", p=2.0, theta=1.0)
-    reports = fm.pick_inequality_check(nu, [1.0, 2.0], grid)
+    reports = fm.pick_inequality_check(nu, [1.0, 2.0])
     assert [r.relaxed_points for r in reports] == [1, 1]
     # the relaxed point gets the value of its own quadrature at 100 rtol
-    zs = grid.points()
     values, relaxed = fm.psi_prime(nu, zs, rtol=1e-8, full_output=True)
     (k,) = np.flatnonzero(relaxed)
     z = complex(zs[k])
@@ -214,10 +224,10 @@ def test_pick_check_rejects_bad_mode():
 
 @pytest.mark.parametrize("nu,mode", MODE_TABLE[:6],
                          ids=[m.family for m, _ in MODE_TABLE[:6]])
-def test_checker_agreement_on_named_families(nu, mode):
+def test_checker_agreement_on_named_families(small_grid, nu, mode):
     # both routes agree on the designated fixtures: the half-plane check
     # holds at the known mode and mode counting says unimodal
-    assert fm.pick_inequality_check(nu, mode, grid=SMALL_GRID).holds
+    assert fm.pick_inequality_check(nu, mode).holds
     assert fm.is_log_unimodal(nu).verdict == "unimodal"
 
 
