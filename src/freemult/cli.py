@@ -57,19 +57,6 @@ EXIT_INCONCLUSIVE = 4
 _DEFAULT_CHECKS = ("mass",)
 _ALL_CHECKS = ("mass", "mean", "symmetry", "logunimodal", "pick",
                "theta_sweep")
-# the density checks that read the curve, with the summary field each sets
-_CURVE_CHECKS = {"mass": "mass_pass", "mean": "mean_pass",
-                 "symmetry": "symmetry_pass", "logunimodal": "logunimodal",
-                 "pick": "pick_holds"}
-
-
-def _window(value) -> tuple[float, float] | None:
-    """A window (lo, hi) of two numbers with 0 < lo < hi < inf, or None."""
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ParseError(f"window must be 'lo,hi', got {value!r}")
-    return flow.check_window(config_io.parse_numbers(value, "window"))
 
 
 def _times_of(value, nu: Measure, command: str) -> list[float]:
@@ -166,21 +153,19 @@ def density_inputs(cfg: dict) -> dict:
     grid = _object(cfg, "grid", "density")
     points = config_io.parse_number(grid.get("points", 512), "grid.points", int)
     flow.check_points(points)
-    window = _window(grid.get("window"))
     checks = _checks(cfg, _DEFAULT_CHECKS)
     for c in checks:
         if c not in _ALL_CHECKS:
             raise ParseError(f"unknown check {c!r}; known: {list(_ALL_CHECKS)}")
-    return {"nu": nu, "times": times, "points": points, "window": window,
-            "checks": checks}
+    return {"nu": nu, "times": times, "points": points, "checks": checks}
 
 
-def run_density(tol: dict, out_dir: str, nu, times, points, window, checks):
+def run_density(tol: dict, out_dir: str, nu, times, points, checks):
     warnings: list[str] = []
     per_t = []
     for t in times:
         ctx = FlowContext(nu, t, tol_root=tol["tol_root"], tol_quad=tol["tol_quad"])
-        curve = density_curve(ctx, points=points, window=window)
+        curve = density_curve(ctx, points=points)
         csv_path = os.path.join(out_dir, f"density_t{t:.17g}.csv")
         config_io.write_curve_csv(curve, csv_path)
         warnings.extend(f"t={t:.17g}: {w}" for w in curve.warnings)
@@ -193,21 +178,15 @@ def run_density(tol: dict, out_dir: str, nu, times, points, window, checks):
             "support_components": len(curve.support),
             "mass": mass,
         }
-        # an empty curve already carries its own warning
-        if len(curve.support) and abs(mass - 1.0) > tol["tol_int"]:
+        if abs(mass - 1.0) > tol["tol_int"]:
             cause = ("overshoots 1: too few samples" if mass > 1.0 else
                      "falls short of 1: too few samples, or support beyond "
                      "the sampled window")
             warnings.append(f"t={t:.17g}: curve mass {mass:.6g} {cause} "
                             f"(band {tol['tol_int']})")
-        # the checks that read an empty curve have nothing to read
-        skipped = [] if len(curve.support) else [c for c in _CURVE_CHECKS
-                                                 if c in checks]
-        summary.update({_CURVE_CHECKS[c]: "skipped" for c in skipped})
-        todo = [c for c in checks if c not in skipped]
-        if "mass" in todo:
+        if "mass" in checks:
             summary["mass_pass"] = abs(mass - 1.0) <= tol["tol_int"]
-        if "mean" in todo:
+        if "mean" in checks:
             base_mean = nu.mean()
             if math.isinf(base_mean):
                 warnings.append(f"t={t:.17g}: mean check skipped "
@@ -218,19 +197,19 @@ def run_density(tol: dict, out_dir: str, nu, times, points, window, checks):
                 summary["mean_expected"] = expected
                 summary["mean_pass"] = (abs(mean - expected)
                                         <= tol["tol_mean_rel"] * expected)
-        if "symmetry" in todo:
+        if "symmetry" in checks:
             if is_mult_symmetric(nu, 1e-6):
                 defect = _log_symmetry_defect(curve)
                 summary["symmetry_defect"] = defect
                 summary["symmetry_pass"] = defect <= tol["tol_symmetry"]
             else:
                 summary["symmetry_pass"] = "skipped"
-        if "logunimodal" in todo or "pick" in todo:
+        if "logunimodal" in checks or "pick" in checks:
             mode_report = is_log_unimodal(curve, hysteresis=tol["hysteresis"])
-        if "logunimodal" in todo:
+        if "logunimodal" in checks:
             summary["logunimodal"] = mode_report.verdict
             summary["modes"] = list(mode_report.modes)
-        if "pick" in todo:
+        if "pick" in checks:
             if mode_report.modes:
                 gcurve = GridDensity(curve.x, curve.q, normalize=True)
                 pick = pick_inequality_check(gcurve, mode_report.modes[0],
@@ -247,8 +226,7 @@ def run_density(tol: dict, out_dir: str, nu, times, points, window, checks):
         per_t.append(summary)
 
     inputs = {"measure": nu.to_dict(), "times": times,
-              "grid": {"points": points,
-                       "window": list(window) if window else None},
+              "grid": {"points": points},
               "checks": list(checks)}
     return EXIT_OK, inputs, {"per_t": per_t}, warnings, per_t
 
@@ -326,12 +304,11 @@ def sweep_inputs(cfg: dict) -> dict:
     n_angles = config_io.parse_number(angles.get("count", 64), "angles.count", int)
     grid = config_io.parse_number(cfg.get("grid", 4096), "grid", int)
     flow.check_points(grid)
-    window = _window(cfg.get("window"))
     return {"nu": nu, "times": times, "angles": default_angle_sweep(n_angles),
-            "grid": grid, "window": window}
+            "grid": grid}
 
 
-def run_sweep(tol: dict, out_dir: str, nu, times, angles, grid, window):
+def run_sweep(tol: dict, out_dir: str, nu, times, angles, grid):
     warnings: list[str] = []
     results: dict = {}
     lo, hi = nu.math_support()
@@ -342,8 +319,7 @@ def run_sweep(tol: dict, out_dir: str, nu, times, angles, grid, window):
             warnings.append(f"time threshold unavailable: {exc}")
     per_t = []
     for t in times:
-        sweep = sweep_level_counts(nu, t, angles=angles, window=window,
-                                   grid=grid)
+        sweep = sweep_level_counts(nu, t, angles=angles, grid=grid)
         csv_path = os.path.join(out_dir, f"sweep_t{t:.17g}.csv")
         config_io.write_sweep_csv(sweep, csv_path)
         per_t.append({"t": t, "csv": os.path.basename(csv_path),
@@ -353,8 +329,7 @@ def run_sweep(tol: dict, out_dir: str, nu, times, angles, grid, window):
 
     code = EXIT_OK if all(s["log_unimodal"] for s in per_t) else EXIT_NEGATIVE
     inputs = {"measure": nu.to_dict(), "times": times,
-              "angles": {"count": len(angles)}, "grid": grid,
-              "window": list(window) if window else None}
+              "angles": {"count": len(angles)}, "grid": grid}
     return code, inputs, results, warnings, per_t
 
 
@@ -459,15 +434,15 @@ _TOLERANCE_DEFAULTS = {
 # `hysteresis`); the numeric summary fields that an `expect` key `<field>_min`
 # may bound; its input reader; and its runner
 _COMMANDS = {
-    "density": ({"measure": (), "times": (), "grid": ("points", "window"),
+    "density": ({"measure": (), "times": (), "grid": ("points",),
                  "checks": (), "tolerances": ()}, tuple(_TOLERANCE_DEFAULTS),
                 {"t", "support_components", "mass", "mean", "mean_expected",
                  "symmetry_defect", "theta_sweep_max_count"},
                 density_inputs, run_density),
     "check": ({"measure": (), "checks": (), "hysteresis": ()},
               ("tol_pick", "hysteresis"), set(), check_inputs, run_check),
-    "sweep": ({"measure": (), "times": (), "angles": ("count",), "window": (),
-               "grid": ()}, (), {"t", "max_count"}, sweep_inputs, run_sweep),
+    "sweep": ({"measure": (), "times": (), "angles": ("count",), "grid": ()},
+              (), {"t", "max_count"}, sweep_inputs, run_sweep),
     "counterexample": ({"n_atoms": (), "times": (), "k_max": ()}, (),
                        {"t", "support_components", "k", "midpoint", "f_value"},
                        counterexample_inputs, run_counterexample),
@@ -594,11 +569,6 @@ def _times(text: str) -> list[str]:
     return [v for v in text.split(",") if v.strip()]
 
 
-def _pair(text: str) -> list[str]:
-    """'lo,hi' as its parts; a window with other than two is rejected."""
-    return text.split(",")
-
-
 def _mode_sweep(text: str):
     """'lo,hi,count' as a mode_sweep object; any other text stays a string,
     which the pick run rejects."""
@@ -618,8 +588,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", dest="times", type=_times, required=True,
                    help="comma-separated times")
     p.add_argument("--points", dest="grid.points")
-    p.add_argument("--window", dest="grid.window", type=_pair,
-                   help="x window 'lo,hi'")
     p.add_argument("--check", dest="checks", action="append",
                    choices=list(_ALL_CHECKS))
     _add_common(p)
@@ -635,7 +603,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--t", dest="times", type=_times, required=True)
     p.add_argument("--angles", dest="angles.count")
-    p.add_argument("--window", type=_pair, help="radial window 'lo,hi'")
     p.add_argument("--grid")
     _add_common(p)
 

@@ -266,12 +266,10 @@ def write_report(record: dict, path: str) -> None:
 
 def write_curve_csv(curve, path: str) -> None:
     """A density curve (`flow.DensityCurve`) in fixed column order x,q,xq at
-    17 significant digits; a curve with empty support writes the header
-    alone."""
+    17 significant digits."""
     lines = ["x,q,xq"]
-    if len(curve.support) > 0:
-        for x, q in zip(curve.x, curve.q):
-            lines.append(f"{x:.17g},{q:.17g},{x * q:.17g}")
+    for x, q in zip(curve.x, curve.q):
+        lines.append(f"{x:.17g},{q:.17g},{x * q:.17g}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -39,7 +39,6 @@ from .flow import (
     FlowContext,
     capped_blowup,
     check_points,
-    check_window,
     kernel_denominator,
     poisson_kernel_integral,
 )
@@ -160,21 +159,20 @@ def _default_level_window(nu: Measure) -> tuple[float, float]:
     return 1e-2 / hi, 1e2 / lo
 
 
-def count_level_solutions(nu: Measure, R: float, t: float, window=None,
+def count_level_solutions(nu: Measure, R: float, t: float,
                           grid: int = 4096) -> LevelSolutions:
     """Count solutions of Theta_R(r) = 1/t.
 
     Sign changes on a log grid are polished by bracketed root finding; local
     extrema that touch the level within tolerance are reported as boundary
-    (tangency) cases.  When the level function is still above 1/t at an end
-    of the default window the window is widened; a caller-given window is
-    never widened, and WindowTooNarrow is raised instead."""
+    (tangency) cases.  While the level function is still above 1/t at an
+    end of the window, starting from the default one, that end is widened;
+    WindowTooNarrow is raised when it cannot be."""
     if t <= 0:
         raise DomainError(f"t must be positive, got {t}")
     check_points(grid)
     target = 1.0 / t
-    wlo, whi = (_default_level_window(nu) if window is None
-                else check_window(window))
+    wlo, whi = _default_level_window(nu)
 
     for _ in range(80):
         r, vals = _level_profile(nu, R, wlo, whi, grid)
@@ -183,9 +181,6 @@ def count_level_solutions(nu: Measure, R: float, t: float, window=None,
         hi_clipped = vals[-1] >= 0.0
         if not (lo_clipped or hi_clipped):
             break
-        if window is not None:
-            raise WindowTooNarrow(
-                f"level function exceeds 1/t at a window end of {window}")
         if lo_clipped:
             wlo /= 4.0
         if hi_clipped:
@@ -210,7 +205,15 @@ def count_level_solutions(nu: Measure, R: float, t: float, window=None,
     interior = np.arange(1, r.size - 1)
     is_max = (vals[interior] > vals[interior - 1]) & (vals[interior] >= vals[interior + 1])
     is_min = (vals[interior] < vals[interior - 1]) & (vals[interior] <= vals[interior + 1])
-    for i in interior[(is_max | is_min) & (np.abs(vals[interior]) < 1e-5 * target)]:
+    ext_i = interior[is_max | is_min]
+    y0, y1, y2 = vals[ext_i - 1], vals[ext_i], vals[ext_i + 1]
+    # the radii are equally spaced in log r, and the parabola through an
+    # extremum and its neighbours rises (y2 - y0)^2 / (8 |y0 - 2 y1 + y2|)
+    # beyond it: an extremum within twice that rise of the level is polished
+    # (a second difference that rounds to 0 reads inf or nan; fmax drops nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rise = (y2 - y0) ** 2 / (8.0 * np.abs(y0 - 2.0 * y1 + y2))
+    for i in ext_i[np.abs(y1) < np.fmax(1e-5 * target, 2.0 * rise)]:
         a, b = float(r[i - 1]), float(r[i + 1])
         if any(a < rt < b for rt in roots):
             continue
@@ -261,15 +264,14 @@ class CriterionReport:
     log_unimodal: bool
 
 
-def sweep_level_counts(nu: Measure, t: float, angles=None, window=None,
+def sweep_level_counts(nu: Measure, t: float, angles=None,
                        grid: int = 4096) -> CriterionReport:
     """Run the solution count across an angle sweep; the marginal at time t
     is log-unimodal exactly when every count is at most two."""
     angles = default_angle_sweep() if angles is None else np.asarray(angles, float)
     if angles.size == 0:
         raise DomainError("need at least one angle")
-    sols = [count_level_solutions(nu, float(R), t, window=window, grid=grid)
-            for R in angles]
+    sols = [count_level_solutions(nu, float(R), t, grid=grid) for R in angles]
     eff = tuple(s.effective_count for s in sols)
     return CriterionReport(tuple(float(R) for R in angles),
                            tuple(s.count for s in sols), eff,

@@ -294,17 +294,13 @@ def radial_map(ctx: FlowContext, r: float) -> float:
     return _radial_point(ctx, r)[0]
 
 
-def radial_map_inverse(ctx: FlowContext, y: float, bracket=None) -> float:
-    """Solve Lambda(r) = y by bracketed root finding.
-
-    Starts from the caller-provided bracket when available, otherwise
-    expands geometrically (factor 2) from the initial guess r = y.
-    """
-    return _inverse_point(ctx, y, bracket)[0]
+def radial_map_inverse(ctx: FlowContext, y: float) -> float:
+    """Solve Lambda(r) = y by bracketed root finding, the bracket expanded
+    geometrically (factor 2) from the initial guess r = y."""
+    return _inverse_point(ctx, y)[0]
 
 
-def _inverse_point(ctx: FlowContext, y: float,
-                   bracket=None) -> tuple[float, float]:
+def _inverse_point(ctx: FlowContext, y: float) -> tuple[float, float]:
     """(r, u(r)) with Lambda(r) = y.  Every radius is solved once (brentq
     evaluates the bracket ends again), each angle solve starts from the last
     nonzero angle of the iteration, and the root's angle is the one solved
@@ -323,18 +319,7 @@ def _inverse_point(ctx: FlowContext, y: float,
                 guess = u
         return solved[r][0]
 
-    lo = hi = None
-    if bracket is not None:
-        blo, bhi = bracket
-        glo, ghi = g(blo), g(bhi)
-        if abs(glo) <= ctx.tol_root * y:
-            return blo, solved[blo][1]
-        if abs(ghi) <= ctx.tol_root * y:
-            return bhi, solved[bhi][1]
-        if glo < 0.0 < ghi:
-            lo, hi = blo, bhi
-    if lo is None:
-        lo, hi = _expand_bracket(g, y)
+    lo, hi = _expand_bracket(g, y)
     root = lo if lo == hi else optimize.brentq(  # lo == hi: an exact root
         g, lo, hi, xtol=1e-300, rtol=1e-13, maxiter=300)
     g(root)
@@ -512,21 +497,17 @@ class DensityCurve:
         return float(total)
 
 
-def density_curve(ctx: FlowContext, points: int = 512,
-                  window=None) -> DensityCurve:
+def density_curve(ctx: FlowContext, points: int = 512) -> DensityCurve:
     """Sample the marginal density over its support.
 
     The curve is sampled parametrically: inside each blow-up component the
     radial variable runs over its own log grid, of at least 16 samples and
     the rest by the component's share of the summed log-widths in x, and
     every sample is an exact (r -> 1/Lambda(r), u/(pi t x)) pair, so no
-    interpolation error enters.  `window`, when given, clips the curve in
-    x-space.  A radial map beyond the float range at the end of a component
-    that the window keeps (at very large t) is a FloatOverflow.
+    interpolation error enters.  A radial map beyond the float range at a
+    component's end (at very large t) is a FloatOverflow.
     """
     check_points(points)
-    if window is not None:
-        wlo, whi = check_window(window)
     warnings = []
 
     # an empty region is the floor-angle predicate saturating (the true one
@@ -534,8 +515,8 @@ def density_curve(ctx: FlowContext, points: int = 512,
     r_ints = blowup_region(ctx)
     # map components to x-space (reverse order: 1/Lambda is decreasing)
     ends = np.array(r_ints).ravel()  # increasing
-    # an end whose Lambda leaves the float range reads x = 0 or inf; it is
-    # raised below unless the window clips it away
+    # an end whose Lambda leaves the float range reads x = 0 or inf: raised
+    # below
     with np.errstate(over="ignore", divide="ignore"):
         lam_e, u_e = _radial_points(ctx, ends)
         x_e = 1.0 / lam_e
@@ -547,15 +528,6 @@ def density_curve(ctx: FlowContext, points: int = 512,
         comps.append([x_lo, x_hi, rlo, rhi])
     comps.sort(key=lambda c: c[0])
 
-    if window is not None:
-        # a bracket end whose Lambda overflows reads inf: brentq brackets it
-        with np.errstate(over="ignore"):
-            comps = _clip_components(ctx, comps, wlo, whi)
-        if not comps:
-            x = np.geomspace(wlo, whi, points)
-            warnings.append("window excludes the whole support")
-            return DensityCurve(x, np.zeros_like(x), SupportSet(()),
-                                tuple(warnings))
     # x in (0, 1/_NORMAL_MIN] is Lambda in [_NORMAL_MIN, inf)
     if not all(0.0 < c[0] and c[1] <= 1.0 / _NORMAL_MIN for c in comps):
         raise FloatOverflow(f"t={ctx.t}: the radial map at a support "
@@ -611,21 +583,6 @@ def _curve_points(ctx: FlowContext, rs: np.ndarray, ends: np.ndarray,
                  if k and have.size else None)
         lam[rows], u[rows] = _radial_points(ctx, rs[rows], guess)
     return lam, u
-
-
-def _clip_components(ctx, comps, x_lo_w, x_hi_w):
-    out = []
-    for x_lo, x_hi, rlo, rhi in comps:
-        if x_hi < x_lo_w or x_lo > x_hi_w:
-            continue
-        if x_lo < x_lo_w:
-            rhi = radial_map_inverse(ctx, 1.0 / x_lo_w, bracket=(rlo, rhi))
-            x_lo = x_lo_w
-        if x_hi > x_hi_w:
-            rlo = radial_map_inverse(ctx, 1.0 / x_hi_w, bracket=(rlo, rhi))
-            x_hi = x_hi_w
-        out.append([x_lo, x_hi, rlo, rhi])
-    return out
 
 
 def _assemble_with_gaps(xs_parts, qs_parts):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -126,21 +127,6 @@ def test_sweep_runs_an_odd_angle_count(tmp_path):
     assert len(rows) == 1 + 65
 
 
-def test_sweep_pinned_window_is_not_widened(tmp_path):
-    # at t = 2 pi the level function of dirac(1) still exceeds 1/t at the
-    # ends of [0.5, 1.5]; its roots lie outside that window
-    out = str(tmp_path)
-    code = main(["sweep", "--measure", DIRAC1, "--t", "6.283185307179586",
-                 "--window", "0.5,1.5", "--out", out])
-    assert code == cli.EXIT_NUMERIC
-    assert not os.path.exists(os.path.join(out, "sweep_report.json"))
-    code = main(["sweep", "--measure", DIRAC1, "--t", "6.283185307179586",
-                 "--window", "0.01,100", "--angles", "8", "--out", out])
-    assert code == 0
-    report = json.loads(open(os.path.join(out, "sweep_report.json")).read())
-    assert report["inputs"]["window"] == [0.01, 100.0]
-
-
 def test_sweep_rejects_degenerate_sizes(tmp_path):
     out = str(tmp_path)
     for flags in (["--grid", "1"], ["--grid", "0"], ["--grid", "63"],
@@ -232,20 +218,6 @@ def test_density_whose_support_leaves_the_float_range_exits_3(tmp_path,
     assert not os.path.exists(os.path.join(out, "density_report.json"))
 
 
-def test_density_window_clips_an_overflowing_end_away(tmp_path):
-    # at t = 1500 the support's ends leave the float range, but the window
-    # keeps only x in [1, 2]: the run needs neither end
-    out = str(tmp_path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["density", "--measure", DIRAC1, "--t", "1500",
-                     "--window", "1,2", "--points", "64",
-                     "--out", out]) == cli.EXIT_OK
-    report = json.loads(open(os.path.join(out, "density_report.json")).read())
-    (lo, hi), = report["results"]["per_t"][0]["support"]
-    assert lo == 1.0 and 2.0 - 1e-9 < hi <= 2.0
-
-
 def test_numeric_failure_prints_the_tolerances_run(tmp_path, capsys):
     assert main(["density", "--measure", DIRAC1, "--t", "1e16", "--points",
                  "64", "--tol-root", "1e-3", "--out", str(tmp_path)]) == 3
@@ -282,16 +254,16 @@ def test_bad_tolerances_are_config_errors(tmp_path, capsys, where, value):
 # each case is the flags of one command and the scenario run they describe
 _SAME_RUNS = {
     "density": (["density", "--measure", DIRAC1, "--t", "1", "--points", "64",
-                 "--window", "0.2,5", "--tol-root", "1e-9"],
+                 "--tol-root", "1e-9"],
                 {"measure": json.loads(DIRAC1), "times": [1],
-                 "grid": {"points": 64, "window": [0.2, 5]},
+                 "grid": {"points": 64},
                  "tolerances": {"tol_root": 1e-9}}),
     "counterexample": (["counterexample", "--n-atoms", "8", "--t", "0.5,1"],
                        {"n_atoms": 8, "times": [0.5, 1]}),
     "sweep": (["sweep", "--measure", DIRAC1, "--t", "1", "--angles", "8",
-               "--grid", "512", "--window", "0.01,100"],
+               "--grid", "512"],
               {"measure": json.loads(DIRAC1), "times": [1],
-               "angles": {"count": 8}, "grid": 512, "window": [0.01, 100]}),
+               "angles": {"count": 8}, "grid": 512}),
     "pick": (["pick", "--measure", TWO_ATOMS, "--mode-sweep", "0.5,5,3"],
              {"measure": json.loads(TWO_ATOMS),
               "mode_sweep": {"lo": 0.5, "hi": 5, "count": 3}}),
@@ -387,14 +359,33 @@ def _defaulted_public_parameters() -> int:
     return count
 
 
-def test_settable_value_census():
-    # a knob added or removed changes this total on purpose: 25 defaulted
-    # public parameters and 26 subcommand flags
+def _subcommand_flags():
+    """(subcommand, flag) for every option of every subcommand, help aside."""
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    flags = sum(1 for parser in sub.choices.values() for a in parser._actions
-                if a.option_strings and not isinstance(a, argparse._HelpAction))
-    assert _defaulted_public_parameters() + flags == 51
+    return [(name, flag) for name, parser in sub.choices.items()
+            for a in parser._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+            for flag in a.option_strings]
+
+
+def test_settable_value_census():
+    # a knob added or removed changes this total on purpose: 21 defaulted
+    # public parameters and 24 subcommand flags
+    assert _defaulted_public_parameters() + len(_subcommand_flags()) == 45
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| flag | subcommands | run field |\n", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()[1:]  # past the rule row
+    documented = set()
+    for row in rows:
+        flags, commands = row.split("|")[1:3]
+        documented |= {(c.strip(), f) for f in re.findall(r"`(--[\w-]+)", flags)
+                       for c in commands.split(",")}
+    assert rows and documented == {(c, f) for c, f in _subcommand_flags()
+                                   if f != "--out"}
 
 
 def test_reports_list_the_tolerances_read(tmp_path):
@@ -518,12 +509,6 @@ def _named(family, **params):
 
 # each case is an argv, or a scenario run written to a file and run
 _MALFORMED_NUMBERS = {
-    "density_window": ["density", "--measure", DIRAC1, "--t", "1",
-                       "--window", "a,b"],
-    "sweep_window": ["sweep", "--measure", DIRAC1, "--t", "1",
-                     "--window", "a,b"],
-    "window_arity": ["density", "--measure", DIRAC1, "--t", "1",
-                     "--window", "1,2,3"],
     "times_text": ["density", "--measure", DIRAC1, "--t", "1,x"],
     "points_text": ["density", "--measure", DIRAC1, "--t", "1", "--points", "x"],
     "angles_text": ["sweep", "--measure", DIRAC1, "--t", "1", "--angles", "x"],
@@ -578,16 +563,6 @@ def test_malformed_numbers_are_config_errors(tmp_path, capsys, case):
         argv = ["scenario", path]
     assert main(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert "config error: ParseError" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["density", "sweep"])
-@pytest.mark.parametrize("window", ["nan,1", "0,1", "-1,2", "0.5,inf", "2,1"])
-def test_bad_windows_are_config_errors(tmp_path, capsys, command, window):
-    out = str(tmp_path)
-    assert main([command, "--measure", DIRAC1, "--t", "1",
-                 f"--window={window}", "--out", out]) == cli.EXIT_CONFIG
-    assert "config error: DomainError: bad window" in capsys.readouterr().err
-    assert not os.listdir(out)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -823,8 +798,13 @@ def test_bad_later_run_fields_are_a_config_error_before_any_run(tmp_path, capsys
      "'tolerances'"),
     (None, {"command": "density", "measure": _D, "times": [1],
             "checks": ["support"]}, "'support'"),
+    # a window let a verdict read one support component alone
+    (["density", "--measure", DIRAC1, "--t", "1", "--window", "1,2"], None,
+     "--window"),
+    (["sweep", "--measure", TWO_ATOMS, "--t", "0.5", "--window", "0.5,1000"],
+     None, "--window"),
 ], ids=["rule_flag", "tol_root_flag", "counterexample_tolerances",
-        "support_check"])
+        "support_check", "density_window_flag", "sweep_window_flag"])
 def test_removed_knobs_are_config_errors_naming_the_field(tmp_path, capsys,
                                                           argv, run, field):
     out = tmp_path / "out"
@@ -836,19 +816,6 @@ def test_removed_knobs_are_config_errors_naming_the_field(tmp_path, capsys,
     assert main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
     assert field in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("check", list(cli._CURVE_CHECKS))
-def test_curve_checks_of_an_empty_curve_are_skipped(tmp_path, check):
-    # dirac(1) at t = 1 is supported inside [0.125, 8.01]
-    out = str(tmp_path)
-    assert main(["density", "--measure", DIRAC1, "--t", "1", "--window",
-                 "100,200", "--check", check, "--out", out]) == cli.EXIT_OK
-    report = json.loads(open(os.path.join(out, "density_report.json")).read())
-    entry, = report["results"]["per_t"]
-    assert entry["support_components"] == 0
-    assert entry[cli._CURVE_CHECKS[check]] == "skipped"
-    assert report["warnings"] == ["t=1: window excludes the whole support"]
 
 
 def test_scenario_out_dir_must_be_a_string(tmp_path, capsys, monkeypatch):

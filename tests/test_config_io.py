@@ -168,16 +168,6 @@ def test_write_report_and_curve(tmp_path):
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
 
 
-def test_zero_support_curve_header_only(tmp_path):
-    # a window that excludes the whole support, [0.125, 8.01] at t = 1
-    ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
-    curve = fm.density_curve(ctx, points=128, window=(100.0, 200.0))
-    assert len(curve.support) == 0
-    path = str(tmp_path / "zero.csv")
-    config_io.write_curve_csv(curve, path)
-    assert open(path).read() == "x,q,xq\n"
-
-
 def test_load_measure_missing_file():
     with pytest.raises(IoError):
         config_io.load_measure("/nonexistent/measure.json")
