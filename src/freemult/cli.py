@@ -257,7 +257,6 @@ def run_check(tol: dict, out_dir: str, nu, requested):
             "verdict": mode_report.verdict,
             "num_local_maxima": mode_report.num_local_maxima,
             "modes": list(mode_report.modes),
-            "max_level_crossings": mode_report.max_level_crossings,
             "resolution": mode_report.resolution,
         }
         negative |= mode_report.verdict == "not_unimodal"
@@ -335,17 +334,12 @@ def run_sweep(tol: dict, out_dir: str, nu, times, angles, grid):
 
 def counterexample_inputs(cfg: dict) -> dict:
     n_atoms = config_io.parse_number(cfg.get("n_atoms", 30), "n_atoms", int)
-    k_max = config_io.parse_number(cfg.get("k_max", n_atoms - 1), "k_max", int)
     nu, spec = build_counterexample(n_atoms)
     times = _times_of(cfg.get("times") or [1.0], nu, "counterexample")
-    if k_max < 1:
-        raise ParseError(f"k_max must be >= 1, got {k_max}")
-    return {"n_atoms": n_atoms, "times": times, "k_max": k_max, "nu": nu,
-            "spec": spec}
+    return {"n_atoms": n_atoms, "times": times, "nu": nu, "spec": spec}
 
 
-def run_counterexample(tol: dict, out_dir: str, n_atoms, times, k_max, nu,
-                       spec):
+def run_counterexample(tol: dict, out_dir: str, n_atoms, times, nu, spec):
     results: dict = {
         "n_atoms": n_atoms,
         "partial_sum_w_over_a": spec.partial_sum_w_over_a,
@@ -356,7 +350,7 @@ def run_counterexample(tol: dict, out_dir: str, n_atoms, times, k_max, nu,
     negative = False
     for t in times:
         cert = None
-        for k in range(1, min(k_max, n_atoms - 1) + 1):
+        for k in range(1, n_atoms):
             c = gap_certificate(nu, t, k)
             if c.below:
                 cert = c
@@ -372,7 +366,7 @@ def run_counterexample(tol: dict, out_dir: str, n_atoms, times, k_max, nu,
         per_t.append(entry)
     results["per_t"] = per_t
 
-    inputs = {"n_atoms": n_atoms, "times": times, "k_max": k_max}
+    inputs = {"n_atoms": n_atoms, "times": times}
     return (EXIT_NEGATIVE if negative else EXIT_OK), inputs, results, [], per_t
 
 
@@ -443,7 +437,7 @@ _COMMANDS = {
               ("tol_pick", "hysteresis"), set(), check_inputs, run_check),
     "sweep": ({"measure": (), "times": (), "angles": ("count",), "grid": ()},
               (), {"t", "max_count"}, sweep_inputs, run_sweep),
-    "counterexample": ({"n_atoms": (), "times": (), "k_max": ()}, (),
+    "counterexample": ({"n_atoms": (), "times": ()}, (),
                        {"t", "support_components", "k", "midpoint", "f_value"},
                        counterexample_inputs, run_counterexample),
     "pick": ({"measure": (), "mode": (), "mode_sweep": ("lo", "hi", "count")},
@@ -610,7 +604,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="truncated atomic cascade with gap certificates")
     p.add_argument("--n-atoms")
     p.add_argument("--t", dest="times", type=_times)
-    p.add_argument("--k-max")
     _add_common(p)
 
     p = sub.add_parser("pick", help="half-plane inequality check")

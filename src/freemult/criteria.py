@@ -410,13 +410,12 @@ _ZETA6 = math.pi ** 6 / 945.0
 class CounterexampleSpec:
     """Derived quantities of a truncated atomic cascade.
 
-    Weights are recorded raw (before renormalization to total mass one);
-    `partial_sum_w_over_a` uses the raw weights so it can be compared with
-    the closed-form full-series value.  `midpoints` are the reciprocal-gap
-    midpoints b_k used by the gap certificates."""
+    `partial_sum_w_over_a` uses the raw weights (before renormalization to
+    total mass one) so it can be compared with the closed-form full-series
+    value.  `midpoints` are the reciprocal-gap midpoints b_k used by the gap
+    certificates."""
 
     n_atoms: int
-    raw_weights: tuple[float, ...]
     locations: tuple[float, ...]          # decreasing, as generated
     weights: tuple[float, ...]            # renormalized
     partial_sum_w_over_a: float
@@ -445,7 +444,6 @@ def build_counterexample(n_atoms: int):
     measure = Atomic(weights[::-1], locs[::-1])
     spec = CounterexampleSpec(
         n_atoms=n_atoms,
-        raw_weights=tuple(w_raw.tolist()),
         locations=tuple(locs.tolist()),
         weights=tuple(weights.tolist()),
         partial_sum_w_over_a=float(np.sum(w_raw / locs)),

@@ -83,14 +83,6 @@ class FlowContext:
             raise InvariantViolation("flow.tol", "tolerances must be positive")
 
 
-def check_window(window) -> tuple[float, float]:
-    """A window's ends (lo, hi) as floats, with 0 < lo < hi < inf."""
-    lo, hi = float(window[0]), float(window[1])
-    if not (0.0 < lo < hi < math.inf):
-        raise DomainError(f"bad window {window}")
-    return lo, hi
-
-
 def check_points(points: int) -> None:
     """A density curve, or a level profile, takes at least 64 samples."""
     if points < 64:
@@ -370,7 +362,12 @@ def blowup_region(ctx: FlowContext) -> list[tuple[float, float]]:
     force-included in the scan so no island is missed.
     """
     nu = ctx.nu
-    wlo, whi = check_window(default_window(nu))
+    wlo, whi = default_window(nu)
+    if not (0.0 < wlo < whi < math.inf):
+        slo, shi = nu.effective_support(1e-9)
+        raise DomainError(
+            f"the scan window ({wlo:g}, {whi:g}) of the start's effective "
+            f"support ({slo:g}, {shi:g}) leaves the float range")
     target = 1.0 / ctx.t
 
     rs = [np.geomspace(wlo, whi, _SCAN_POINTS)]

@@ -3,9 +3,8 @@
 Three independent routes are implemented:
 
 * mode counting on a sampled curve, with hysteresis suppression of
-  sub-resolution oscillations and a horizontal level sweep (a positive
-  measure on the half-line is log-unimodal exactly when x times its density
-  is unimodal);
+  sub-resolution oscillations (a positive measure on the half-line is
+  log-unimodal exactly when x times its density is unimodal);
 * the half-plane inequality check through the psi-transform, for a
   candidate mode c;
 * the closed-form criterion for the lambda family: strong log-unimodality
@@ -41,61 +40,40 @@ class ModeReport:
     verdict: str                      # unimodal | not_unimodal | inconclusive
     num_local_maxima: int
     modes: tuple[float, ...]
-    max_level_crossings: int
     resolution: float
-    tolerance: float
 
     def __post_init__(self):
         if self.verdict not in ("unimodal", "not_unimodal", "inconclusive"):
             raise InvariantViolation("mode_report.verdict",
                                      f"bad verdict {self.verdict!r}")
-        if self.verdict == "unimodal" and (self.num_local_maxima > 1 or
-                                           self.max_level_crossings > 2):
+        if self.verdict == "unimodal" and self.num_local_maxima > 1:
             raise InvariantViolation("mode_report.consistency",
                                      "unimodal verdict with multiple maxima")
 
 
-def _filtered_extrema(y: np.ndarray, eps: float):
-    """Alternating extrema after suppressing oscillations smaller than eps.
-
-    Returns (maxima_indices, skeleton_values); the skeleton is the sequence
-    of confirmed extremum values bracketed by the curve endpoints, so each
-    consecutive pair bounds one monotone (up to eps) stretch.
-    """
+def _filtered_maxima(y: np.ndarray, eps: float) -> list[int]:
+    """Indices of the local maxima left after suppressing oscillations
+    smaller than eps; a curve that ends on a rise closes on a maximum."""
     maxima: list[int] = []
-    skeleton: list[float] = [float(y[0])]
     direction = 0
-    i_max = i_min = 0
+    i_max = 0
     v_max = v_min = float(y[0])
     for i in range(1, y.size):
         v = float(y[i])
         if v > v_max:
             v_max, i_max = v, i
         if v < v_min:
-            v_min, i_min = v, i
+            v_min = v
         if direction >= 0 and v < v_max - eps:
             maxima.append(i_max)
-            skeleton.append(v_max)
             direction = -1
-            v_min, i_min = v, i
+            v_min = v
         elif direction <= 0 and v > v_min + eps:
-            skeleton.append(v_min)
             direction = 1
             v_max, i_max = v, i
-    if direction >= 0 and v_max > skeleton[-1] + (eps if direction == 0 else 0.0):
-        # curve ends on a rise (or stayed flat above the start): closing maximum
+    if direction == 1:
         maxima.append(i_max)
-        skeleton.append(v_max)
-    skeleton.append(float(y[-1]))
-    return maxima, skeleton
-
-
-def _up_crossings(skeleton: Sequence[float], level: float) -> int:
-    count = 0
-    for a, b in zip(skeleton[:-1], skeleton[1:]):
-        if a < level < b:
-            count += 1
-    return count
+    return maxima
 
 
 def _parabolic_refine(x: np.ndarray, y: np.ndarray, i: int) -> float:
@@ -123,10 +101,9 @@ def check_hysteresis(hysteresis: float) -> None:
 def count_modes(x, y, hysteresis: float = DEFAULT_HYSTERESIS) -> ModeReport:
     """Count local maxima of a sampled curve after hysteresis filtering.
 
-    Fifty horizontal levels are swept and the maximal number of up-crossings
-    recorded; the verdict is unimodal only when there is at most one maximum
-    and no level is up-crossed twice.  Features within a factor two of the
-    hysteresis threshold give an inconclusive verdict instead of a guess.
+    The maxima left after filtering decide: two or more are not unimodal.
+    Features within a factor two of the hysteresis threshold give an
+    inconclusive verdict instead of a guess.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -140,15 +117,12 @@ def count_modes(x, y, hysteresis: float = DEFAULT_HYSTERESIS) -> ModeReport:
         raise DegenerateInput("curve is identically zero")
 
     eps = hysteresis * vmax
-    maxima, skeleton = _filtered_extrema(y, eps)
-    maxima_half, _ = _filtered_extrema(y, 0.5 * eps)
-
-    levels = np.linspace(0.0, vmax, 52)[1:-1]
-    crossings = max(_up_crossings(skeleton, lv) for lv in levels)
+    maxima = _filtered_maxima(y, eps)
+    maxima_half = _filtered_maxima(y, 0.5 * eps)
 
     # the half-threshold pass sees at least as many maxima; a disagreement
     # only matters when it straddles the one-maximum line
-    if len(maxima) >= 2 or crossings >= 2:
+    if len(maxima) >= 2:
         verdict = "not_unimodal"
     elif len(maxima_half) != len(maxima):
         verdict = "inconclusive"
@@ -162,8 +136,7 @@ def count_modes(x, y, hysteresis: float = DEFAULT_HYSTERESIS) -> ModeReport:
         resolution = float((x[hi] - x[lo]) / max(hi - lo, 1))
     else:
         resolution = float(np.max(np.diff(x)))
-    return ModeReport(verdict, len(maxima), modes, crossings, resolution,
-                      hysteresis)
+    return ModeReport(verdict, len(maxima), modes, resolution)
 
 
 def is_log_unimodal(obj, hysteresis: float = DEFAULT_HYSTERESIS) -> ModeReport:
@@ -273,16 +246,13 @@ def lambda_log_density_curvature(b: float) -> Callable[[np.ndarray], np.ndarray]
 
 def lambda_strong_check(b: float) -> StrongCheckReport:
     """Strong log-unimodality of the lambda-family member: true exactly when
-    cos b <= 0.  When it fails, a witness point with positive curvature of
-    the log-density is returned (one exists wherever cosh x > 1/cos b)."""
+    cos b <= 0.  When it fails, the witness x0 + 1e-3 with x0 = acosh(1/cos b)
+    is returned: g''(x) has the sign of cos b cosh x - 1, positive wherever
+    cosh x > 1/cos b."""
     if not (0.0 < b < math.pi):
         raise DomainError(f"b must be in (0, pi), got {b}")
     g2 = lambda_log_density_curvature(b)
     cb = math.cos(b)
     if cb <= 1e-15:  # the boundary case b = pi/2 rounds to ~6e-17
         return StrongCheckReport(True, g2, None)
-    x0 = math.acosh(1.0 / cb)
-    for x in np.linspace(x0 + 1e-3, x0 + 6.0, 256):
-        if float(g2(x)) > 0.0:
-            return StrongCheckReport(False, g2, float(x))
-    raise DomainError(f"no curvature witness found for b={b}")  # unreachable
+    return StrongCheckReport(False, g2, math.acosh(1.0 / cb) + 1e-3)

@@ -371,8 +371,8 @@ def _subcommand_flags():
 
 def test_settable_value_census():
     # a knob added or removed changes this total on purpose: 21 defaulted
-    # public parameters and 24 subcommand flags
-    assert _defaulted_public_parameters() + len(_subcommand_flags()) == 45
+    # public parameters and 23 subcommand flags
+    assert _defaulted_public_parameters() + len(_subcommand_flags()) == 44
 
 
 def test_readme_flag_table_matches_the_parser():
@@ -403,18 +403,27 @@ def test_reports_list_the_tolerances_read(tmp_path):
     assert report["tolerances"] == {"tol_pick": 1e-10, "hysteresis": 2e-4}
 
 
-def test_unread_tolerance_rejected_per_command(tmp_path):
-    runs = [{"command": "sweep", "measure": json.loads(DIRAC1),
-             "times": [1.0], "tolerances": {"tol_root": 1e-3}},
-            {"command": "pick", "measure": json.loads(GAMMA21), "mode": 2.0,
-             "tolerances": {"hysteresis": 1e-3}},
-            {"command": "check", "measure": json.loads(GAMMA21),
-             "tolerances": {"tol_quad": 1e-9}}]
-    for i, run in enumerate(runs):
+def test_unread_tolerance_rejected_per_command(tmp_path, capsys):
+    # sweep, pick and check take no `tolerances` block at all; density
+    # takes one and rejects a tolerance it does not read
+    runs = [({"command": "sweep", "measure": json.loads(DIRAC1),
+              "times": [1.0], "tolerances": {"tol_root": 1e-3}},
+             "unknown field(s) ['tolerances'] in runs[0] (sweep)"),
+            ({"command": "pick", "measure": json.loads(GAMMA21), "mode": 2.0,
+              "tolerances": {"hysteresis": 1e-3}},
+             "unknown field(s) ['tolerances'] in runs[0] (pick)"),
+            ({"command": "check", "measure": json.loads(GAMMA21),
+              "tolerances": {"tol_quad": 1e-9}},
+             "unknown field(s) ['tolerances'] in runs[0] (check)"),
+            ({"command": "density", "measure": json.loads(DIRAC1),
+              "times": [1.0], "tolerances": {"tol_foo": 1}},
+             "density reads no tolerance 'tol_foo'")]
+    for i, (run, error) in enumerate(runs):
         path = str(tmp_path / f"scenario{i}.json")
         with open(path, "w") as fh:
             json.dump({"schema_version": 1, "runs": [run]}, fh)
         assert main(["scenario", path, "--out", str(tmp_path)]) == 2, run
+        assert error in capsys.readouterr().err
 
 
 def test_density_counts_modes_once(tmp_path, monkeypatch):
@@ -426,6 +435,50 @@ def test_density_counts_modes_once(tmp_path, monkeypatch):
                  "--check", "logunimodal", "--check", "pick",
                  "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_density_mean_check_of_an_infinite_mean_start_is_skipped(tmp_path):
+    out = str(tmp_path)
+    assert main(["density", "--measure", LAMBDA1, "--t", "1", "--points",
+                 "128", "--check", "mean", "--out", out]) == 0
+    report = json.loads(open(os.path.join(out, "density_report.json")).read())
+    assert ("t=1: mean check skipped (starting measure has infinite mean)"
+            in report["warnings"])
+    assert "mean_pass" not in report["results"]["per_t"][0]
+
+
+def test_density_symmetry_check_of_an_asymmetric_start_is_skipped(tmp_path):
+    out = str(tmp_path)
+    assert main(["density", "--measure", GAMMA21, "--t", "1", "--points",
+                 "128", "--check", "symmetry", "--out", out]) == 0
+    report = json.loads(open(os.path.join(out, "density_report.json")).read())
+    entry, = report["results"]["per_t"]
+    assert entry["symmetry_pass"] == "skipped"
+    assert "symmetry_defect" not in entry
+
+
+def test_check_skips_pick_when_no_mode_is_detected(tmp_path):
+    # f proportional to 1/x on [1, 10]: x f is flat and has no maximum
+    x = np.geomspace(1.0, 10.0, 256)
+    measure = json.dumps({"kind": "grid", "normalize": True,
+                          "grid": {"x": x.tolist(), "f": (1.0 / x).tolist()}})
+    out = str(tmp_path)
+    assert main(["check", "--measure", measure, "--out", out]) == cli.EXIT_OK
+    report = json.loads(open(os.path.join(out, "check_report.json")).read())
+    assert report["results"]["logunimodal"]["modes"] == []
+    assert "pick" not in report["results"]
+    assert report["warnings"] == ["pick check skipped: no mode detected"]
+
+
+def test_density_of_a_start_whose_scan_window_overflows(tmp_path, capsys):
+    # the scan window of the support of dirac(1e-306) reaches 1e310
+    out = tmp_path / "out"
+    assert main(["density", "--measure", json.dumps(_named("dirac", c=1e-306)),
+                 "--t", "1", "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: DomainError" in err
+    assert "effective support (1e-306, 1e-306) leaves the float range" in err
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))
 
 
 def test_counterexample_command(tmp_path):
@@ -441,15 +494,31 @@ def test_counterexample_command(tmp_path):
 
 
 def test_counterexample_without_a_certificate_exits_1(tmp_path):
-    # at t = 50 the first gap of the 12-atom cascade has no certificate
+    # at t = 1e4 the 12-atom cascade's support is one interval, so no gap
+    # has a certificate
     out = str(tmp_path)
-    assert main(["counterexample", "--n-atoms", "12", "--k-max", "1", "--t",
-                 "50", "--out", out]) == cli.EXIT_NEGATIVE
+    assert main(["counterexample", "--n-atoms", "12", "--t", "1e4",
+                 "--out", out]) == cli.EXIT_NEGATIVE
     report = json.loads(
         open(os.path.join(out, "counterexample_report.json")).read())
     entry, = report["results"]["per_t"]
+    assert entry["support_components"] == 1
     assert entry["certificate_found"] is False
     assert "k" not in entry
+
+
+def test_counterexample_searches_every_gap(tmp_path):
+    # the first gap of the 30-atom cascade has no certificate at t = 8;
+    # the second has
+    out = str(tmp_path)
+    assert main(["counterexample", "--n-atoms", "30", "--t", "8",
+                 "--out", out]) == cli.EXIT_OK
+    report = json.loads(
+        open(os.path.join(out, "counterexample_report.json")).read())
+    entry, = report["results"]["per_t"]
+    assert entry["certificate_found"] is True
+    assert entry["k"] == 2
+    assert report["inputs"] == {"n_atoms": 30, "times": [8]}
 
 
 def test_tolerance_flags_only_on_flow_commands(tmp_path):
@@ -514,7 +583,6 @@ _MALFORMED_NUMBERS = {
     "angles_text": ["sweep", "--measure", DIRAC1, "--t", "1", "--angles", "x"],
     "grid_text": ["sweep", "--measure", DIRAC1, "--t", "1", "--grid", "x"],
     "n_atoms_text": ["counterexample", "--n-atoms", "x"],
-    "k_max_text": ["counterexample", "--n-atoms", "5", "--k-max", "x"],
     "mode_text": ["pick", "--measure", DIRAC1, "--mode", "x"],
     "hysteresis_text": ["check", "--measure", GAMMA21, "--hysteresis", "x"],
     "tol_root_text": ["density", "--measure", DIRAC1, "--t", "1",
@@ -803,8 +871,14 @@ def test_bad_later_run_fields_are_a_config_error_before_any_run(tmp_path, capsys
      "--window"),
     (["sweep", "--measure", TWO_ATOMS, "--t", "0.5", "--window", "0.5,1000"],
      None, "--window"),
+    # a gap bound could only hide a certificate
+    (["counterexample", "--n-atoms", "30", "--t", "8", "--k-max", "1"], None,
+     "--k-max"),
+    (None, {"command": "counterexample", "n_atoms": 30, "k_max": 1},
+     "'k_max'"),
 ], ids=["rule_flag", "tol_root_flag", "counterexample_tolerances",
-        "support_check", "density_window_flag", "sweep_window_flag"])
+        "support_check", "density_window_flag", "sweep_window_flag",
+        "k_max_flag", "k_max_field"])
 def test_removed_knobs_are_config_errors_naming_the_field(tmp_path, capsys,
                                                           argv, run, field):
     out = tmp_path / "out"
@@ -827,19 +901,6 @@ def test_scenario_out_dir_must_be_a_string(tmp_path, capsys, monkeypatch):
     assert ("config error: ParseError: scenario out_dir must be a string"
             in capsys.readouterr().err)
     assert os.listdir(tmp_path) == ["scenario.json"]
-
-
-@pytest.mark.parametrize("k_max", ["0", "-3"])
-def test_k_max_below_one_is_a_config_error(tmp_path, capsys, k_max):
-    # the scenario form is the `k_max` input of the test above
-    out = tmp_path / "out"
-    assert main(["counterexample", "--n-atoms", "5", "--k-max", k_max,
-                 "--out", str(out)]) == cli.EXIT_CONFIG
-    assert "config error: ParseError: k_max" in capsys.readouterr().err
-    assert not out.exists()
-    # a k_max beyond the last gap is clipped to it
-    assert main(["counterexample", "--n-atoms", "5", "--k-max", "99",
-                 "--out", str(out)]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("command", ["density", "check"])
