@@ -515,7 +515,6 @@ def run(command: str, cfg: dict, out_dir: str, tol: dict, parsed: dict) -> int:
     `expect` is a negative verdict.  A numeric failure carries the
     tolerances of the run as `exc.tolerances`."""
     try:
-        os.makedirs(out_dir, exist_ok=True)
         code, inputs, results, warnings, summaries = _COMMANDS[command][4](
             tol, out_dir, **parsed)
     except FreemultError as exc:

@@ -85,8 +85,11 @@ def dumps(obj) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write `text` to `path` by an atomic rename, making the directory on
+    the first write: a run that fails before writing leaves none behind."""
     try:
         d = os.path.dirname(os.path.abspath(path))
+        os.makedirs(d, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
         try:
             with os.fdopen(fd, "w") as fh:

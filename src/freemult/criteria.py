@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy import optimize
 
+from ._roots import bounded_minimum, brentq
 from .errors import (
     DomainError,
     GridUnderflow,
@@ -196,7 +196,7 @@ def count_level_solutions(nu: Measure, R: float, t: float,
         a, b = float(r[i]), float(r[i + 1])
         if g(a) * g(b) > 0:
             continue  # profile artifact finer than the scalar route
-        roots.append(optimize.brentq(g, a, b, xtol=1e-300, rtol=1e-12))
+        roots.append(brentq(g, a, b, 1e-300, 1e-12, 100))
     roots.extend(r[vals == 0.0].tolist())
 
     # tangency sweep: interior extrema of the profile that touch the level
@@ -218,11 +218,8 @@ def count_level_solutions(nu: Measure, R: float, t: float,
         if any(a < rt < b for rt in roots):
             continue
         sign = 1.0 if is_max[i - 1] else -1.0
-        res = optimize.minimize_scalar(lambda rr: -sign * g(rr),
-                                       bounds=(a, b), method="bounded",
-                                       options={"xatol": 1e-14 * b})
-        ext = -res.fun * sign
-        r_ext = float(res.x)
+        r_ext, neg = bounded_minimum(lambda rr: -sign * g(rr), a, b, 1e-14 * b)
+        ext = -neg * sign
         # an extremum on the crossing side of the level is a pair of
         # crossings; those between its grid neighbours are polished here,
         # those beyond them the flips polished already
@@ -232,7 +229,7 @@ def count_level_solutions(nu: Measure, R: float, t: float,
             roots.append(r_ext)
             n_tangent += 1
         else:
-            roots.extend(optimize.brentq(g, aa, bb, xtol=1e-300, rtol=1e-12)
+            roots.extend(brentq(g, aa, bb, 1e-300, 1e-12, 100)
                          for aa, bb in inner)
 
     roots = sorted(set(roots))

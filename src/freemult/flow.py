@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy import optimize
 
 from ._quad import relaxed_retry
+from ._roots import brentq
 from .errors import (
     BracketFailure,
     DomainError,
@@ -311,10 +311,14 @@ def _inverse_point(ctx: FlowContext, y: float) -> tuple[float, float]:
                 guess = u
         return solved[r][0]
 
-    lo, hi = _expand_bracket(g, y)
-    root = lo if lo == hi else optimize.brentq(  # lo == hi: an exact root
-        g, lo, hi, xtol=1e-300, rtol=1e-13, maxiter=300)
-    g(root)
+    # a probe whose Lambda overflows to inf only fixes the bracket's sign:
+    # brentq returns the end of its last bracket with the smaller |g|, and
+    # the negative end's g lies in [-y, 0), so the root's Lambda is finite
+    with np.errstate(over="ignore"):
+        lo, hi = _expand_bracket(g, y)
+        root = lo if lo == hi else brentq(  # lo == hi: an exact root
+            g, lo, hi, 1e-300, 1e-13, 300)
+        g(root)
     return root, solved[root][1]
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 from scipy.special import _ufuncs
 
 from ._quad import (
@@ -34,6 +34,7 @@ from ._quad import (
     ladder_edges,
     merge_edges,
 )
+from ._roots import brentq
 from .errors import (
     AtomicHasNoDensity,
     DomainError,
@@ -158,8 +159,8 @@ def _mp_cdf(p, x):
 
 
 def _mp_ppf(p, q):
-    phi = optimize.brentq(lambda t: (t + math.sin(t)) / math.pi - q, 0.0, math.pi,
-                          xtol=1e-300, rtol=8.9e-16)
+    phi = brentq(lambda t: (t + math.sin(t)) / math.pi - q, 0.0, math.pi,
+                 1e-300, 8.9e-16, 100)
     return 4.0 * math.sin(0.5 * phi) ** 2
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import freemult as fm
-from freemult import cli, measures, unimodality
+from freemult import cli, criteria, measures, unimodality
 from freemult.cli import main
 
 DIRAC1 = '{"kind": "named", "family": "dirac", "params": {"c": 1}}'
@@ -230,6 +230,16 @@ def test_numeric_failure_prints_the_tolerances_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "BracketFailure" in err
     assert "'tol_root': 0.001" in err
+
+
+def test_level_root_on_a_nan_bracket_exits_3(tmp_path, capsys, monkeypatch):
+    # the sweep's root solve names the bracket it could not solve in
+    monkeypatch.setattr(criteria, "level_function", lambda *args: math.nan)
+    assert main(["sweep", "--measure", DIRAC1, "--t", "1", "--angles", "4",
+                 "--grid", "256", "--out", str(tmp_path)]) == cli.EXIT_NUMERIC
+    assert re.search(r"numeric failure in sweep: BracketFailure: f is NaN at "
+                     r"x=\S+ in the bracket \[\S+, \S+\]",
+                     capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
@@ -479,6 +489,7 @@ def test_density_of_a_start_whose_scan_window_overflows(tmp_path, capsys):
     assert "config error: DomainError" in err
     assert "effective support (1e-306, 1e-306) leaves the float range" in err
     assert not any(p.is_file() for p in tmp_path.rglob("*"))
+    assert not out.exists()
 
 
 def test_counterexample_command(tmp_path):
@@ -634,15 +645,19 @@ def test_malformed_numbers_are_config_errors(tmp_path, capsys, case):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
+    # of scipy's public subpackages the command line loads special and fft
+    # only: not optimize, stats, linalg or integrate
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    probe = ("import sys, freemult.cli; print(sorted(m for m in sys.modules "
-             "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+    probe = ("import sys, freemult.cli; print(sorted(m for m, mod in "
+             "sys.modules.items() if m.count('.') == 1 "
+             "and m.startswith('scipy.') and not m.startswith('scipy._') "
+             "and hasattr(mod, '__path__')))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "['scipy.fft', 'scipy.special']"
 
 
 def test_sweep_hypothesis_violation_is_warning(tmp_path):

@@ -641,6 +641,15 @@ def test_density_zero_off_support():
     assert fm.density(ctx, 0.01) == 0.0
 
 
+
+def test_density_at_a_large_time_raises_no_overflow_warning():
+    # the bracket probes of Lambda^-1 overflow to inf far from the root; the
+    # test settings make a freemult RuntimeWarning an error
+    ctx = fm.FlowContext(fm.atomic([(0.5, 1.0), (0.5, 16.0)]), 1e4)
+    assert fm.density(ctx, 1.0) == pytest.approx(9.993753903743486e-05,
+                                                 rel=1e-12)
+
+
 def test_density_dilation_pointwise():
     ctx1 = fm.FlowContext(fm.dirac(1.0), 1.0)
     ctx2 = fm.FlowContext(fm.dirac(2.0), 1.0)
