@@ -41,7 +41,6 @@ from .measures import (
     atomic,
     beta_measure,
     boolean_stable,
-    density_at,
     dirac,
     gamma_measure,
     half_normal,

@@ -53,13 +53,12 @@ _LATTICE_MAX = 2 ** 20
 _CONVOLVE_POINTS = 4096
 
 
-def level_function(nu: Measure, R: float, r: float, rtol: float = 1e-12) -> float:
+def level_function(nu: Measure, R: float, r, rtol: float = 1e-12):
     """Theta_R(r): the angle-equation integral at fixed angle R as a function
-    of the radial variable."""
+    of the radial variable, at one radius r (a float) or at each of an array
+    of radii."""
     if not (0.0 < R < math.pi):
         raise DomainError(f"R must be in (0, pi), got {R}")
-    if r <= 0:
-        raise DomainError(f"r must be positive, got {r}")
     s2 = math.sin(0.5 * R) ** 2
     return math.sin(R) / R * poisson_kernel_integral(nu, r, s2, rtol=rtol)
 
@@ -115,8 +114,7 @@ def _level_profile(nu: Measure, R: float, wlo: float, whi: float,
     n = max(513, math.ceil(10.0 * (y1 - y0) / R), math.ceil((y1 - y0) / dr) + 1)
     n += 1 - n % 2
     if n > _LATTICE_MAX:
-        return r, np.array([level_function(nu, R, float(rr), rtol=1e-9)
-                            for rr in r])
+        return r, level_function(nu, R, r, rtol=1e-9)
     h = (y1 - y0) / (n - 1)
     xi = np.exp(np.linspace(y0, y1, n))
     wts = _simpson_weights(n, h) * xi * nu.density(xi)

@@ -41,11 +41,13 @@ from .measures import Atomic, Measure
 
 _THETA_EDGE = 1e-14
 _THETA_HI = math.pi - _THETA_EDGE
-# Angles below this floor are reported as 0: their density contribution is
-# u/(pi t x) < 1e-9, far below every curve tolerance, while the kernel peak
-# they would require resolving has relative width below the floor.  The
-# in-region predicate evaluates the angle kernel AT the floor, which equals
-# the blow-up integral away from poles and regularizes it near them.
+# Angles below this floor are reported as 0: at t near 1 their density
+# contribution u/(pi t x) is below 1e-9, far below every curve tolerance,
+# while the kernel peak they would require resolving has relative width
+# below the floor.  Interior angles scale like u ~ pi t x q: below t ~ 1e-8
+# they come within a decade of the floor.  The in-region predicate
+# evaluates the angle kernel AT the floor, which equals the blow-up
+# integral away from poles and regularizes it near them.
 ANGLE_FLOOR = 1e-9
 _S2_FLOOR = math.sin(0.5 * ANGLE_FLOOR) ** 2
 _DENOM_FLOOR = 1e-280
@@ -53,7 +55,7 @@ _NORMAL_MIN = np.finfo(float).tiny
 # relative Newton step and bracket width that end an angle solve
 _ANGLE_STEP = 1e-12
 _ANGLE_MAX_ITER = 100
-# radial-map bracket doublings and blow-up boundary bisections at most
+# radial-map bracket doublings (past t/(2 ln 2)) and boundary bisections
 _MAX_BRACKET_EXPANSIONS = 60
 _BOUNDARY_MAX_ITER = 200
 # log-spaced radii of the blow-up scan, besides the reciprocal atoms or
@@ -65,10 +67,13 @@ _SCAN_POINTS = 1024
 class FlowContext:
     """Immutable bundle of a starting measure, a time, and solver knobs.
 
-    tol_root is the relative residual target of the angle and inversion
-    solves; tol_quad is the quadrature tolerance of the solver's kernel sums
-    over a density start, tight so that quadrature noise does not limit the
-    root residuals.
+    tol_root is the angle solve's residual target |LHS - 1/t| <= tol_root/t.
+    Its stop rule also needs a Newton step below 1e-12 relative, which binds
+    first unless tol_root is near 1e-12 or tighter: loosening it changes no
+    output.  The inversion of Lambda runs Brent at its own rtol 1e-13.
+    tol_quad is the quadrature tolerance of the solver's kernel sums over a
+    density start, tight so that quadrature noise does not limit the root
+    residuals.
     """
 
     nu: Measure
@@ -135,6 +140,18 @@ def _kernel_sums(nu: Measure, rs: np.ndarray, s2, integrand, rtol: float,
     return out
 
 
+def _per_radius(values, r):
+    """values(rs) at the radii r as a flat float array, in the shape of r: a
+    float for one radius.  The one check of the radius functions: a radius
+    that is not positive and finite is a DomainError."""
+    r = np.asarray(r, float)
+    ok = (r > 0.0) & (r < math.inf)
+    if not ok.all():
+        raise DomainError(f"r must be positive and finite, got {r[~ok][0]}")
+    vals = values(r.ravel())
+    return float(vals[0]) if r.ndim == 0 else vals.reshape(r.shape)
+
+
 def _poisson(u, d):
     """The Poisson kernel u / d, with its limit 0 where u = r*xi overflows
     to inf (there u / d reads inf / inf)."""
@@ -154,13 +171,14 @@ def _radial(q, d):
     return np.where(np.isinf(d), 1.0, (q * q - 1.0) / d)
 
 
-def poisson_kernel_integral(nu: Measure, r: float, sin_half_sq: float,
-                            rtol: float = 1e-12) -> float:
-    """int r*xi / ((1 - r*xi)^2 + 4 r*xi sin^2(theta/2)) d nu(xi)."""
+def poisson_kernel_integral(nu: Measure, r, sin_half_sq: float,
+                            rtol: float = 1e-12):
+    """int r*xi / ((1 - r*xi)^2 + 4 r*xi sin^2(theta/2)) d nu(xi) at one
+    radius r (a float) or at each of an array of radii."""
     # the kernel takes its limit where r*xi overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(_kernel_sums(nu, np.array([float(r)]), sin_half_sq,
-                                  _poisson, rtol)[0])
+        return _per_radius(
+            lambda rs: _kernel_sums(nu, rs, sin_half_sq, _poisson, rtol), r)
 
 
 def _angle_lhs_dtheta(ctx: FlowContext, r, theta, ival):
@@ -172,22 +190,24 @@ def _angle_lhs_dtheta(ctx: FlowContext, r, theta, ival):
     return (cos_t * theta - sin_t) / theta ** 2 * ival + sin_t / theta * dival
 
 
-def capped_blowup(ctx: FlowContext, r: float) -> float:
-    """Angle-equation LHS at the floor angle: the finite, resolvable stand-in
-    for the blow-up integral that decides membership in the blow-up region.
-    Away from poles it equals the blow-up integral to within ~1e-18
-    relative; at poles it saturates around 1/ANGLE_FLOOR^2 instead of
-    diverging."""
-    if r <= 0:
-        raise DomainError(f"r must be positive, got {r}")
-    return float(_capped_blowup_at(ctx, np.array([float(r)]))[0])
+def capped_blowup(ctx: FlowContext, r):
+    """Angle-equation LHS at the floor angle, at one radius r (a float) or
+    at each of an array of radii: the finite, resolvable stand-in for the
+    blow-up integral that decides membership in the blow-up region.  Away
+    from poles it equals the blow-up integral to within ~1e-18 relative; at
+    poles it saturates around 1/ANGLE_FLOOR^2 instead of diverging."""
+    # the kernel takes its limit where r*xi overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _per_radius(lambda rs: math.sin(ANGLE_FLOOR) / ANGLE_FLOOR
+                           * _kernel_sums(ctx.nu, rs, _S2_FLOOR, _poisson,
+                                          ctx.tol_quad), r)
 
 
-def solve_angle(ctx: FlowContext, r: float) -> float:
-    """The angle u(r): 0 off the blow-up region, else the unique root of the
-    implicit equation, with |LHS - 1/t| <= tol_root / t, solved by
-    `_radial_points`."""
-    return _radial_point(ctx, r)[1]
+def solve_angle(ctx: FlowContext, r):
+    """The angle u(r) at one radius r (a float) or at each of an array of
+    radii: 0 off the blow-up region, else the unique root of the implicit
+    equation, with |LHS - 1/t| <= tol_root / t, solved by `_radial_points`."""
+    return _per_radius(lambda rs: _radial_points(ctx, rs)[1], r)
 
 
 def _require_sign_change(ctx: FlowContext) -> None:
@@ -206,13 +226,6 @@ def _radial_exponent(ctx: FlowContext, r, u):
     return _kernel_sums(ctx.nu, r, np.sin(0.5 * u) ** 2, _radial, ctx.tol_quad)
 
 
-def _radial_point(ctx: FlowContext, r: float,
-                  guess: float | None = None) -> tuple[float, float]:
-    """(Lambda(r), u(r)), the angle solved from `guess`."""
-    lam, u = _radial_points(ctx, np.array([float(r)]), guess)
-    return float(lam[0]), float(u[0])
-
-
 def _radial_points(ctx: FlowContext, rs: np.ndarray,
                    guess=None) -> tuple[np.ndarray, np.ndarray]:
     """(Lambda(r), u(r)) at every radius of rs: the one angle solver.
@@ -227,15 +240,14 @@ def _radial_points(ctx: FlowContext, rs: np.ndarray,
     slope at each radius still unsolved, and the radial exponent is one
     more at the end.  Roots below ANGLE_FLOOR are reported as 0.  No row's
     arithmetic reads another row, so a radius solved alone is bitwise the
-    radius solved in a grid from the same guess."""
+    radius solved in a grid from the same guess.  The region test
+    `capped_blowup` checks the radii."""
     nu, target = ctx.nu, 1.0 / ctx.t
-    if not np.all(rs > 0):
-        raise DomainError(f"r must be positive, got {rs[~(rs > 0)][0]}")
     u = np.zeros(rs.size)
     # one block for the solve: the kernels take their limits where r*xi
     # overflows (1e154 and beyond), and a slope of 0 gives no Newton step
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        idx = np.flatnonzero(_capped_blowup_at(ctx, rs) > target)
+        idx = np.flatnonzero(capped_blowup(ctx, rs) > target)
         if idx.size:
             _require_sign_change(ctx)
         r = rs[idx]
@@ -281,9 +293,10 @@ def _radial_points(ctx: FlowContext, rs: np.ndarray,
     return rs * np.exp(0.5 * ctx.t * expo), u
 
 
-def radial_map(ctx: FlowContext, r: float) -> float:
-    """The increasing homeomorphism Lambda of (0, inf) onto itself."""
-    return _radial_point(ctx, r)[0]
+def radial_map(ctx: FlowContext, r):
+    """The increasing homeomorphism Lambda of (0, inf) onto itself, at one
+    radius r (a float) or at each of an array of radii."""
+    return _per_radius(lambda rs: _radial_points(ctx, rs)[0], r)
 
 
 def radial_map_inverse(ctx: FlowContext, y: float) -> float:
@@ -305,38 +318,45 @@ def _inverse_point(ctx: FlowContext, y: float) -> tuple[float, float]:
     def g(r):
         nonlocal guess
         if r not in solved:
-            lam, u = _radial_point(ctx, r, guess=guess)
-            solved[r] = (lam - y, u)
+            (lam,), (u,) = _radial_points(ctx, np.array([r]), guess)
+            solved[r] = (float(lam - y), float(u))
             if u > 0.0:
                 guess = u
         return solved[r][0]
 
     # a probe whose Lambda overflows to inf only fixes the bracket's sign:
     # brentq returns the end of its last bracket with the smaller |g|, and
-    # the negative end's g lies in [-y, 0), so the root's Lambda is finite
+    # the negative end's g lies in [-y, 0), so the root's Lambda is finite.
+    # Lambda(r)/r reaches about e^{+-t/2}: t/(2 ln 2) doublings more
     with np.errstate(over="ignore"):
-        lo, hi = _expand_bracket(g, y)
+        lo, hi = _expand_bracket(g, y, _MAX_BRACKET_EXPANSIONS
+                                 + math.ceil(ctx.t / (2.0 * math.log(2.0))))
         root = lo if lo == hi else brentq(  # lo == hi: an exact root
             g, lo, hi, 1e-300, 1e-13, 300)
         g(root)
     return root, solved[root][1]
 
 
-def _expand_bracket(g, r0: float):
-    """Bracket the root of the increasing g by steps of a factor 2 from r0."""
+def _expand_bracket(g, r0: float, budget: int):
+    """Bracket the root of the increasing g by at most `budget` steps of a
+    factor 2 from r0, none of them leaving the positive floats."""
     g0 = g(r0)
     if g0 == 0.0:
         return r0, r0
     sign, step = (-1.0, 2.0) if g0 < 0.0 else (1.0, 0.5)
     near = r0
-    for _ in range(_MAX_BRACKET_EXPANSIONS):
+    for _ in range(budget):
         far = near * step
+        if not (0.0 < far < math.inf):
+            raise BracketFailure(
+                f"no bracket for the radial map from r0={r0} before the "
+                f"radius leaves the float range at {far}")
         if sign * g(far) <= 0.0:
             return min(near, far), max(near, far)
         near = far
     raise BracketFailure(
-        f"no bracket for the radial map after {_MAX_BRACKET_EXPANSIONS} "
-        f"geometric expansions from r0={r0}; the map may not be monotone")
+        f"no bracket for the radial map after {budget} geometric "
+        f"expansions from r0={r0}; the map may not be monotone")
 
 
 def density(ctx: FlowContext, x: float) -> float:
@@ -386,7 +406,7 @@ def blowup_region(ctx: FlowContext) -> list[tuple[float, float]]:
             rs.append(np.geomspace(plo, phi_, 17))
     scan = np.unique(np.concatenate(rs))
 
-    above = _capped_blowup_at(ctx, scan) > target
+    above = capped_blowup(ctx, scan) > target
     if not above.any():
         raise EmptyVSet(
             f"f never exceeds 1/t={target} on the window [{wlo}, {whi}]")
@@ -401,14 +421,6 @@ def blowup_region(ctx: FlowContext) -> list[tuple[float, float]]:
     if above[-1]:
         bounds.append(whi)
     return list(zip(bounds[0::2], bounds[1::2]))
-
-
-def _capped_blowup_at(ctx: FlowContext, rs: np.ndarray) -> np.ndarray:
-    """capped_blowup at each radius of rs, bitwise."""
-    # the kernel takes its limit where r*xi overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _kernel_sums(ctx.nu, rs, _S2_FLOOR, _poisson, ctx.tol_quad)
-    return math.sin(ANGLE_FLOOR) / ANGLE_FLOOR * vals
 
 
 def _bisect_boundaries(ctx: FlowContext, lo: np.ndarray, hi: np.ndarray,
@@ -433,7 +445,7 @@ def _bisect_boundaries(ctx: FlowContext, lo: np.ndarray, hi: np.ndarray,
         # stays in range where it overflows or underflows
         mid = np.where((ab >= _NORMAL_MIN) & (ab < math.inf),
                        np.sqrt(ab), np.sqrt(a) * np.sqrt(b))
-        to_hi = (_capped_blowup_at(ctx, mid) > target) == rising[live]
+        to_hi = (capped_blowup(ctx, mid) > target) == rising[live]
         hi[live[to_hi]] = mid[to_hi]
         lo[live[~to_hi]] = mid[~to_hi]
     return np.where(rising, hi, lo)

@@ -432,9 +432,6 @@ class Measure:
 
     kind: str
 
-    def has_density(self) -> bool:
-        return self.atoms() is None
-
     def atoms(self):
         """(weights, locations) float arrays, locations increasing, or None
         for density measures."""
@@ -555,13 +552,13 @@ class Atomic(Measure):
         return self.math_support()
 
     def integrate(self, kernel, point, scale, rtol):
-        vals = np.asarray(kernel(self.a))
-        total = np.dot(self.w, vals)
-        return complex(total) if np.iscomplexobj(vals) else float(total)
+        # the one row of integrate_batch: the seed and tolerance go unused
+        return self.integrate_batch(lambda u, k: kernel(u), [point], [scale],
+                                    rtol)[0][0]
 
     def integrate_batch(self, kernel, points, scales, rtol):
-        # the exact weighted sum of `integrate` (np.vecdot sums each row as
-        # np.dot does), on kernel values evaluated _BATCH_NODES at a time
+        # the exact weighted atom sum of each row, on kernel values
+        # evaluated _BATCH_NODES at a time
         n = len(points)
         chunk = max(1, _BATCH_NODES // self.a.size)
         values = [np.vecdot(self.w, np.asarray(kernel(
@@ -804,7 +801,7 @@ def log_normal(m: float, s: float) -> Named:
 
 def to_grid(nu: Measure, n: int = 2048) -> GridDensity:
     """Sample a density measure onto the canonical log-spaced grid."""
-    if not nu.has_density():
+    if nu.atoms() is not None:
         raise AtomicHasNoDensity("cannot grid a purely atomic measure")
     if isinstance(nu, GridDensity):
         return nu
@@ -817,18 +814,12 @@ def to_grid(nu: Measure, n: int = 2048) -> GridDensity:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def density_at(nu: Measure, x) -> float | np.ndarray:
-    """Lebesgue density of `nu` at `x` (0 outside the support)."""
-    vals = nu.density(x)
-    return float(vals) if np.isscalar(x) else vals
-
-
 def pushforward_log(nu: Measure, y_lo: float, y_hi: float, n: int):
     """Density of the logarithm push-forward sampled on a uniform grid.
 
     Returns (y, p) with p(y) = density(e^y) * e^y.
     """
-    if not nu.has_density():
+    if nu.atoms() is not None:
         raise AtomicHasNoDensity("push-forward density needs a density")
     if not (y_lo < y_hi) or n < 2:
         raise DomainError("need y_lo < y_hi and n >= 2")
@@ -841,20 +832,15 @@ def is_mult_symmetric(nu: Measure, tol: float = 1e-9) -> bool:
     """True when `nu` equals its multiplicative inverse.
 
     Atomic measures are compared atom by atom after inversion; density
-    measures by the sup-distance of the distribution functions of `nu` and
-    `nu.invert()` on a log-symmetric grid.
+    measures by the `sup_cdf_distance` of `nu` and `nu.invert()`.
     """
-    if not nu.has_density():
-        w, a = nu.atoms()
+    at = nu.atoms()
+    if at is not None:
+        w, a = at
         w_inv, a_inv = w[::-1], 1.0 / a[::-1]
         return bool(np.all(np.abs(w - w_inv) <= 1e-12) and
                     np.all(np.abs(a - a_inv) <= 1e-12 * np.maximum(1.0, a)))
-    inv = nu.invert()
-    lo1, hi1 = nu.effective_support(1e-9)
-    lo2, hi2 = inv.effective_support(1e-9)
-    span = max(abs(math.log(v)) for v in (lo1, hi1, lo2, hi2))
-    x = np.exp(np.linspace(-span, span, 1025))
-    return float(np.max(np.abs(nu.cdf(x) - inv.cdf(x)))) <= tol
+    return sup_cdf_distance(nu, nu.invert()) <= tol
 
 
 def sup_cdf_distance(mu: Measure, nu: Measure) -> float:

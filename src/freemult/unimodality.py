@@ -147,7 +147,7 @@ def is_log_unimodal(obj, hysteresis: float = DEFAULT_HYSTERESIS) -> ModeReport:
     (sampled-curve analysis cannot see atoms).  For other samples (x, f),
     call count_modes(x, x * f)."""
     if isinstance(obj, Measure):
-        if not obj.has_density():
+        if obj.atoms() is not None:
             raise AtomicHasNoDensity(
                 "log-unimodality via curves needs a density; atomic measures "
                 "are rejected rather than mis-judged")

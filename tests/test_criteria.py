@@ -171,12 +171,14 @@ def test_wide_support_profile_stays_on_lattice(monkeypatch):
 
 
 def test_profile_beyond_the_node_cap_solves_each_radius(monkeypatch):
-    # lambda(1) at R = 1e-5 needs 5.3e7 Simpson nodes, beyond _LATTICE_MAX
-    radii = []
+    # lambda(1) at R = 1e-5 needs 5.3e7 Simpson nodes, beyond _LATTICE_MAX:
+    # one level_function call solves all the radii
+    calls = []
     monkeypatch.setattr(criteria, "level_function",
-                        lambda nu, R, r, rtol: radii.append(r) or 1.0)
+                        lambda nu, R, r, rtol: calls.append(r) or np.ones(r.size))
     r, vals = criteria._level_profile(fm.lambda_measure(1.0), 1e-5, 0.5, 2.0, 64)
-    assert radii == r.tolist() and r.size == 64 and np.all(vals == 1.0)
+    assert len(calls) == 1 and calls[0].tolist() == r.tolist()
+    assert r.size == 64 and np.all(vals == 1.0)
 
 
 def test_count_solutions_evaluates_each_radius_once(monkeypatch):

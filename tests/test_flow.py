@@ -200,7 +200,7 @@ def test_solve_angle_any_guess_meets_contract(nu, t, pick, where, guess):
     intervals = fm.blowup_region(ctx)
     lo, hi = intervals[min(int(pick * len(intervals)), len(intervals) - 1)]
     r = lo * (hi / lo) ** where
-    u = flow._radial_point(ctx, r, guess)[1]
+    u = float(flow._radial_points(ctx, np.array([r]), guess)[1][0])
     cold = fm.solve_angle(ctx, r)
     assert (u == 0.0) == (cold == 0.0)
     if u != 0.0:
@@ -356,7 +356,9 @@ def test_density_lockstep_rows_are_independent():
     lam, u = flow._radial_points(ctx, rs, guess)
     assert np.count_nonzero(u) >= 5
     for k, r in enumerate(rs.tolist()):
-        assert flow._radial_point(ctx, r, float(guess[k])) == (lam[k], u[k])
+        alone = flow._radial_points(ctx, np.array([r]), float(guess[k]))
+        assert (alone[0][0].tobytes(), alone[1][0].tobytes()) == (
+            lam[k].tobytes(), u[k].tobytes())
 
 
 def test_atomic_curve_makes_no_per_sample_atom_sum(monkeypatch):
@@ -518,19 +520,48 @@ def test_blowup_region_of_atoms_equals_the_scalar_scan(n, decades, seed, t):
     assert fm.blowup_region(ctx) == _scalar_blowup_region(ctx)
 
 
+def _radius_functions(ctx):
+    """The five functions of one radius or an array of radii, at ctx."""
+    return (lambda r: flow.capped_blowup(ctx, r),
+            lambda r: fm.solve_angle(ctx, r),
+            lambda r: fm.radial_map(ctx, r),
+            lambda r: flow.poisson_kernel_integral(ctx.nu, r, 0.3),
+            lambda r: fm.level_function(ctx.nu, 1.0, r))
+
+
 @pytest.mark.parametrize("nu", [
     fm.build_counterexample(30)[0], fm.gamma_measure(2.0, 1.0),
     fm.GridDensity(np.linspace(1.0, 3.0, 41), np.full(41, 0.5))],
     ids=["atomic", "named", "grid"])
-def test_batched_blowup_predicate_is_the_scalar_one(monkeypatch, nu):
-    # 3 rows of 30 atoms a chunk: the atomic batch spans several chunks
-    monkeypatch.setattr(measures, "_BATCH_NODES", 90)
-    ctx = fm.FlowContext(nu, 1.0)
+@given(where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       picks=st.lists(st.integers(0, 29), min_size=1, max_size=2),
+       t=st.floats(0.2, 5.0))
+def test_batched_blowup_predicate_is_the_scalar_one(nu, where, picks, t):
+    # each radius function over an array is bitwise its scalar calls, which
+    # return floats; radii span the scan window and reach the reciprocal
+    # atoms (the support's ends for a density)
+    at = nu.atoms()
+    ends = np.array(nu.effective_support()) if at is None else at[1]
     lo, hi = flow.default_window(nu)
-    rs = np.concatenate([np.geomspace(lo, hi, 37),
-                         1.0 / np.array(nu.effective_support())])
-    batch = flow._capped_blowup_at(ctx, rs)
-    assert batch.tolist() == [flow.capped_blowup(ctx, float(r)) for r in rs]
+    rs = np.concatenate([lo * (hi / lo) ** np.array(where),
+                         1.0 / ends[np.array(picks) % ends.size]])
+    with pytest.MonkeyPatch.context() as mp:
+        # 3 rows of 30 atoms a chunk: the atomic batch spans several chunks
+        mp.setattr(measures, "_BATCH_NODES", 90)
+        for fn in _radius_functions(fm.FlowContext(nu, t)):
+            one = [fn(float(r)) for r in rs]
+            assert all(type(v) is float for v in one)
+            assert fn(rs).tobytes() == np.array(one).tobytes()
+
+
+@pytest.mark.parametrize("fn", range(5), ids=[
+    "capped_blowup", "solve_angle", "radial_map", "poisson_kernel_integral",
+    "level_function"])
+def test_radius_functions_reject_the_same_radii(fn):
+    call = _radius_functions(fm.FlowContext(fm.dirac(1.0), 1.0))[fn]
+    for bad in (math.nan, math.inf, 0.0, -1.0, np.array([1.0, math.nan])):
+        with pytest.raises(DomainError, match="positive and finite"):
+            call(bad)
 
 
 @pytest.mark.parametrize("c", [1e-200, 1e-160, 1e160, 1e200])
@@ -646,8 +677,35 @@ def test_density_at_a_large_time_raises_no_overflow_warning():
     # the bracket probes of Lambda^-1 overflow to inf far from the root; the
     # test settings make a freemult RuntimeWarning an error
     ctx = fm.FlowContext(fm.atomic([(0.5, 1.0), (0.5, 16.0)]), 1e4)
-    assert fm.density(ctx, 1.0) == pytest.approx(9.993753903743486e-05,
-                                                 rel=1e-12)
+    assert fm.density(ctx, 1.0) == 9.993753903743486e-05
+
+
+@pytest.mark.parametrize("t", [100.0, 400.0])
+def test_density_far_inside_the_support_at_large_times(t):
+    # Lambda(r)/r reaches about e^{+-t/2}, so the root lies up to
+    # t/(2 ln 2) doublings beyond the time-0 bracket budget of 60; dirac(1)
+    # is log-symmetric, x q(x) = (1/x) q(1/x)
+    ctx = fm.FlowContext(fm.dirac(1.0), t)
+    hi = 1e20 * fm.density(ctx, 1e20)
+    assert hi > 0.0
+    assert 1e-20 * fm.density(ctx, 1e-20) == pytest.approx(hi, rel=1e-15)
+
+
+def test_density_of_dirac_at_time_one_is_pinned():
+    # the larger bracket budget leaves a bracket found within 60 doublings,
+    # and so the value, bitwise as it was
+    ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
+    assert fm.density(ctx, 1.0) == 0.30563761117075666
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_bracket_search_stops_typed_at_the_float_range(sign):
+    # g keeps one sign: the doublings (halvings) reach inf (0), which is a
+    # BracketFailure, and no probe outside the positive floats is solved
+    probes = []
+    with pytest.raises(BracketFailure, match="float range"):
+        flow._expand_bracket(lambda r: probes.append(r) or sign, 1.0, 5000)
+    assert all(0.0 < r < math.inf for r in probes) and len(probes) > 1000
 
 
 def test_density_dilation_pointwise():

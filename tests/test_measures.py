@@ -35,34 +35,34 @@ ALL_DENSITY_FAMILIES = [
 
 
 # ---------------------------------------------------------------------------
-# density_at
+# density
 # ---------------------------------------------------------------------------
 
 def test_lambda_density_at_one():
     # c_b/(1 - 2 cos b + 1) with b = pi/2: c_b = 2/pi, so the value is 1/pi
-    assert fm.density_at(fm.lambda_measure(math.pi / 2), 1.0) == pytest.approx(
+    assert fm.lambda_measure(math.pi / 2).density(1.0) == pytest.approx(
         1.0 / math.pi, rel=1e-14)
 
 
 def test_exponential_density_near_zero():
-    assert fm.density_at(fm.gamma_measure(1, 1), 1e-12) == pytest.approx(1.0, rel=1e-9)
+    assert fm.gamma_measure(1, 1).density(1e-12) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_marchenko_pastur_density_at_two():
-    assert fm.density_at(fm.marchenko_pastur(), 2.0) == pytest.approx(
+    assert fm.marchenko_pastur().density(2.0) == pytest.approx(
         1.0 / (2.0 * math.pi), rel=1e-14)
 
 
 def test_atomic_has_no_density():
     with pytest.raises(AtomicHasNoDensity):
-        fm.density_at(fm.atomic([(0.5, 1.0), (0.5, 4.0)]), 1.0)
+        fm.atomic([(0.5, 1.0), (0.5, 4.0)]).density(1.0)
     with pytest.raises(AtomicHasNoDensity):
-        fm.density_at(fm.dirac(2.0), 2.0)
+        fm.dirac(2.0).density(2.0)
 
 
 def test_density_zero_outside_support():
-    assert fm.density_at(fm.beta_measure(2, 3), 1.5) == 0.0
-    assert fm.density_at(fm.marchenko_pastur(), 5.0) == 0.0
+    assert fm.beta_measure(2, 3).density(1.5) == 0.0
+    assert fm.marchenko_pastur().density(5.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
