@@ -164,8 +164,7 @@ def run_density(tol: dict, out_dir: str, nu, times, points, checks):
     warnings: list[str] = []
     per_t = []
     for t in times:
-        ctx = FlowContext(nu, t, tol_root=tol["tol_root"], tol_quad=tol["tol_quad"])
-        curve = density_curve(ctx, points=points)
+        curve = density_curve(FlowContext(nu, t), points=points)
         csv_path = os.path.join(out_dir, f"density_t{t:.17g}.csv")
         config_io.write_curve_csv(curve, csv_path)
         warnings.extend(f"t={t:.17g}: {w}" for w in curve.warnings)
@@ -412,8 +411,6 @@ def run_pick(tol: dict, out_dir: str, nu, modes):
 
 
 _TOLERANCE_DEFAULTS = {
-    "tol_root": FlowContext.tol_root,
-    "tol_quad": FlowContext.tol_quad,
     "tol_int": 1e-4,
     "tol_pick": TOL_PICK,
     "hysteresis": DEFAULT_HYSTERESIS,
@@ -584,8 +581,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", dest="checks", action="append",
                    choices=list(_ALL_CHECKS))
     _add_common(p)
-    p.add_argument("--tol-root", dest="tolerances.tol_root")
-    p.add_argument("--tol-quad", dest="tolerances.tol_quad")
 
     p = sub.add_parser("check", help="log-unimodality checks for a measure")
     p.add_argument("--measure", required=True)

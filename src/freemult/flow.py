@@ -54,6 +54,12 @@ _DENOM_FLOOR = 1e-280
 _NORMAL_MIN = np.finfo(float).tiny
 # relative Newton step and bracket width that end an angle solve
 _ANGLE_STEP = 1e-12
+# the angle solve's relative residual |LHS - 1/t| * t, the other half of its
+# Newton stop rule (the step rule binds first unless this is near 1e-12),
+# and the quadrature tolerance of the solver's kernel sums over a density
+# start, tight so that quadrature noise does not limit the residual
+_ANGLE_RESIDUAL = 1e-10
+_KERNEL_SUM_RTOL = 1e-12
 _ANGLE_MAX_ITER = 100
 # radial-map bracket doublings (past t/(2 ln 2)) and boundary bisections
 _MAX_BRACKET_EXPANSIONS = 60
@@ -65,27 +71,18 @@ _SCAN_POINTS = 1024
 
 @dataclass(frozen=True)
 class FlowContext:
-    """Immutable bundle of a starting measure, a time, and solver knobs.
-
-    tol_root is the angle solve's residual target |LHS - 1/t| <= tol_root/t.
-    Its stop rule also needs a Newton step below 1e-12 relative, which binds
-    first unless tol_root is near 1e-12 or tighter: loosening it changes no
-    output.  The inversion of Lambda runs Brent at its own rtol 1e-13.
-    tol_quad is the quadrature tolerance of the solver's kernel sums over a
-    density start, tight so that quadrature noise does not limit the root
-    residuals.
-    """
+    """A starting measure and a time 0 < t < inf: all that fixes the
+    marginal.  The solver's accuracy is fixed (`_ANGLE_RESIDUAL`,
+    `_KERNEL_SUM_RTOL`, `_ANGLE_STEP`), and the inversion of Lambda runs
+    Brent at its own rtol 1e-13."""
 
     nu: Measure
     t: float
-    tol_root: float = 1e-10
-    tol_quad: float = 1e-12
 
     def __post_init__(self):
-        if not (self.t > 0):
-            raise InvariantViolation("flow.t", f"time must be positive, got {self.t}")
-        if self.tol_root <= 0 or self.tol_quad <= 0:
-            raise InvariantViolation("flow.tol", "tolerances must be positive")
+        if not (0.0 < self.t < math.inf):
+            raise InvariantViolation(
+                "flow.t", f"time must be positive and finite, got {self.t}")
 
 
 def check_points(points: int) -> None:
@@ -186,7 +183,7 @@ def _angle_lhs_dtheta(ctx: FlowContext, r, theta, ival):
     Newton slope of `_radial_points`, given the Poisson kernel sums ival."""
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     dival = _kernel_sums(ctx.nu, r, np.sin(0.5 * theta) ** 2, _slope,
-                         ctx.tol_quad, sin_t)
+                         _KERNEL_SUM_RTOL, sin_t)
     return (cos_t * theta - sin_t) / theta ** 2 * ival + sin_t / theta * dival
 
 
@@ -200,13 +197,13 @@ def capped_blowup(ctx: FlowContext, r):
     with np.errstate(over="ignore", invalid="ignore"):
         return _per_radius(lambda rs: math.sin(ANGLE_FLOOR) / ANGLE_FLOOR
                            * _kernel_sums(ctx.nu, rs, _S2_FLOOR, _poisson,
-                                          ctx.tol_quad), r)
+                                          _KERNEL_SUM_RTOL), r)
 
 
 def solve_angle(ctx: FlowContext, r):
     """The angle u(r) at one radius r (a float) or at each of an array of
     radii: 0 off the blow-up region, else the unique root of the implicit
-    equation, with |LHS - 1/t| <= tol_root / t, solved by `_radial_points`."""
+    equation, with |LHS - 1/t| <= 1e-10 / t, solved by `_radial_points`."""
     return _per_radius(lambda rs: _radial_points(ctx, rs)[1], r)
 
 
@@ -223,7 +220,8 @@ def _require_sign_change(ctx: FlowContext) -> None:
 def _radial_exponent(ctx: FlowContext, r, u):
     """int (r^2 xi^2 - 1) / ((1 - r*xi)^2 + 4 r*xi sin^2(u/2)) d nu(xi) at
     radii r and angles u."""
-    return _kernel_sums(ctx.nu, r, np.sin(0.5 * u) ** 2, _radial, ctx.tol_quad)
+    return _kernel_sums(ctx.nu, r, np.sin(0.5 * u) ** 2, _radial,
+                        _KERNEL_SUM_RTOL)
 
 
 def _radial_points(ctx: FlowContext, rs: np.ndarray,
@@ -260,7 +258,7 @@ def _radial_points(ctx: FlowContext, rs: np.ndarray,
                 break
             sin_t = np.sin(theta)
             ival = _kernel_sums(nu, r, np.sin(0.5 * theta) ** 2, _poisson,
-                                ctx.tol_quad)
+                                _KERNEL_SUM_RTOL)
             lhs = sin_t / theta * ival
             above = lhs > target
             lo = np.where(above, theta, lo)
@@ -271,7 +269,7 @@ def _radial_points(ctx: FlowContext, rs: np.ndarray,
             # near component edges LHS ~ f(r) - A theta^2 is flat in theta,
             # so a small residual alone does not pin theta; a bracket this
             # narrow is where quadrature noise leaves the tiniest angles
-            newton = ((np.abs(lhs - target) <= ctx.tol_root * target)
+            newton = ((np.abs(lhs - target) <= _ANGLE_RESIDUAL * target)
                       & (np.abs(step) <= _ANGLE_STEP))
             narrow = ~newton & (hi - lo <= _ANGLE_STEP * hi)
             done = newton | narrow
@@ -310,8 +308,8 @@ def _inverse_point(ctx: FlowContext, y: float) -> tuple[float, float]:
     evaluates the bracket ends again), each angle solve starts from the last
     nonzero angle of the iteration, and the root's angle is the one solved
     there (brentq returns an evaluated point)."""
-    if y <= 0:
-        raise DomainError(f"y must be positive, got {y}")
+    if not (0.0 < y < math.inf):
+        raise DomainError(f"y must be positive and finite, got {y}")
     solved: dict[float, tuple[float, float]] = {}  # r -> (Lambda(r) - y, u)
     guess = None
 
@@ -361,8 +359,9 @@ def _expand_bracket(g, r0: float, budget: int):
 
 def density(ctx: FlowContext, x: float) -> float:
     """Density q(x) of the marginal at time t, exactly 0 off the support."""
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x}")
+    if not (0.0 < x < math.inf and 1.0 / x < math.inf):
+        raise DomainError(f"x must be positive and finite with a finite "
+                          f"reciprocal, got {x}")
     return _inverse_point(ctx, 1.0 / x)[1] / (math.pi * ctx.t * x)
 
 

@@ -831,15 +831,16 @@ def pushforward_log(nu: Measure, y_lo: float, y_hi: float, n: int):
 def is_mult_symmetric(nu: Measure, tol: float = 1e-9) -> bool:
     """True when `nu` equals its multiplicative inverse.
 
-    Atomic measures are compared atom by atom after inversion; density
-    measures by the `sup_cdf_distance` of `nu` and `nu.invert()`.
+    Atomic measures are compared atom by atom after inversion, weights to
+    within tol and locations to within tol relative (absolute below 1);
+    density measures by the `sup_cdf_distance` of `nu` and `nu.invert()`.
     """
     at = nu.atoms()
     if at is not None:
         w, a = at
         w_inv, a_inv = w[::-1], 1.0 / a[::-1]
-        return bool(np.all(np.abs(w - w_inv) <= 1e-12) and
-                    np.all(np.abs(a - a_inv) <= 1e-12 * np.maximum(1.0, a)))
+        return bool(np.all(np.abs(w - w_inv) <= tol) and
+                    np.all(np.abs(a - a_inv) <= tol * np.maximum(1.0, a)))
     return sup_cdf_distance(nu, nu.invert()) <= tol
 
 

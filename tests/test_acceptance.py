@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import freemult as fm
+from freemult import flow
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -257,9 +258,10 @@ def test_criterion_11_solver_contracts():
         for r in np.geomspace(0.15, 6.0, 20):
             u = fm.solve_angle(ctx, float(r))
             if u > 0.0:
-                lhs = fm.level_function(ctx.nu, u, float(r), rtol=ctx.tol_quad)
+                lhs = fm.level_function(ctx.nu, u, float(r),
+                                        rtol=flow._KERNEL_SUM_RTOL)
                 resid = abs(lhs - 1.0 / t)
-                resid_ok &= resid <= 1e-10 / t
+                resid_ok &= resid <= flow._ANGLE_RESIDUAL / t
 
     ctx = fm.FlowContext(fm.uniform_interval(1, 2), 1.0)
     round_ok = True
@@ -272,8 +274,8 @@ def test_criterion_11_solver_contracts():
     for _ in range(100):
         r = float(rng.uniform(0.2, 3.0))
         th = np.sort(rng.uniform(0.02, math.pi - 0.02, 2))
-        lo, hi = (fm.level_function(ctx.nu, float(th[0]), r, rtol=ctx.tol_quad),
-                  fm.level_function(ctx.nu, float(th[1]), r, rtol=ctx.tol_quad))
+        lo, hi = (fm.level_function(ctx.nu, float(th[0]), r),
+                  fm.level_function(ctx.nu, float(th[1]), r))
         mono_ok &= lo > hi
 
     _report("11. solver contracts", resid_ok and round_ok and mono_ok,

@@ -39,7 +39,9 @@ def test_density_writes_outputs(tmp_path):
     assert entry["support_components"] == 1
     csv = open(os.path.join(out, "density_t1.csv")).read()
     assert csv.startswith("x,q,xq\n")
-    assert report["tolerances"]["tol_root"] == 1e-10
+    assert report["tolerances"] == {
+        "tol_int": 1e-4, "tol_pick": 1e-10, "hysteresis": 1e-4,
+        "tol_mean_rel": 1e-3, "tol_symmetry": 1e-3}
 
 
 def test_density_deterministic(tmp_path):
@@ -220,16 +222,16 @@ def test_density_whose_support_leaves_the_float_range_exits_3(tmp_path,
 
 def test_numeric_failure_prints_the_tolerances_run(tmp_path, capsys):
     assert main(["density", "--measure", DIRAC1, "--t", "1e16", "--points",
-                 "64", "--tol-root", "1e-3", "--out", str(tmp_path)]) == 3
+                 "64", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "BracketFailure" in err
-    assert "'tol_root': 0.001" in err
+    assert "'tol_int': 0.0001" in err
     run = {"command": "density", "measure": json.loads(DIRAC1),
-           "times": [1e16], "tolerances": {"tol_root": 1e-3}}
+           "times": [1e16], "tolerances": {"tol_int": 1e-3}}
     assert _run_scenario(tmp_path, run) == 3
     err = capsys.readouterr().err
     assert "BracketFailure" in err
-    assert "'tol_root': 0.001" in err
+    assert "'tol_int': 0.001" in err
 
 
 def test_level_root_on_a_nan_bracket_exits_3(tmp_path, capsys, monkeypatch):
@@ -243,31 +245,24 @@ def test_level_root_on_a_nan_bracket_exits_3(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
-@pytest.mark.parametrize("where", ["--tol-root", "--tol-quad", "tol_int",
-                                   "tol_pick"])
+@pytest.mark.parametrize("where", ["tol_int", "tol_pick"])
 def test_bad_tolerances_are_config_errors(tmp_path, capsys, where, value):
     out = str(tmp_path / "out")
-    if where.startswith("--"):
-        argv = ["density", "--measure", DIRAC1, "--t", "1", f"{where}={value}"]
-    else:
-        path = str(tmp_path / "scenario.json")
-        with open(path, "w") as fh:
-            json.dump({"schema_version": 1, "runs": [
-                {"command": "density", "measure": json.loads(DIRAC1),
-                 "times": [1], "tolerances": {where: float(value)}}]}, fh)
-        argv = ["scenario", path]
-    assert main(argv + ["--out", out]) == cli.EXIT_CONFIG
+    path = str(tmp_path / "scenario.json")
+    with open(path, "w") as fh:
+        json.dump({"schema_version": 1, "runs": [
+            {"command": "density", "measure": json.loads(DIRAC1),
+             "times": [1], "tolerances": {where: float(value)}}]}, fh)
+    assert main(["scenario", path, "--out", out]) == cli.EXIT_CONFIG
     assert "config error: ParseError: tolerance" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
 # each case is the flags of one command and the scenario run they describe
 _SAME_RUNS = {
-    "density": (["density", "--measure", DIRAC1, "--t", "1", "--points", "64",
-                 "--tol-root", "1e-9"],
+    "density": (["density", "--measure", DIRAC1, "--t", "1", "--points", "64"],
                 {"measure": json.loads(DIRAC1), "times": [1],
-                 "grid": {"points": 64},
-                 "tolerances": {"tol_root": 1e-9}}),
+                 "grid": {"points": 64}}),
     "counterexample": (["counterexample", "--n-atoms", "8", "--t", "0.5,1"],
                        {"n_atoms": 8, "times": [0.5, 1]}),
     "sweep": (["sweep", "--measure", DIRAC1, "--t", "1", "--angles", "8",
@@ -381,8 +376,8 @@ def _subcommand_flags():
 
 def test_settable_value_census():
     # a knob added or removed changes this total on purpose: 21 defaulted
-    # public parameters and 23 subcommand flags
-    assert _defaulted_public_parameters() + len(_subcommand_flags()) == 44
+    # public parameters and 21 subcommand flags
+    assert _defaulted_public_parameters() + len(_subcommand_flags()) == 42
 
 
 def test_readme_flag_table_matches_the_parser():
@@ -417,13 +412,13 @@ def test_unread_tolerance_rejected_per_command(tmp_path, capsys):
     # sweep, pick and check take no `tolerances` block at all; density
     # takes one and rejects a tolerance it does not read
     runs = [({"command": "sweep", "measure": json.loads(DIRAC1),
-              "times": [1.0], "tolerances": {"tol_root": 1e-3}},
+              "times": [1.0], "tolerances": {"tol_int": 1e-3}},
              "unknown field(s) ['tolerances'] in runs[0] (sweep)"),
             ({"command": "pick", "measure": json.loads(GAMMA21), "mode": 2.0,
               "tolerances": {"hysteresis": 1e-3}},
              "unknown field(s) ['tolerances'] in runs[0] (pick)"),
             ({"command": "check", "measure": json.loads(GAMMA21),
-              "tolerances": {"tol_quad": 1e-9}},
+              "tolerances": {"tol_pick": 1e-9}},
              "unknown field(s) ['tolerances'] in runs[0] (check)"),
             ({"command": "density", "measure": json.loads(DIRAC1),
               "times": [1.0], "tolerances": {"tol_foo": 1}},
@@ -596,8 +591,6 @@ _MALFORMED_NUMBERS = {
     "n_atoms_text": ["counterexample", "--n-atoms", "x"],
     "mode_text": ["pick", "--measure", DIRAC1, "--mode", "x"],
     "hysteresis_text": ["check", "--measure", GAMMA21, "--hysteresis", "x"],
-    "tol_root_text": ["density", "--measure", DIRAC1, "--t", "1",
-                      "--tol-root", "x"],
     "param_text": ["check", "--measure", json.dumps(_named("gamma", p="x", theta=1))],
     "param_null": ["check", "--measure", json.dumps(_named("gamma", p=None, theta=1))],
     "atom_weight": ["check", "--measure", json.dumps(
@@ -617,7 +610,7 @@ _MALFORMED_NUMBERS = {
     "run_density_window": {"command": "density", "measure": json.loads(DIRAC1),
                            "times": [1], "grid": {"window": ["a", 2]}},
     "run_tolerance": {"command": "density", "measure": json.loads(DIRAC1),
-                      "times": [1], "tolerances": {"tol_root": "x"}},
+                      "times": [1], "tolerances": {"tol_int": "x"}},
     "run_sweep_grid": {"command": "sweep", "measure": json.loads(DIRAC1),
                        "times": [1], "grid": "x"},
     "run_sweep_angles": {"command": "sweep", "measure": json.loads(DIRAC1),
@@ -891,9 +884,20 @@ def test_bad_later_run_fields_are_a_config_error_before_any_run(tmp_path, capsys
      "--k-max"),
     (None, {"command": "counterexample", "n_atoms": 30, "k_max": 1},
      "'k_max'"),
+    # the solver's tolerances are constants: they move no curve
+    (["density", "--measure", DIRAC1, "--t", "1", "--tol-root", "1e-9"], None,
+     "--tol-root"),
+    (["density", "--measure", DIRAC1, "--t", "1", "--tol-quad", "1e-9"], None,
+     "--tol-quad"),
+    (None, {"command": "density", "measure": _D, "times": [1],
+            "tolerances": {"tol_root": 1e-9}}, "'tol_root'"),
+    (None, {"command": "density", "measure": _D, "times": [1],
+            "tolerances": {"tol_quad": 1e-9}}, "'tol_quad'"),
 ], ids=["rule_flag", "tol_root_flag", "counterexample_tolerances",
         "support_check", "density_window_flag", "sweep_window_flag",
-        "k_max_flag", "k_max_field"])
+        "k_max_flag", "k_max_field", "density_tol_root_flag",
+        "density_tol_quad_flag", "density_tol_root_field",
+        "density_tol_quad_field"])
 def test_removed_knobs_are_config_errors_naming_the_field(tmp_path, capsys,
                                                           argv, run, field):
     out = tmp_path / "out"
@@ -904,6 +908,18 @@ def test_removed_knobs_are_config_errors_naming_the_field(tmp_path, capsys,
         argv = ["scenario", path]
     assert main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--measure", DIRAC1], ["sweep", "--measure", DIRAC1],
+    ["counterexample", "--n-atoms", "5"]], ids=["density", "sweep",
+                                                "counterexample"])
+def test_infinite_time_is_a_config_error(tmp_path, capsys, argv):
+    # an infinite time is no time the flow takes: found before any run
+    out = tmp_path / "out"
+    assert main(argv + ["--t", "inf", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "time must be positive and finite, got inf" in capsys.readouterr().err
     assert not out.exists()
 
 

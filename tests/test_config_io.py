@@ -156,7 +156,7 @@ def test_write_report_and_curve(tmp_path):
     assert x0 == curve.x[0] and q0 == curve.q[0] and xq0 == x0 * q0
 
     rep = {"command": "density", "inputs": {"t": 1.0},
-           "tolerances": {"tol_root": 1e-10}, "results": {"ok": True},
+           "tolerances": {"tol_int": 1e-4}, "results": {"ok": True},
            "warnings": []}
     rep_path = str(tmp_path / "report.json")
     config_io.write_report(rep, rep_path)
@@ -229,10 +229,7 @@ def test_scenario_runs_reject_outputs(command):
 
 @pytest.mark.parametrize("command", list(_RUNS))
 def test_only_density_runs_take_tolerances(command):
-    # a counterexample's start is atomic: its atom sums read no tolerance
-    tolerances = ({"tol_root": 1e-9} if command == "counterexample"
-                  else {"tol_pick": 1e-9})
-    text = _scenario(command, tolerances=tolerances)
+    text = _scenario(command, tolerances={"tol_pick": 1e-9})
     if command == "density":
         _prepare(text)
     else:

@@ -45,14 +45,14 @@ def assert_angle_contract(ctx, r, u, ref):
     t = ctx.t
     # below about 1e-6 the kernel quadrature itself is only accurate to
     # noise = 1e-16/u relative, and the residual with it
-    noise = max(ctx.tol_quad, 1e-16 / u)
-    lhs = fm.level_function(ctx.nu, u, r, rtol=ctx.tol_quad)
-    assert abs(lhs - 1.0 / t) <= max(ctx.tol_root, noise) / t
+    noise = max(flow._KERNEL_SUM_RTOL, 1e-16 / u)
+    lhs = fm.level_function(ctx.nu, u, r, rtol=flow._KERNEL_SUM_RTOL)
+    assert abs(lhs - 1.0 / t) <= max(flow._ANGLE_RESIDUAL, noise) / t
     # the noise moves the root by kappa * noise relative, kappa the
     # condition number |d log theta / d log LHS|; it is huge at component
     # edges, where LHS ~ f(r) - A theta^2 and f(r) ~ 1/t
     ival = flow.poisson_kernel_integral(ctx.nu, r, math.sin(ref / 2) ** 2,
-                                        rtol=ctx.tol_quad)
+                                        rtol=flow._KERNEL_SUM_RTOL)
     der = flow._angle_lhs_dtheta(ctx, np.array([r]), np.array([ref]), ival)[0]
     kappa = 1.0 / (t * ref * abs(der))
     assert u == pytest.approx(ref, rel=1e-10 + 10.0 * kappa * noise)
@@ -66,29 +66,28 @@ def test_angle_lhs_point_mass_closed_form():
     ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
     for theta in (0.3, 1.0, 2.5):
         expect = math.sin(theta) / (4.0 * theta * math.sin(theta / 2) ** 2)
-        lhs = fm.level_function(ctx.nu, theta, 1.0, rtol=ctx.tol_quad)
+        lhs = fm.level_function(ctx.nu, theta, 1.0)
         assert lhs == pytest.approx(expect, rel=1e-14)
 
 
 def test_angle_lhs_diverges_like_inverse_square():
     ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
     for theta in (1e-2, 1e-3, 1e-4):
-        lhs = fm.level_function(ctx.nu, theta, 1.0, rtol=ctx.tol_quad)
+        lhs = fm.level_function(ctx.nu, theta, 1.0)
         assert lhs * theta ** 2 == pytest.approx(1.0, rel=1e-2)
 
 
 def test_angle_lhs_vanishes_at_pi():
     ctx = fm.FlowContext(fm.uniform_interval(1, 2), 1.0)
-    assert fm.level_function(ctx.nu, math.pi - 1e-12, 0.8,
-                             rtol=ctx.tol_quad) < 1e-11
+    assert fm.level_function(ctx.nu, math.pi - 1e-12, 0.8) < 1e-11
 
 
 def test_angle_lhs_domain():
     ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
     with pytest.raises(DomainError):
-        fm.level_function(ctx.nu, 0.0, 1.0, rtol=ctx.tol_quad)
+        fm.level_function(ctx.nu, 0.0, 1.0)
     with pytest.raises(DomainError):
-        fm.level_function(ctx.nu, 0.5, -1.0, rtol=ctx.tol_quad)
+        fm.level_function(ctx.nu, 0.5, -1.0)
 
 
 @pytest.mark.parametrize("nu", [fm.gamma_measure(2.0, 1.0),
@@ -98,10 +97,9 @@ def test_angle_lhs_dtheta_matches_central_difference(nu):
     ctx = fm.FlowContext(nu, 1.0)
     r, h = 0.7, 1e-5
     for theta in (0.4, 1.3, 2.5):
-        ival = flow.poisson_kernel_integral(nu, r, math.sin(theta / 2) ** 2,
-                                            rtol=ctx.tol_quad)
-        fd = (fm.level_function(nu, theta + h, r, rtol=ctx.tol_quad)
-              - fm.level_function(nu, theta - h, r, rtol=ctx.tol_quad)) / (2 * h)
+        ival = flow.poisson_kernel_integral(nu, r, math.sin(theta / 2) ** 2)
+        fd = (fm.level_function(nu, theta + h, r)
+              - fm.level_function(nu, theta - h, r)) / (2 * h)
         assert flow._angle_lhs_dtheta(
             ctx, np.array([r]), np.array([theta]), ival)[0] == pytest.approx(
             fd, rel=1e-6)
@@ -287,7 +285,7 @@ def test_density_reuses_the_inversion_angles(monkeypatch, x, parent_calls,
     monkeypatch.setattr(flow, "_radial_points", lambda ctx, rs, guess=None: (
         radii.extend(rs.tolist()) or solve(ctx, rs, guess)))
     ctx = fm.FlowContext(fm.gamma_measure(2.0, 1.0), 1.0)
-    assert fm.density(ctx, x) == pytest.approx(value, rel=ctx.tol_root)
+    assert fm.density(ctx, x) == pytest.approx(value, rel=1e-10)
     assert len(passes) <= 0.6 * parent_calls
     assert radii and len(set(radii)) == len(radii)  # none is solved twice
 
@@ -394,7 +392,7 @@ def test_angle_monotone_decreasing_in_theta():
     for _ in range(20):
         r = float(rng.uniform(0.2, 3.0))
         thetas = np.sort(rng.uniform(0.01, math.pi - 0.01, 5))
-        vals = [fm.level_function(ctx.nu, float(t), r, rtol=ctx.tol_quad)
+        vals = [fm.level_function(ctx.nu, float(t), r)
                 for t in thetas]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -562,6 +560,18 @@ def test_radius_functions_reject_the_same_radii(fn):
     for bad in (math.nan, math.inf, 0.0, -1.0, np.array([1.0, math.nan])):
         with pytest.raises(DomainError, match="positive and finite"):
             call(bad)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("x", 0.0), ("x", -1.0), ("x", math.inf), ("x", math.nan),
+    ("x", 1e-320), ("y", 0.0), ("y", -1.0), ("y", math.inf), ("y", math.nan)])
+def test_density_and_inverse_name_the_callers_value(name, value):
+    # a subnormal x has no finite reciprocal radius
+    ctx = fm.FlowContext(fm.dirac(1.0), 1.0)
+    call = fm.density if name == "x" else fm.radial_map_inverse
+    with pytest.raises(DomainError, match=rf"^{name} must be positive and "
+                                          rf"finite.*, got {value}$"):
+        call(ctx, value)
 
 
 @pytest.mark.parametrize("c", [1e-200, 1e-160, 1e160, 1e200])
@@ -834,8 +844,9 @@ def test_curve_point_count_floor():
 def test_flow_context_validation():
     with pytest.raises(InvariantViolation):
         fm.FlowContext(fm.dirac(1.0), -1.0)
-    with pytest.raises(InvariantViolation):
-        fm.FlowContext(fm.dirac(1.0), 1.0, tol_root=0.0)
+    for t in (0.0, math.inf, math.nan):
+        with pytest.raises(InvariantViolation):
+            fm.FlowContext(fm.dirac(1.0), t)
 
 
 def test_residual_contract_sampled():
@@ -845,9 +856,10 @@ def test_residual_contract_sampled():
         for r in np.geomspace(0.2, 5.0, 12):
             u = fm.solve_angle(ctx, float(r))
             if u > 0.0:
-                lhs = fm.level_function(ctx.nu, u, float(r), rtol=ctx.tol_quad)
+                lhs = fm.level_function(ctx.nu, u, float(r),
+                                        rtol=flow._KERNEL_SUM_RTOL)
                 resid = abs(lhs - 1.0 / t)
-                assert resid <= ctx.tol_root / t
+                assert resid <= flow._ANGLE_RESIDUAL / t
 
 
 def test_support_set_invariants():

@@ -464,6 +464,15 @@ def test_symmetric_examples():
     assert not fm.is_mult_symmetric(fm.atomic([(0.5, 1.0), (0.5, 4.0)]), 1e-9)
     assert fm.is_mult_symmetric(
         fm.atomic([(0.5, 0.5), (0.5, 2.0)]), 1e-9)
+    # atoms are compared at tol: 0.5 and 2.0000001 are reciprocal to within
+    # 5e-8 relative
+    nu = fm.atomic([(0.5, 0.5), (0.5, 2.0000001)])
+    assert fm.is_mult_symmetric(nu, 1e-3)
+    assert not fm.is_mult_symmetric(nu, 1e-9)
+    # so are the weights of 0.5001 and 0.4999 to within 2e-4
+    nu = fm.atomic([(0.5001, 0.5), (0.4999, 2.0)])
+    assert fm.is_mult_symmetric(nu, 1e-3)
+    assert not fm.is_mult_symmetric(nu, 1e-5)
 
 
 # ---------------------------------------------------------------------------
