@@ -73,10 +73,13 @@ def _transform_integral(nu: Measure, kernel, z, rtol: float):
     values, failed = nu.integrate_batch(lambda u, k: kernel(u, zs[k]),
                                         pts, scl, rtols)
     relaxed = np.zeros(zs.shape, dtype=bool)
-    for k in np.flatnonzero(failed):
+    redo = np.flatnonzero(failed)
+    edges, offsets = nu.seed_edges(pts[redo], scl[redo])
+    for k, i, j in zip(redo.tolist(), offsets[:-1].tolist(),
+                       offsets[1:].tolist()):
         zk = complex(zs[k])
         values[k], used = relaxed_retry(
-            lambda rt: (nu.integrate(lambda x: kernel(x, zk), pts[k], scl[k],
+            lambda rt: (nu.integrate(lambda x: kernel(x, zk), edges[i:j],
                                      rtol=rt), rt),
             rtols[k])
         relaxed[k] = used != rtols[k]

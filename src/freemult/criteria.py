@@ -389,8 +389,8 @@ def scaled_convolution_density(nu: Measure, a: float, t: float,
         return c_b * xi / ((1.0 - r * xi) ** 2 + 4.0 * r * xi * s2)
 
     xs = 1.0 / r
-    scale = max(2.0 * math.sqrt(s2) * xs, xs * 1e-14)
-    total = float(nu.integrate(kernel, xs, scale, rtol=1e-12))
+    edges, _ = nu.seed_edges([xs], [max(2.0 * math.sqrt(s2) * xs, xs * 1e-14)])
+    total = float(nu.integrate(kernel, edges, rtol=1e-12))
     return r / c_b * total
 
 

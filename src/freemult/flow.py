@@ -52,10 +52,12 @@ ANGLE_FLOOR = 1e-9
 _S2_FLOOR = math.sin(0.5 * ANGLE_FLOOR) ** 2
 _DENOM_FLOOR = 1e-280
 _NORMAL_MIN = np.finfo(float).tiny
-# relative Newton step and bracket width that end an angle solve
+# relative Newton step and bracket width that end an angle solve (a density
+# row's step may also reach kappa times its kernel sums' tolerance)
 _ANGLE_STEP = 1e-12
 # the angle solve's relative residual |LHS - 1/t| * t, the other half of its
-# Newton stop rule (the step rule binds first unless this is near 1e-12),
+# Newton stop rule (the step rule binds first unless this is near 1e-12;
+# below theta ~ 1e-6 a density row's is its kernel sums' floor 1e-16/theta),
 # and the quadrature tolerance of the solver's kernel sums over a density
 # start, tight so that quadrature noise does not limit the residual
 _ANGLE_RESIDUAL = 1e-10
@@ -91,12 +93,12 @@ def check_points(points: int) -> None:
         raise DomainError(f"need at least 64 points, got {points}")
 
 
-def _kernel_rtol(rtol: float, sin_half_sq: float) -> float:
-    """Achievable tolerance for the angle kernels: the cancellation noise of
-    (1 - r*xi)^2 close to the pole floors the relative accuracy at roughly
-    1e-16 / theta."""
-    theta = max(2.0 * math.sqrt(sin_half_sq), ANGLE_FLOOR)
-    return max(rtol, 1e-16 / theta)
+def _kernel_rtol(rtol: float, sin_half_sq):
+    """Achievable tolerance for the angle kernels, at one sin^2(theta/2) or
+    at each of an array: the cancellation noise of (1 - r*xi)^2 close to
+    the pole floors the relative accuracy at roughly 1e-16 / theta."""
+    theta = np.maximum(2.0 * np.sqrt(sin_half_sq), ANGLE_FLOOR)
+    return np.maximum(rtol, 1e-16 / theta)
 
 
 def kernel_denominator(u, s2: float):
@@ -113,7 +115,8 @@ def _kernel_sums(nu: Measure, rs: np.ndarray, s2, integrand, rtol: float,
     The one sum of the flow kernels: an atomic nu takes one batch of exact
     atom sums, each row bitwise its own `integrate`; a density nu takes one
     quadrature a row, seeded at the pole 1/r with the Lorentzian width and
-    relaxed to the cancellation floor."""
+    relaxed to the cancellation floor, and seeds its rows together,
+    `seed_rows()` at a time."""
     s2 = np.asarray(s2, float)
     if isinstance(nu, Atomic):
         def kernel(xi, k):
@@ -123,17 +126,26 @@ def _kernel_sums(nu: Measure, rs: np.ndarray, s2, integrand, rtol: float,
 
         # atom sums are exact: the trouble points and the tolerance go unused
         return nu.integrate_batch(kernel, rs, rs, 0.0)[0]
+    xs = 1.0 / rs
+    s2 = np.broadcast_to(s2, rs.shape)
+    scales = np.maximum(2.0 * np.sqrt(s2) * xs, xs * 1e-14)
+    r_all, s_all = rs.tolist(), s2.tolist()
+    rtols = _kernel_rtol(rtol, s2).tolist()
     out = np.empty(rs.size)
-    for k, (r, s) in enumerate(zip(rs.tolist(),
-                                   np.broadcast_to(s2, rs.shape).tolist())):
-        def kernel(xi):
-            u = r * xi
-            return integrand(u, kernel_denominator(u, s), *(c[k] for c in cols))
+    chunk = nu.seed_rows()
+    for c in range(0, rs.size, chunk):
+        edges, offsets = nu.seed_edges(xs[c:c + chunk], scales[c:c + chunk])
+        for k, i, j in zip(range(c, c + chunk), offsets[:-1].tolist(),
+                           offsets[1:].tolist()):
+            r, s = r_all[k], s_all[k]
 
-        xs = 1.0 / r
-        scale = max(2.0 * math.sqrt(s) * xs, xs * 1e-14)
-        out[k] = relaxed_retry(lambda rt: nu.integrate(kernel, xs, scale, rt),
-                               _kernel_rtol(rtol, s))
+            def kernel(xi):
+                u = r * xi
+                return integrand(u, kernel_denominator(u, s),
+                                 *(col[k] for col in cols))
+
+            out[k] = relaxed_retry(
+                lambda rt: nu.integrate(kernel, edges[i:j], rt), rtols[k])
     return out
 
 
@@ -203,7 +215,9 @@ def capped_blowup(ctx: FlowContext, r):
 def solve_angle(ctx: FlowContext, r):
     """The angle u(r) at one radius r (a float) or at each of an array of
     radii: 0 off the blow-up region, else the unique root of the implicit
-    equation, with |LHS - 1/t| <= 1e-10 / t, solved by `_radial_points`."""
+    equation, solved by `_radial_points` to |LHS - 1/t| <= max(1e-10, tau)
+    / t, tau the tolerance of the kernel sums at the angle: 0 over an
+    atomic start, else max(1e-12, 1e-16 / u) (`_kernel_rtol`)."""
     return _per_radius(lambda rs: _radial_points(ctx, rs)[1], r)
 
 
@@ -253,12 +267,12 @@ def _radial_points(ctx: FlowContext, rs: np.ndarray,
         theta = np.full(rs.size, 1.0 if guess is None else guess)[idx]
         theta = np.where((theta > ANGLE_FLOOR) & (theta < _THETA_HI), theta, 1.0)
         prev = np.full(idx.size, math.inf)
+        exact = isinstance(nu, Atomic)
         for _ in range(_ANGLE_MAX_ITER):
             if not idx.size:
                 break
-            sin_t = np.sin(theta)
-            ival = _kernel_sums(nu, r, np.sin(0.5 * theta) ** 2, _poisson,
-                                _KERNEL_SUM_RTOL)
+            sin_t, s2 = np.sin(theta), np.sin(0.5 * theta) ** 2
+            ival = _kernel_sums(nu, r, s2, _poisson, _KERNEL_SUM_RTOL)
             lhs = sin_t / theta * ival
             above = lhs > target
             lo = np.where(above, theta, lo)
@@ -266,11 +280,22 @@ def _radial_points(ctx: FlowContext, rs: np.ndarray,
             der = _angle_lhs_dtheta(ctx, r, theta, ival)
             step = np.where(der < 0.0, -np.log(lhs / target) * lhs / (theta * der),
                             math.nan)
+            # atom sums are exact; a quadrature a row is accurate to the
+            # tolerance tau it was given, which the cancellation floor
+            # raises above 1e-12 below theta ~ 1e-4: tau bounds the
+            # residual, and moves the root by kappa * tau, kappa =
+            # |d log theta / d log LHS|, so no smaller step is asked for
+            res_tol, step_tol = _ANGLE_RESIDUAL, _ANGLE_STEP
+            if not exact:
+                tau = _kernel_rtol(_KERNEL_SUM_RTOL, s2)
+                res_tol = np.maximum(res_tol, tau)
+                step_tol = np.maximum(step_tol,
+                                      np.abs(lhs / (theta * der)) * tau)
             # near component edges LHS ~ f(r) - A theta^2 is flat in theta,
             # so a small residual alone does not pin theta; a bracket this
             # narrow is where quadrature noise leaves the tiniest angles
-            newton = ((np.abs(lhs - target) <= _ANGLE_RESIDUAL * target)
-                      & (np.abs(step) <= _ANGLE_STEP))
+            newton = ((np.abs(lhs - target) <= res_tol * target)
+                      & (np.abs(step) <= step_tol))
             narrow = ~newton & (hi - lo <= _ANGLE_STEP * hi)
             done = newton | narrow
             if done.any():

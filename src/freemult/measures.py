@@ -32,7 +32,6 @@ from ._quad import (
     batch_edges,
     geometric_edges,
     ladder_edges,
-    merge_edges,
 )
 from ._roots import brentq
 from .errors import (
@@ -454,36 +453,52 @@ class Measure:
         """Positive finite bounds containing all but `tail` of the mass per side."""
         raise NotImplementedError
 
-    def integrate(self, kernel, point: float, scale: float,
-                  rtol: float) -> complex | float:
-        """int kernel(u) d nu(u) over a density measure, its panels seeded
-        at the trouble point `point` of width `scale` (a nan point: none)."""
+    def integrate(self, kernel, edges, rtol: float) -> complex | float:
+        """int kernel(u) d nu(u) over a density measure, on the panel edges
+        `edges`, a row of `seed_edges`."""
         val, _err = adaptive_quad(
-            lambda u: np.asarray(kernel(u)) * self.density(u),
-            self._panel_edges(point, scale), rtol=rtol)
+            lambda u: np.asarray(kernel(u)) * self.density(u), edges, rtol=rtol)
         return val
+
+    def seed_edges(self, points, scales):
+        """The panel edges of the integrals with the trouble points points[k]
+        of widths scales[k] (a nan point: none), built together by one
+        `batch_edges` call: each row is bitwise merge_edges([base,
+        ladder_edges(points[k], scales[k], lo, hi)]) over `_seed_base`.
+
+        Returns (edges, offsets): the edges of row k are
+        edges[offsets[k]:offsets[k + 1]].  The matrix behind them has a
+        row a point, so a caller seeds at most `seed_rows()` points at once.
+        """
+        base, lo, hi = self._seed_base()
+        return batch_edges(base, points, scales, lo, hi)
+
+    def seed_rows(self) -> int:
+        """The points seeded, and the integrals `integrate_batch` refines,
+        together: a pass over them has at most _BATCH_NODES nodes."""
+        panels = self._seed_base()[0].size + _LADDER_EDGES
+        return max(1, _BATCH_NODES // (_XGK.size * panels))
 
     def integrate_batch(self, kernel, points, scales, rtol):
         """The integrals k = 0, ..., n - 1 of kernel(u, k) against a density
-        measure, refined together in chunks.  Integral k is seeded as
-        `integrate` seeds it with the trouble point points[k] of scale
-        scales[k] and has the tolerance rtol[k]; kernel(u, k) gets an array
-        of nodes and the integral indices of its rows as a column.
+        measure, refined together in chunks.  Integral k has the panel
+        edges `seed_edges` gives the trouble point points[k] of scale
+        scales[k] and the tolerance rtol[k]; kernel(u, k) gets an array of
+        nodes and the integral indices of its rows as a column.
 
         Returns (values, failed): values[k] is bitwise the value `integrate`
-        returns, and failed[k] marks an integral left unevaluated (nan),
-        because its quadrature raises NonIntegrable or would refine more
-        panels in one pass than a chunk allows it.
+        returns on those edges, and failed[k] marks an integral left
+        unevaluated (nan), because its quadrature raises NonIntegrable or
+        would refine more panels in one pass than a chunk allows it.
         """
-        base, lo, hi = self._seed_base()
         points, scales = np.asarray(points, float), np.asarray(scales, float)
         rtol = np.broadcast_to(np.asarray(rtol, float), points.shape)
-        panels = base.size + _LADDER_EDGES
-        chunk = max(1, _BATCH_NODES // (_XGK.size * panels))
+        panels = self._seed_base()[0].size + _LADDER_EDGES
+        chunk = self.seed_rows()
         values, failed = [], []
         for s in range(0, points.size, chunk):
             part = slice(s, s + chunk)
-            edges, offsets = batch_edges(base, points[part], scales[part], lo, hi)
+            edges, offsets = self.seed_edges(points[part], scales[part])
             vals, _err, bad = adaptive_quad_batch(
                 lambda u, k: np.asarray(kernel(u, k + s)) * self.density(u),
                 edges, offsets, rtol[part], max_panels=panels)
@@ -492,15 +507,9 @@ class Measure:
         return np.concatenate(values), np.concatenate(failed)
 
     def _seed_base(self):
-        """(edges, lo, hi): the edges `integrate` merges the caller's
-        ladder into, and the range the ladder is clipped to."""
+        """(edges, lo, hi): the edges `seed_edges` merges each ladder into,
+        and the range the ladders are clipped to."""
         raise NotImplementedError
-
-    def _panel_edges(self, point: float, scale: float) -> np.ndarray:
-        """The seeded edges of `integrate`: the base edges merged with the
-        ladder at `point`."""
-        base, lo, hi = self._seed_base()
-        return merge_edges([base, ladder_edges(point, scale, lo, hi)])
 
     def invert(self) -> "Measure":
         raise NotImplementedError
@@ -551,10 +560,14 @@ class Atomic(Measure):
     def effective_support(self, tail: float = TOL_TAIL):
         return self.math_support()
 
-    def integrate(self, kernel, point, scale, rtol):
-        # the one row of integrate_batch: the seed and tolerance go unused
-        return self.integrate_batch(lambda u, k: kernel(u), [point], [scale],
-                                    rtol)[0][0]
+    def integrate(self, kernel, edges, rtol):
+        # the one row of integrate_batch: the edges and tolerance go unused
+        return self.integrate_batch(lambda u, k: kernel(u), [math.nan],
+                                    [math.nan], rtol)[0][0]
+
+    def seed_edges(self, points, scales):
+        # atom sums take no panels: every row is empty
+        return np.empty(0), np.zeros(len(points) + 1, dtype=np.intp)
 
     def integrate_batch(self, kernel, points, scales, rtol):
         # the exact weighted atom sum of each row, on kernel values

@@ -123,8 +123,9 @@ def _per_point_psi_prime(nu, z, rtol=1e-8):
         seed = (w.real, max(abs(w.imag), abs(w.real) * 1e-12, 1e-300))
     if z.real > 0.0:
         rtol = max(rtol, 4e-16 * abs(z.real) / abs(z.imag))
+    edges, _offsets = nu.seed_edges([seed[0]], [seed[1]])
     return complex(relaxed_retry(
-        lambda rt: nu.integrate(lambda x: x / (1.0 - x * z) ** 2, *seed,
+        lambda rt: nu.integrate(lambda x: x / (1.0 - x * z) ** 2, edges,
                                 rtol=rt), rtol))
 
 

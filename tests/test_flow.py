@@ -252,6 +252,37 @@ def test_curve_levels_make_no_more_quadratures(monkeypatch, nu, parent_calls):
     assert 0 < len(passes) <= parent_calls
 
 
+@pytest.mark.parametrize("nu, parent_calls", [
+    (fm.gamma_measure(2.0, 1.0), 6683), (fm.lambda_measure(math.pi / 2), 6737)],
+    ids=["gamma", "lambda"])
+def test_curve_rows_stop_at_their_kernel_tolerance(monkeypatch, nu,
+                                                   parent_calls):
+    # parent_calls: the same 512-point curve when every density row asked
+    # for the 1e-12 Newton step, which rows below theta ~ 1e-7 cannot meet
+    # under the kernel's 1e-16/theta floor and ended on the bracket width
+    passes = _count_passes(monkeypatch)
+    solved = []
+    solve = flow._radial_points
+
+    def recorded(ctx, rs, guess=None):
+        solved.append((rs, *solve(ctx, rs, guess)))
+        return solved[-1][1:]
+    monkeypatch.setattr(flow, "_radial_points", recorded)
+    ctx = fm.FlowContext(nu, 1.0)
+    fm.density_curve(ctx, points=512)
+    assert 0 < len(passes) <= 0.75 * parent_calls
+    # the residual each angle meets: max(_ANGLE_RESIDUAL, tau) / t, tau the
+    # tolerance of the kernel sums at that angle
+    for rs, _lam, us in solved:
+        for r, u in zip(rs.tolist(), us.tolist()):
+            if u > 0.0:
+                tau = flow._kernel_rtol(flow._KERNEL_SUM_RTOL,
+                                        math.sin(0.5 * u) ** 2)
+                lhs = fm.level_function(nu, u, r, rtol=flow._KERNEL_SUM_RTOL)
+                assert abs(lhs - 1.0 / ctx.t) <= max(flow._ANGLE_RESIDUAL,
+                                                     tau) / ctx.t
+
+
 @pytest.mark.parametrize("nu", [
     fm.lambda_measure(math.pi / 2), fm.boolean_stable(0.5),
     fm.marchenko_pastur(), fm.marchenko_pastur_inverse()],

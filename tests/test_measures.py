@@ -69,33 +69,41 @@ def test_density_zero_outside_support():
 # integrate
 # ---------------------------------------------------------------------------
 
+def _seeded(nu, point=math.nan, scale=math.nan):
+    """The panel edges of one integral of nu seeded at `point` of width
+    `scale` (a nan point: none)."""
+    edges, _offsets = nu.seed_edges([point], [scale])
+    return edges
+
+
 def test_integrate_point_mass():
-    assert fm.dirac(3.0).integrate(lambda x: x ** 2, math.nan, math.nan,
-                                    1e-9) == 9.0
+    nu = fm.dirac(3.0)
+    assert nu.integrate(lambda x: x ** 2, _seeded(nu), 1e-9) == 9.0
 
 
 def test_integrate_gamma_mean():
-    assert fm.gamma_measure(2, 1).integrate(
-        lambda x: x, math.nan, math.nan, 1e-9) == pytest.approx(2.0, rel=1e-8)
+    nu = fm.gamma_measure(2, 1)
+    assert nu.integrate(lambda x: x, _seeded(nu), 1e-9) == pytest.approx(
+        2.0, rel=1e-8)
 
 
 def test_integrate_uniform_reciprocal():
-    assert fm.uniform_interval(1, 2).integrate(
-        lambda x: 1.0 / x, math.nan, math.nan, 1e-9) == pytest.approx(
+    nu = fm.uniform_interval(1, 2)
+    assert nu.integrate(lambda x: 1.0 / x, _seeded(nu), 1e-9) == pytest.approx(
         math.log(2.0), rel=1e-10)
 
 
 @pytest.mark.parametrize("nu", ALL_DENSITY_FAMILIES,
                          ids=lambda m: f"{m.family}{tuple(m.params.values())}")
 def test_unit_mass(nu):
-    assert nu.integrate(lambda x: np.ones_like(x), math.nan, math.nan,
+    assert nu.integrate(lambda x: np.ones_like(x), _seeded(nu),
                         1e-9) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_integrate_matches_scipy_oracle():
     nu = fm.gamma_measure(2.5, 0.7)
     kernel = lambda x: np.log1p(x) / (1.0 + x)
-    mine = nu.integrate(kernel, math.nan, math.nan, 1e-9)
+    mine = nu.integrate(kernel, _seeded(nu), 1e-9)
     ref, _ = sp_integrate.quad(
         lambda x: math.log1p(x) / (1 + x) * float(nu.density(np.array([x]))[0]),
         0, np.inf, limit=300)
@@ -103,9 +111,10 @@ def test_integrate_matches_scipy_oracle():
 
 
 def test_integrate_interior_pole_raises():
+    nu = fm.uniform_interval(1, 2)
     with pytest.raises(NonIntegrable):
-        fm.uniform_interval(1, 2).integrate(lambda x: 1.0 / (x - 1.5) ** 2,
-                                            1.5, 1e-9, 1e-9)
+        nu.integrate(lambda x: 1.0 / (x - 1.5) ** 2, _seeded(nu, 1.5, 1e-9),
+                     1e-9)
 
 
 # each row: r, theta of a flow kernel, and a trouble point with its scale
@@ -136,8 +145,10 @@ def test_integrate_equals_its_row_of_integrate_batch(nu, rows):
         return r[k] * u / kernel_denominator(r[k] * u, s2[k])
 
     values, failed = nu.integrate_batch(kernel, pts, scl, 1e-9)
+    edges, offsets = nu.seed_edges(pts, scl)
     for k in np.flatnonzero(~failed):
-        one = nu.integrate(lambda u: kernel(u, k), pts[k], scl[k], rtol=1e-9)
+        one = nu.integrate(lambda u: kernel(u, k),
+                           edges[offsets[k]:offsets[k + 1]], rtol=1e-9)
         assert np.float64(one).tobytes() == values[k].tobytes()
 
 
@@ -323,7 +334,7 @@ def test_cached_panel_edges_equal_build_edges(nu):
                             ladder_edges(1.0 / r, theta / r, lo, hi)]
                            + [ladder_edges(s, max(abs(s), lo) * 1e-9, lo, hi)
                               for s in sing])
-        assert nu._panel_edges(1.0 / r, theta / r).tobytes() == want.tobytes()
+        assert _seeded(nu, 1.0 / r, theta / r).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("nu", [fm.gamma_measure(2.0, 1.0),
@@ -339,7 +350,25 @@ def test_batch_edges_equal_the_per_point_edges_over_the_grid(nu):
     pts, scl = _pole_seeds(fm.half_plane_grid(), lo, hi)
     edges, offsets = batch_edges(base, pts, scl, lo, hi)
     for k, (p, s) in enumerate(zip(pts, scl)):
-        want = nu._panel_edges(p, s)
+        want = _seeded(nu, p, s)
+        assert edges[offsets[k]:offsets[k + 1]].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "nu", ALL_DENSITY_FAMILIES + [fm.to_grid(fm.gamma_measure(2.0, 1.0), n=128)],
+    ids=lambda m: getattr(m, "family", "grid"))
+def test_seed_edges_rows_are_the_merged_ladders(nu):
+    # trouble points below, across and above the range, at widths from
+    # 1e-14 to 2 times the point, and nan points with and without a width
+    base, lo, hi = nu._seed_base()
+    pts = np.concatenate([np.geomspace(lo / 10.0, hi * 10.0, 24),
+                          [math.nan, math.nan]])
+    scl = np.concatenate([pts[:24] * np.geomspace(1e-14, 2.0, 24)[::-1],
+                          [math.nan, 1.0]])
+    edges, offsets = nu.seed_edges(pts, scl)
+    assert offsets.size == pts.size + 1
+    for k, (p, s) in enumerate(zip(pts.tolist(), scl.tolist())):
+        want = merge_edges([base, ladder_edges(p, s, lo, hi)])
         assert edges[offsets[k]:offsets[k + 1]].tobytes() == want.tobytes()
 
 
@@ -507,7 +536,7 @@ def test_grid_invariants():
     x = np.geomspace(0.1, 10, 64)
     f = 1.0 / (x * math.log(100.0))  # reciprocal density, unit mass
     m = fm.GridDensity(x, f, normalize=True)
-    assert m.integrate(lambda u: np.ones_like(u), math.nan, math.nan,
+    assert m.integrate(lambda u: np.ones_like(u), _seeded(m),
                        1e-9) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -525,7 +554,7 @@ def test_grid_mean_is_the_mean_of_the_interpolant():
     x = np.geomspace(0.1, 10, 64)
     m = fm.GridDensity(x, np.exp(-np.log(x) ** 2), normalize=True)
     assert m.mean() == pytest.approx(
-        m.integrate(lambda u: u, math.nan, math.nan, 1e-12), rel=1e-12)
+        m.integrate(lambda u: u, _seeded(m), 1e-12), rel=1e-12)
 
 
 def test_named_unknown_family_and_params():

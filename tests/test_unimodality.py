@@ -271,9 +271,10 @@ def test_pick_check_counts_the_grid_points_whose_psi_prime_was_relaxed(
     pts, scl = analytic._pole_seeds(zs[k:k + 1], *nu.effective_support())
     rtol = float(analytic._half_plane_rtol(zs[k:k + 1], 1e-8)[0])
     kernel = lambda x: x / (1.0 - x * z) ** 2
+    edges, _offsets = nu.seed_edges(pts, scl)
     with pytest.raises(NonIntegrable):
-        nu.integrate(kernel, pts[0], scl[0], rtol=rtol)
-    assert values[k] == nu.integrate(kernel, pts[0], scl[0], rtol=100 * rtol)
+        nu.integrate(kernel, edges, rtol=rtol)
+    assert values[k] == nu.integrate(kernel, edges, rtol=100 * rtol)
 
 
 def test_pick_check_rejects_bad_mode():
