@@ -99,8 +99,9 @@ def ladder_edges(point: float, scale: float, lo: float, hi: float) -> np.ndarray
 
 def merge_edges(parts) -> np.ndarray:
     """Sorted union of edge arrays, without edges closer than floating
-    resolution to their predecessor."""
-    edges = np.unique(np.concatenate(parts))
+    resolution to their predecessor (an edge equal to its predecessor
+    among them)."""
+    edges = np.sort(np.concatenate(parts))
     keep = np.empty(edges.shape, dtype=bool)
     keep[0] = True
     tol = np.maximum(np.abs(edges[1:]), np.abs(edges[:-1])) * 4 * _EPS

@@ -69,6 +69,20 @@ _BOUNDARY_MAX_ITER = 200
 # log-spaced radii of the blow-up scan, besides the reciprocal atoms or
 # support
 _SCAN_POINTS = 1024
+# A density start's floor-angle sum at r holds the pole term
+# (sin F / F) (pi / F) xi0 p(xi0), xi0 = 1/r, F = ANGLE_FLOOR and p the
+# density: the kernel makes of the pole a Lorentzian of half-width F xi0,
+# half of which lies in the window xi0 (1 +- F).  Where p is at least its
+# smallest value at the window's ends and middle across the window
+# (monotone or concave there: a named family inside its effective support,
+# a GridDensity unless a knot in the window is a local minimum), the sum
+# reads at least half the term taken at that smallest value, the rest of
+# the sum being positive.  A term above this many times 1/t puts r in the
+# blow-up region with a factor of two to spare.  The smallest value, not
+# p(xi0), is taken for jumps (the ends of uniform, a GridDensity's end
+# knots), where one side reads 0, and for singular ends, where p(xi0)
+# overstates the sum up to a thousandfold (beta(1/2, 1/2) within 2e-15 of 1).
+_POLE_TERM_MARGIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -212,6 +226,33 @@ def capped_blowup(ctx: FlowContext, r):
                                           _KERNEL_SUM_RTOL), r)
 
 
+def _in_blowup_region(ctx: FlowContext, rs: np.ndarray) -> np.ndarray:
+    """capped_blowup(ctx, rs) > 1/t at each radius of rs.  Over a density
+    start, a radius whose pole term exceeds _POLE_TERM_MARGIN / t is in the
+    region without a quadrature (an infinite term decides too, a nan one
+    never); the other radii, and every radius of an atomic start, are
+    decided by `capped_blowup`."""
+    nu, target = ctx.nu, 1.0 / ctx.t
+    if nu.atoms() is not None:
+        return capped_blowup(ctx, rs) > target
+    # the window must lie inside the effective support, the range the
+    # quadrature integrates over
+    lo, hi = nu.effective_support()
+    with np.errstate(all="ignore"):
+        xi0 = 1.0 / rs
+        window = xi0 * np.array([[1.0 - ANGLE_FLOOR], [1.0],
+                                 [1.0 + ANGLE_FLOOR]])
+        p_min = nu.density(window.ravel()).reshape(3, -1).min(axis=0)
+        pole = (math.sin(ANGLE_FLOOR) / ANGLE_FLOOR * math.pi / ANGLE_FLOOR
+                * xi0 * p_min)
+    inside = ((pole > _POLE_TERM_MARGIN * target) & (lo < window[0])
+              & (window[2] < hi))
+    todo = np.flatnonzero(~inside)
+    if todo.size:
+        inside[todo] = capped_blowup(ctx, rs[todo]) > target
+    return inside
+
+
 def solve_angle(ctx: FlowContext, r):
     """The angle u(r) at one radius r (a float) or at each of an array of
     radii: 0 off the blow-up region, else the unique root of the implicit
@@ -253,13 +294,13 @@ def _radial_points(ctx: FlowContext, rs: np.ndarray,
     more at the end.  Roots below ANGLE_FLOOR are reported as 0.  No row's
     arithmetic reads another row, so a radius solved alone is bitwise the
     radius solved in a grid from the same guess.  The region test
-    `capped_blowup` checks the radii."""
+    `_in_blowup_region` checks the radii."""
     nu, target = ctx.nu, 1.0 / ctx.t
     u = np.zeros(rs.size)
     # one block for the solve: the kernels take their limits where r*xi
     # overflows (1e154 and beyond), and a slope of 0 gives no Newton step
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        idx = np.flatnonzero(capped_blowup(ctx, rs) > target)
+        idx = np.flatnonzero(_in_blowup_region(ctx, rs))
         if idx.size:
             _require_sign_change(ctx)
         r = rs[idx]
@@ -405,9 +446,12 @@ def default_window(nu: Measure) -> tuple[float, float]:
 def blowup_region(ctx: FlowContext) -> list[tuple[float, float]]:
     """Maximal open intervals of {r : f(r) > 1/t} inside `default_window`.
 
-    Boundaries are refined by bisection on the predicate f(r) > 1/t.
-    Reciprocal atoms and the reciprocal support of density measures are
-    force-included in the scan so no island is missed.
+    Boundaries are refined by bisection on the predicate f(r) > 1/t,
+    `_in_blowup_region`: the floor-angle sum `capped_blowup`, which over a
+    density start is only computed where the density's pole term does not
+    already put the radius in the region.  Reciprocal atoms and the
+    reciprocal support of density measures are force-included in the scan
+    so no island is missed.
     """
     nu = ctx.nu
     wlo, whi = default_window(nu)
@@ -430,7 +474,7 @@ def blowup_region(ctx: FlowContext) -> list[tuple[float, float]]:
             rs.append(np.geomspace(plo, phi_, 17))
     scan = np.unique(np.concatenate(rs))
 
-    above = capped_blowup(ctx, scan) > target
+    above = _in_blowup_region(ctx, scan)
     if not above.any():
         raise EmptyVSet(
             f"f never exceeds 1/t={target} on the window [{wlo}, {whi}]")
@@ -438,7 +482,7 @@ def blowup_region(ctx: FlowContext) -> list[tuple[float, float]]:
     # scan[k] and scan[k + 1] straddle a boundary; the boundaries alternate
     # rising (lower edge) and falling (upper edge) along the scan
     k = np.flatnonzero(above[1:] != above[:-1])
-    edges = _bisect_boundaries(ctx, scan[k], scan[k + 1], above[k + 1], target)
+    edges = _bisect_boundaries(ctx, scan[k], scan[k + 1], above[k + 1])
     bounds = edges.tolist()
     if above[0]:
         bounds.insert(0, wlo)
@@ -448,9 +492,9 @@ def blowup_region(ctx: FlowContext) -> list[tuple[float, float]]:
 
 
 def _bisect_boundaries(ctx: FlowContext, lo: np.ndarray, hi: np.ndarray,
-                       rising: np.ndarray, target: float) -> np.ndarray:
-    """Bisect the predicate f(r) > target in log r on every bracket
-    (lo[m], hi[m]) at once, one predicate batch a step.
+                       rising: np.ndarray) -> np.ndarray:
+    """Bisect the predicate f(r) > 1/t (`_in_blowup_region`) in log r on
+    every bracket (lo[m], hi[m]) at once, one predicate batch a step.
 
     A rising (lower) boundary has lo outside the region and hi inside, a
     falling (upper) one the reverse; each returns its inside end.  A
@@ -469,7 +513,7 @@ def _bisect_boundaries(ctx: FlowContext, lo: np.ndarray, hi: np.ndarray,
         # stays in range where it overflows or underflows
         mid = np.where((ab >= _NORMAL_MIN) & (ab < math.inf),
                        np.sqrt(ab), np.sqrt(a) * np.sqrt(b))
-        to_hi = (capped_blowup(ctx, mid) > target) == rising[live]
+        to_hi = _in_blowup_region(ctx, mid) == rising[live]
         hi[live[to_hi]] = mid[to_hi]
         lo[live[~to_hi]] = mid[~to_hi]
     return np.where(rising, hi, lo)

@@ -527,8 +527,12 @@ def test_counterexample_searches_every_gap(tmp_path):
     assert report["inputs"] == {"n_atoms": 30, "times": [8]}
 
 
-def test_tolerance_flags_only_on_flow_commands(tmp_path):
+def test_tolerance_flags_are_config_errors_on_every_command(tmp_path):
+    # no command takes --tol-root or --tol-quad: the solver's tolerances
+    # are constants
     out = str(tmp_path)
+    assert main(["density", "--measure", GAMMA21, "--t", "1", "--tol-root",
+                 "1e-3", "--out", out]) == 2
     assert main(["sweep", "--measure", DIRAC1, "--t", "1", "--tol-root", "1e-3",
                  "--out", out]) == 2
     assert main(["pick", "--measure", GAMMA21, "--mode", "2", "--tol-quad",

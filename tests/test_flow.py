@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import freemult as fm
@@ -289,18 +289,37 @@ def test_curve_rows_stop_at_their_kernel_tolerance(monkeypatch, nu,
     ids=["lambda", "boolean_stable", "marchenko_pastur", "mp_inverse"])
 def test_blowup_scan_converges_in_the_seed_pass(monkeypatch, nu):
     # ladders anchored at the pole 1/r resolve the floor-angle Lorentzian
-    # on heavy-tailed and square-root-edged starts without refinement
+    # on heavy-tailed and square-root-edged starts without refinement: at
+    # every radius of the scan, and at each quadrature the region still
+    # makes where the pole term does not decide
     passes = _count_passes(monkeypatch)
-    fm.blowup_region(fm.FlowContext(nu, 1.0))
+    ctx = fm.FlowContext(nu, 1.0)
+    flow.capped_blowup(ctx, _scan_radii(nu))
     assert len(passes) > 1000
     assert set(passes) == {1}
+    passes.clear()
+    fm.blowup_region(ctx)
+    assert passes and set(passes) == {1}
 
 
 def test_heavy_tailed_curve_barely_refines(monkeypatch):
+    # 509 passes past the first: a quarter of the 2037 quadratures the
+    # curve made when its blow-up scan ran one a radius
     passes = _count_passes(monkeypatch)
     fm.density_curve(fm.FlowContext(fm.lambda_measure(math.pi / 2), 1.0),
                      points=128)
-    assert sum(passes) <= 1.25 * len(passes)
+    assert sum(passes) - len(passes) <= 509
+
+
+@pytest.mark.parametrize("nu, most", [
+    (fm.gamma_measure(2.0, 1.0), 1650), (fm.lambda_measure(math.pi / 2), 1300)],
+    ids=["gamma", "lambda"])
+def test_curve_region_tests_skip_far_inside_radii(monkeypatch, nu, most):
+    # the pole term decides the scan radii and curve samples far inside the
+    # blow-up region; 2167 and 2037 quadratures when each took one
+    passes = _count_passes(monkeypatch)
+    fm.density_curve(fm.FlowContext(nu, 1.0), points=128)
+    assert 0 < len(passes) <= most
 
 
 @pytest.mark.parametrize("x, parent_calls, value", [
@@ -508,16 +527,35 @@ def test_blowup_region_cascade_disconnected():
     assert len(fm.blowup_region(ctx)) >= 2
 
 
+def _scan_radii(nu):
+    """The radii `blowup_region` scanned when it took one quadrature a
+    radius: 1024 log-spaced over the window, and the reciprocal atoms or 17
+    log-spaced over the reciprocal support."""
+    wlo, whi = flow.default_window(nu)
+    at = nu.atoms()
+    if at is None:
+        mlo, mhi = nu.effective_support()
+        plo, phi = max(1.0 / mhi, wlo), min(1.0 / mlo, whi)
+        extra = np.geomspace(plo, phi, 17) if plo < phi else np.empty(0)
+    else:
+        extra = 1.0 / at[1]
+        extra = extra[(extra > wlo) & (extra < whi)]
+    return np.unique(np.concatenate([
+        np.geomspace(wlo, whi, flow._SCAN_POINTS), extra]))
+
+
 def _scalar_blowup_region(ctx):
-    """Reference: the scan of `blowup_region` with one scalar
-    `capped_blowup` a radius, and each boundary bisected on its own."""
+    """Reference: the scan of `blowup_region` with one `capped_blowup` a
+    radius (a scalar call each over atoms, one array call over a density,
+    each value bitwise the scalar one), and each boundary bisected on its
+    own."""
     wlo, whi = flow.default_window(ctx.nu)
     target = 1.0 / ctx.t
-    recips = 1.0 / ctx.nu.atoms()[1]
-    scan = np.unique(np.concatenate([
-        np.geomspace(wlo, whi, flow._SCAN_POINTS),
-        recips[(recips > wlo) & (recips < whi)]]))
-    above = [flow.capped_blowup(ctx, float(r)) > target for r in scan]
+    scan = _scan_radii(ctx.nu)
+    if ctx.nu.atoms() is None:
+        above = (flow.capped_blowup(ctx, scan) > target).tolist()
+    else:
+        above = [flow.capped_blowup(ctx, float(r)) > target for r in scan]
 
     def refine(a, b, rising):
         lo, hi = float(a), float(b)
@@ -547,6 +585,77 @@ def test_blowup_region_of_atoms_equals_the_scalar_scan(n, decades, seed, t):
     locs = np.unique(10.0 ** (decades * (rng.random(n) - 0.5)))
     ctx = fm.FlowContext(_atoms(rng.uniform(0.05, 1.0, locs.size), locs), t)
     assert fm.blowup_region(ctx) == _scalar_blowup_region(ctx)
+
+
+# every named family, and gapped grids: a zero run between jumps, and two
+# bumps that fall to zero a decade apart
+_NAMED_STARTS = {
+    "lambda": fm.lambda_measure(math.pi / 2),
+    "boolean_stable": fm.boolean_stable(0.5),
+    "marchenko_pastur": fm.marchenko_pastur(),
+    "mp_inverse": fm.marchenko_pastur_inverse(),
+    "half_normal": fm.half_normal(1.0),
+    "gamma": fm.gamma_measure(2.0, 1.0),
+    "beta": fm.beta_measure(2.0, 2.0),
+    "uniform": fm.uniform_interval(1.0, 1.1),
+    "log_normal": fm.log_normal(0.0, 0.5),
+}
+_JUMP_GRID = fm.GridDensity([1.0, 1.5, 1.50001, 3.0, 3.00001, 4.0],
+                            [1.0, 1.0, 0.0, 0.0, 1.0, 1.0], normalize=True)
+_DENSITY_STARTS = {
+    **_NAMED_STARTS,
+    "jump_grid": _JUMP_GRID,
+    "bump_grid": fm.GridDensity([0.5, 0.6, 0.7, 5.0, 6.0, 7.0],
+                                [0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+                                normalize=True),
+}
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.25, 1.0, 4.0, 50.0])
+@pytest.mark.parametrize("nu", _DENSITY_STARTS.values(), ids=_DENSITY_STARTS)
+def test_blowup_region_of_densities_equals_the_quadrature_scan(nu, t):
+    ctx = fm.FlowContext(nu, t)
+    assert fm.blowup_region(ctx) == _scalar_blowup_region(ctx)
+
+
+_PREDICATE_STARTS = [*_NAMED_STARTS.values(), fm.beta_measure(0.5, 0.5),
+                     _JUMP_GRID]
+
+
+@settings(max_examples=50)
+@given(start=st.integers(0, len(_PREDICATE_STARTS) - 1),
+       where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       t=st.floats(1e-3, 50.0))
+def test_pole_term_decides_as_the_quadrature(start, where, t):
+    # the region test that lets the pole term decide far-inside radii is
+    # the floor-angle quadrature's, at random radii of the scan window, at
+    # the reciprocal support ends and knots, and 1e-12 and 1e-7 from them:
+    # within and well past the Lorentzian's half-width 1e-9
+    nu = _PREDICATE_STARTS[start]
+    lo, hi = flow.default_window(nu)
+    ends = [*nu.effective_support(), *nu.math_support()]
+    if isinstance(nu, fm.GridDensity):
+        ends += nu.x.tolist()
+    recips = 1.0 / np.array([e for e in ends if 0.0 < e < math.inf])
+    rs = np.concatenate([lo * (hi / lo) ** np.array(where), recips,
+                         *(recips * (1.0 + d) for d in (-1e-7, -1e-12, 1e-12,
+                                                        1e-7))])
+    ctx = fm.FlowContext(nu, t)
+    assert (flow._in_blowup_region(ctx, rs).tolist()
+            == (flow.capped_blowup(ctx, rs) > 1.0 / t).tolist())
+
+
+def test_pole_term_near_a_singular_end_defers_to_the_quadrature():
+    # within 1e-14 of beta(1/2, 1/2)'s singular end the density varies
+    # across the Lorentzian, and p(1/r) alone overstates the floor-angle
+    # sum 2.2e13 up to a thousandfold: the window's smallest density decides
+    nu, t = fm.beta_measure(0.5, 0.5), 1e-14
+    rs = 1.0 / np.array([1.0 - 1.9e-15, 1.0 - 3e-15, 1.0 - 1e-14])
+    ctx = fm.FlowContext(nu, t)
+    assert np.all(math.pi / flow.ANGLE_FLOOR / rs * nu.density(1.0 / rs)
+                  > flow._POLE_TERM_MARGIN / t)
+    assert not (flow.capped_blowup(ctx, rs) > 1.0 / t).any()
+    assert not flow._in_blowup_region(ctx, rs).any()
 
 
 def _radius_functions(ctx):

@@ -370,6 +370,10 @@ def test_seed_edges_rows_are_the_merged_ladders(nu):
     for k, (p, s) in enumerate(zip(pts.tolist(), scl.tolist())):
         want = merge_edges([base, ladder_edges(p, s, lo, hi)])
         assert edges[offsets[k]:offsets[k + 1]].tobytes() == want.tobytes()
+        # and seeded alone
+        one, ends = nu.seed_edges(pts[k:k + 1], scl[k:k + 1])
+        assert ends.tolist() == [0, want.size]
+        assert one.tobytes() == want.tobytes()
 
 
 def test_to_grid_of_a_grid_is_the_same_object():
