@@ -6,9 +6,10 @@ The psi-transform of a measure on the positive half-line,
 
 and its z-derivative are evaluated by the same seeded adaptive quadrature
 as the real kernels; error control runs jointly on real and imaginary parts
-through the complex modulus.  Both take a scalar z or an array of z: the
-integrals at all of them refine together in one batched loop
-(`Measure.integrate_batch`), and a scalar z is the one-point case.
+through the complex modulus.  Both take a scalar z or an array of z, give
+the pole 1/z of each as its trouble point, and make one
+`Measure.integrate_batch` call, which seeds, integrates and retries them
+all; a scalar z is the one-point case.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import cmath
 
 import numpy as np
 
-from ._quad import relaxed_retry
 from .errors import DomainError
 from .measures import Measure
 
@@ -63,26 +63,13 @@ def _half_plane_rtol(z: np.ndarray, rtol: float) -> np.ndarray:
 
 
 def _transform_integral(nu: Measure, kernel, z, rtol: float):
-    """int kernel(x, z) d nu(x) at each z, all in one batch, and which of
-    them met only 100 * rtol: an integral the batch leaves is redone alone
-    by `relaxed_retry`."""
+    """int kernel(x, z) d nu(x) at each z, all in one
+    `Measure.integrate_batch`, and which of them met only 100 * rtol."""
     z = _check_off_positive_axis(z)
     zs = z.ravel()
-    rtols = _half_plane_rtol(zs, rtol)
     pts, scl = _pole_seeds(zs, *nu.effective_support())
-    values, failed = nu.integrate_batch(lambda u, k: kernel(u, zs[k]),
-                                        pts, scl, rtols)
-    relaxed = np.zeros(zs.shape, dtype=bool)
-    redo = np.flatnonzero(failed)
-    edges, offsets = nu.seed_edges(pts[redo], scl[redo])
-    for k, i, j in zip(redo.tolist(), offsets[:-1].tolist(),
-                       offsets[1:].tolist()):
-        zk = complex(zs[k])
-        values[k], used = relaxed_retry(
-            lambda rt: (nu.integrate(lambda x: kernel(x, zk), edges[i:j],
-                                     rtol=rt), rt),
-            rtols[k])
-        relaxed[k] = used != rtols[k]
+    values, relaxed = nu.integrate_batch(lambda u, k: kernel(u, zs[k]),
+                                         pts, scl, _half_plane_rtol(zs, rtol))
     if z.ndim == 0:
         return complex(values[0]), relaxed.reshape(())
     return values.reshape(z.shape), relaxed.reshape(z.shape)

@@ -71,7 +71,7 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w * h / 3.0
 
 
-def _kernel_sums(r: np.ndarray, xi: np.ndarray, wts: np.ndarray, s2: float,
+def _direct_sums(r: np.ndarray, xi: np.ndarray, wts: np.ndarray, s2: float,
                  pref: float) -> np.ndarray:
     """pref * sum_j wts_j K(r_i xi_j) for every r_i, in chunks of about 4e6
     kernel values."""
@@ -108,7 +108,7 @@ def _level_profile(nu: Measure, R: float, wlo: float, whi: float,
         raise DomainError(f"r * xi overflows a float on the window [{wlo:.6g}, "
                           f"{whi:.6g}] for a support reaching {hi:.6g}")
     if at is not None:
-        return r, _kernel_sums(r, at[1], at[0], s2, pref)
+        return r, _direct_sums(r, at[1], at[0], s2, pref)
     # node step no coarser than a tenth of the kernel's log-width R, nor
     # than the grid step dr
     n = max(513, math.ceil(10.0 * (y1 - y0) / R), math.ceil((y1 - y0) / dr) + 1)
@@ -126,7 +126,7 @@ def _level_profile(nu: Measure, R: float, wlo: float, whi: float,
     # 1.005) 51 vs 85 ms, uniform(1, 1.01) 28 vs 32, uniform(1, 1.02) 24 vs
     # 15, uniform(1, 1.1) 25 vs 3, gamma(2, 1) at R = 0.01 808 vs 3 ms
     if size * math.log2(size) >= 4 * grid * n or size > 4 * _LATTICE_MAX:
-        return r, _kernel_sums(r, xi, wts, s2, pref)
+        return r, _direct_sums(r, xi, wts, s2, pref)
     u = np.exp((math.log(wlo) + y0) + h * np.arange(size))
     kern = u / kernel_denominator(u, s2)
     nfft = sp_fft.next_fast_len(size, real=True)
@@ -374,9 +374,10 @@ def scaled_convolution_density(nu: Measure, a: float, t: float,
 
     Computed by the direct kernel integral obtained from substituting
     xi = 1/s in the convolution density; equals the level function at angle
-    B rescaled by B / sin(B).  The kernel and its seeding are written out
-    here rather than taken from `flow`: this algebraic form is the
-    independent route that `level_function` is checked against."""
+    B rescaled by B / sin(B).  The kernel and its seed point are written
+    out here rather than taken from `flow`: this algebraic form is the
+    independent route that `level_function` is checked against.  Its one
+    `integrate_rows` row is retried at 100 * rtol like every kernel sum."""
     if t <= 0 or r <= 0:
         raise DomainError("need t > 0 and r > 0")
     B = a * math.pi * t
@@ -385,13 +386,13 @@ def scaled_convolution_density(nu: Measure, a: float, t: float,
     c_b = math.sin(B) / (math.pi - B)
     s2 = math.sin(0.5 * B) ** 2
 
-    def kernel(xi):
+    def kernel(xi, _k):
         return c_b * xi / ((1.0 - r * xi) ** 2 + 4.0 * r * xi * s2)
 
     xs = 1.0 / r
-    edges, _ = nu.seed_edges([xs], [max(2.0 * math.sqrt(s2) * xs, xs * 1e-14)])
-    total = float(nu.integrate(kernel, edges, rtol=1e-12))
-    return r / c_b * total
+    total, _relaxed = nu.integrate_rows(
+        kernel, [xs], [max(2.0 * math.sqrt(s2) * xs, xs * 1e-14)], 1e-12)
+    return r / c_b * float(total[0])
 
 
 # ---------------------------------------------------------------------------

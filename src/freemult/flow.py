@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from ._quad import relaxed_retry
 from ._roots import brentq
 from .errors import (
     BracketFailure,
@@ -126,41 +125,23 @@ def _kernel_sums(nu: Measure, rs: np.ndarray, s2, integrand, rtol: float,
     """int integrand(r*xi, denom, *(c[k] for c in cols)) d nu(xi) at each
     radius r = rs[k] with sin^2(theta/2) = s2[k] (or the one s2).
 
-    The one sum of the flow kernels: an atomic nu takes one batch of exact
-    atom sums, each row bitwise its own `integrate`; a density nu takes one
+    The one sum of the flow kernels, one `Measure.integrate_rows` call: an
+    atomic nu gives exact atom sums, with no seeds; a density nu one
     quadrature a row, seeded at the pole 1/r with the Lorentzian width and
-    relaxed to the cancellation floor, and seeds its rows together,
-    `seed_rows()` at a time."""
+    relaxed to the cancellation floor (`_kernel_rtol`)."""
     s2 = np.asarray(s2, float)
+
+    def kernel(xi, k):
+        u = rs[k] * xi
+        return integrand(u, kernel_denominator(u, s2[k] if s2.ndim else s2),
+                         *(c[k] for c in cols))
+
     if isinstance(nu, Atomic):
-        def kernel(xi, k):
-            u = rs[k] * xi
-            return integrand(u, kernel_denominator(u, s2[k] if s2.ndim else s2),
-                             *(c[k] for c in cols))
-
         # atom sums are exact: the trouble points and the tolerance go unused
-        return nu.integrate_batch(kernel, rs, rs, 0.0)[0]
+        return nu.integrate_rows(kernel, rs, rs, 0.0)[0]
     xs = 1.0 / rs
-    s2 = np.broadcast_to(s2, rs.shape)
     scales = np.maximum(2.0 * np.sqrt(s2) * xs, xs * 1e-14)
-    r_all, s_all = rs.tolist(), s2.tolist()
-    rtols = _kernel_rtol(rtol, s2).tolist()
-    out = np.empty(rs.size)
-    chunk = nu.seed_rows()
-    for c in range(0, rs.size, chunk):
-        edges, offsets = nu.seed_edges(xs[c:c + chunk], scales[c:c + chunk])
-        for k, i, j in zip(range(c, c + chunk), offsets[:-1].tolist(),
-                           offsets[1:].tolist()):
-            r, s = r_all[k], s_all[k]
-
-            def kernel(xi):
-                u = r * xi
-                return integrand(u, kernel_denominator(u, s),
-                                 *(col[k] for col in cols))
-
-            out[k] = relaxed_retry(
-                lambda rt: nu.integrate(kernel, edges[i:j], rt), rtols[k])
-    return out
+    return nu.integrate_rows(kernel, xs, scales, _kernel_rtol(rtol, s2))[0]
 
 
 def _per_radius(values, r):

@@ -10,9 +10,11 @@ Three representations are supported:
   uniform, log_normal).
 
 Every measure knows how to integrate a kernel against itself, invert itself
-under x -> 1/x, and push itself forward through the logarithm.  A kernel
-integral takes at most one known trouble point, with its width, so the
-adaptive quadrature can seed panels around a pole or a narrow peak.
+under x -> 1/x, and push itself forward through the logarithm.  Each row
+of a kernel sum takes at most one known trouble point, with its width, so
+the adaptive quadrature can seed panels around a pole or a narrow peak;
+`integrate_rows` and `integrate_batch` seed, integrate and retry the rows
+for every caller.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from ._quad import (
     geometric_edges,
     ladder_edges,
     merge_edges,
+    relaxed_retry,
 )
 from ._roots import brentq
 from .errors import (
@@ -456,12 +459,66 @@ class Measure:
 
     def integrate(self, kernel, edges, rtol: float) -> complex | float:
         """int kernel(u) d nu(u) over a density measure, on the panel edges
-        `edges`, a row of `seed_edges`."""
+        `edges`, a row of `_seed_edges`."""
         val, _err = adaptive_quad(
             lambda u: np.asarray(kernel(u)) * self.density(u), edges, rtol=rtol)
         return val
 
-    def seed_edges(self, points, scales):
+    def integrate_rows(self, kernel, points, scales, rtol):
+        """The integrals k = 0, ..., n - 1 of kernel(u, k) against the
+        measure, one `integrate` call a row, as (values, relaxed).  Row k
+        is seeded at the trouble point points[k] of width scales[k] (a nan
+        point: none), `_seed_rows()` rows a `_seed_edges` call, and
+        integrated to rtol[k] (or one shared rtol); relaxed[k] marks a row
+        that raised NonIntegrable there and met 100 * rtol[k]."""
+        rtol = np.full(len(points), rtol, dtype=float).tolist()
+        values, relaxed = [], []
+        for s, edges, offsets in self._seeded_chunks(points, scales):
+            for k, i, j in zip(range(s, s + offsets.size - 1),
+                               offsets[:-1].tolist(), offsets[1:].tolist()):
+                value, rel = self._integrate_row(kernel, k, edges[i:j], rtol[k])
+                values.append(value)
+                relaxed.append(rel)
+        return np.array(values), np.array(relaxed, dtype=bool)
+
+    def integrate_batch(self, kernel, points, scales, rtol):
+        """`integrate_rows` at less cost for many rows, bitwise the same
+        (values, relaxed): each chunk refines in one `adaptive_quad_batch`
+        loop, where kernel(u, k) gets the node rows' integral indices as a
+        column k, and a row the batch leaves (NonIntegrable, or more panels
+        in a pass than a chunk allows) is redone alone on its chunk's
+        edges."""
+        rtol = np.full(len(points), rtol, dtype=float)
+        panels = self._seed_base()[0].size + _LADDER_EDGES
+        values, relaxed = [np.zeros(0)], [np.zeros(0, dtype=bool)]
+        for s, edges, offsets in self._seeded_chunks(points, scales):
+            vals, _err, left = adaptive_quad_batch(
+                lambda u, k: np.asarray(kernel(u, k + s)) * self.density(u),
+                edges, offsets, rtol[s:s + offsets.size - 1], max_panels=panels)
+            rel = np.zeros(vals.size, dtype=bool)
+            for k in np.flatnonzero(left).tolist():
+                vals[k], rel[k] = self._integrate_row(
+                    kernel, s + k, edges[offsets[k]:offsets[k + 1]], rtol[s + k])
+            values.append(vals)
+            relaxed.append(rel)
+        return np.concatenate(values), np.concatenate(relaxed)
+
+    def _integrate_row(self, kernel, k, edges, rtol):
+        """(value, relaxed) of row k on `edges` by `relaxed_retry`; the call
+        goes through the `integrate` attribute, which the benchmark tracer
+        wraps."""
+        value, used = relaxed_retry(lambda rt: (self.integrate(
+            lambda u: kernel(u, k), edges, rt), rt), rtol)
+        return value, used != rtol
+
+    def _seeded_chunks(self, points, scales):
+        """(start, edges, offsets) of each chunk of `_seed_rows()` rows."""
+        chunk = self._seed_rows()
+        for s in range(0, len(points), chunk):
+            yield (s, *self._seed_edges(points[s:s + chunk],
+                                        scales[s:s + chunk]))
+
+    def _seed_edges(self, points, scales):
         """The panel edges of the integrals with the trouble points points[k]
         of widths scales[k] (a nan point: none), built together by one
         `batch_edges` call: each row is bitwise merge_edges([base,
@@ -469,7 +526,7 @@ class Measure:
 
         Returns (edges, offsets): the edges of row k are
         edges[offsets[k]:offsets[k + 1]].  The matrix behind them has a
-        row a point, so a caller seeds at most `seed_rows()` points at once.
+        row a point, so at most `_seed_rows()` points are seeded at once.
         One point is merged alone, at half the cost of a one-row batch.
         """
         base, lo, hi = self._seed_base()
@@ -479,41 +536,14 @@ class Measure:
             return edges, np.array([0, edges.size])
         return batch_edges(base, points, scales, lo, hi)
 
-    def seed_rows(self) -> int:
+    def _seed_rows(self) -> int:
         """The points seeded, and the integrals `integrate_batch` refines,
         together: a pass over them has at most _BATCH_NODES nodes."""
         panels = self._seed_base()[0].size + _LADDER_EDGES
         return max(1, _BATCH_NODES // (_XGK.size * panels))
 
-    def integrate_batch(self, kernel, points, scales, rtol):
-        """The integrals k = 0, ..., n - 1 of kernel(u, k) against a density
-        measure, refined together in chunks.  Integral k has the panel
-        edges `seed_edges` gives the trouble point points[k] of scale
-        scales[k] and the tolerance rtol[k]; kernel(u, k) gets an array of
-        nodes and the integral indices of its rows as a column.
-
-        Returns (values, failed): values[k] is bitwise the value `integrate`
-        returns on those edges, and failed[k] marks an integral left
-        unevaluated (nan), because its quadrature raises NonIntegrable or
-        would refine more panels in one pass than a chunk allows it.
-        """
-        points, scales = np.asarray(points, float), np.asarray(scales, float)
-        rtol = np.broadcast_to(np.asarray(rtol, float), points.shape)
-        panels = self._seed_base()[0].size + _LADDER_EDGES
-        chunk = self.seed_rows()
-        values, failed = [], []
-        for s in range(0, points.size, chunk):
-            part = slice(s, s + chunk)
-            edges, offsets = self.seed_edges(points[part], scales[part])
-            vals, _err, bad = adaptive_quad_batch(
-                lambda u, k: np.asarray(kernel(u, k + s)) * self.density(u),
-                edges, offsets, rtol[part], max_panels=panels)
-            values.append(vals)
-            failed.append(bad)
-        return np.concatenate(values), np.concatenate(failed)
-
     def _seed_base(self):
-        """(edges, lo, hi): the edges `seed_edges` merges each ladder into,
+        """(edges, lo, hi): the edges `_seed_edges` merges each ladder into,
         and the range the ladders are clipped to."""
         raise NotImplementedError
 
@@ -566,24 +596,19 @@ class Atomic(Measure):
     def effective_support(self, tail: float = TOL_TAIL):
         return self.math_support()
 
-    def integrate(self, kernel, edges, rtol):
-        # the one row of integrate_batch: the edges and tolerance go unused
-        return self.integrate_batch(lambda u, k: kernel(u), [math.nan],
-                                    [math.nan], rtol)[0][0]
-
-    def seed_edges(self, points, scales):
-        # atom sums take no panels: every row is empty
-        return np.empty(0), np.zeros(len(points) + 1, dtype=np.intp)
-
     def integrate_batch(self, kernel, points, scales, rtol):
         # the exact weighted atom sum of each row, on kernel values
-        # evaluated _BATCH_NODES at a time
+        # evaluated _BATCH_NODES at a time: the trouble points and the
+        # tolerances go unused, and no row is relaxed
         n = len(points)
         chunk = max(1, _BATCH_NODES // self.a.size)
         values = [np.vecdot(self.w, np.asarray(kernel(
                       self.a[None, :], np.arange(s, min(s + chunk, n))[:, None])))
                   for s in range(0, n, chunk)]
         return np.concatenate(values or [np.zeros(0)]), np.zeros(n, dtype=bool)
+
+    # one exact batch serves every row
+    integrate_rows = integrate_batch
 
     def invert(self) -> "Atomic":
         inv = 1.0 / self.a[::-1]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import freemult as fm
-from freemult._quad import relaxed_retry
 from freemult.errors import DomainError
 
 
@@ -112,9 +111,9 @@ def test_half_plane_grid_invariants():
 
 
 def _per_point_psi_prime(nu, z, rtol=1e-8):
-    """psi'(z) the per-point way: one `integrate` call, seeded at the pole
-    1/z when it is near the support, under the half-plane accuracy floor,
-    retried once at 100 rtol."""
+    """psi'(z) the per-point way: one `integrate_rows` row, seeded at the
+    pole 1/z when it is near the support, under the half-plane accuracy
+    floor (and retried once at 100 rtol)."""
     z = complex(z)
     lo, hi = nu.effective_support()
     w = 1.0 / z
@@ -123,10 +122,9 @@ def _per_point_psi_prime(nu, z, rtol=1e-8):
         seed = (w.real, max(abs(w.imag), abs(w.real) * 1e-12, 1e-300))
     if z.real > 0.0:
         rtol = max(rtol, 4e-16 * abs(z.real) / abs(z.imag))
-    edges, _offsets = nu.seed_edges([seed[0]], [seed[1]])
-    return complex(relaxed_retry(
-        lambda rt: nu.integrate(lambda x: x / (1.0 - x * z) ** 2, edges,
-                                rtol=rt), rtol))
+    values, _relaxed = nu.integrate_rows(
+        lambda x, _k: x / (1.0 - x * z) ** 2, [seed[0]], [seed[1]], rtol)
+    return complex(values[0])
 
 
 def _curve_grid_density():

@@ -380,6 +380,24 @@ def test_settable_value_census():
     assert _defaulted_public_parameters() + len(_subcommand_flags()) == 42
 
 
+def test_only_measures_seeds_and_retries_kernel_sums():
+    # how a row of a kernel sum is seeded, integrated and retried is decided
+    # in measures, over _quad; every other module makes one Measure call
+    protocol = {"_seed_edges", "_seed_rows", "relaxed_retry", "batch_edges",
+                "adaptive_quad", "adaptive_quad_batch"}
+    users = set()
+    for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, (ast.alias,
+                                                        ast.FunctionDef))
+                    else None)
+            if name in protocol:
+                users.add(path.name)
+    assert users == {"_quad.py", "measures.py"}
+
+
 def test_readme_flag_table_matches_the_parser():
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("| flag | subcommands | run field |\n", 1)[1]

@@ -148,8 +148,8 @@ def test_narrow_support_profile_sums_directly(monkeypatch):
     # Simpson nodes is cheaper than the FFT over the radii's lattice, which
     # for d in [0.00225, 0.0045) holds more than 2^20 samples
     calls = []
-    sums = criteria._kernel_sums
-    monkeypatch.setattr(criteria, "_kernel_sums",
+    sums = criteria._direct_sums
+    monkeypatch.setattr(criteria, "_direct_sums",
                         lambda *a: calls.append(a[0].size) or sums(*a))
     monkeypatch.setattr(criteria, "level_function", _per_point)
     for d in (0.001, 0.003, 0.005):

@@ -9,7 +9,8 @@ from scipy import special, stats
 
 import freemult as fm
 from freemult._quad import batch_edges, geometric_edges, ladder_edges, merge_edges
-from freemult.analytic import _pole_seeds
+from freemult import measures
+from freemult.analytic import _half_plane_rtol, _pole_seeds
 from freemult.errors import (
     AtomicHasNoDensity,
     DomainError,
@@ -72,13 +73,16 @@ def test_density_zero_outside_support():
 def _seeded(nu, point=math.nan, scale=math.nan):
     """The panel edges of one integral of nu seeded at `point` of width
     `scale` (a nan point: none)."""
-    edges, _offsets = nu.seed_edges([point], [scale])
+    edges, _offsets = nu._seed_edges([point], [scale])
     return edges
 
 
 def test_integrate_point_mass():
     nu = fm.dirac(3.0)
-    assert nu.integrate(lambda x: x ** 2, _seeded(nu), 1e-9) == 9.0
+    values, relaxed = nu.integrate_rows(lambda x, k: x ** 2, [math.nan],
+                                        [math.nan], 1e-9)
+    assert values.tolist() == [9.0]
+    assert relaxed.tolist() == [False]
 
 
 def test_integrate_gamma_mean():
@@ -144,12 +148,75 @@ def test_integrate_equals_its_row_of_integrate_batch(nu, rows):
     def kernel(u, k):
         return r[k] * u / kernel_denominator(r[k] * u, s2[k])
 
-    values, failed = nu.integrate_batch(kernel, pts, scl, 1e-9)
-    edges, offsets = nu.seed_edges(pts, scl)
-    for k in np.flatnonzero(~failed):
-        one = nu.integrate(lambda u: kernel(u, k),
-                           edges[offsets[k]:offsets[k + 1]], rtol=1e-9)
-        assert np.float64(one).tobytes() == values[k].tobytes()
+    values, relaxed = nu.integrate_batch(kernel, pts, scl, 1e-9)
+    want, want_relaxed = nu.integrate_rows(kernel, pts, scl, 1e-9)
+    assert values.tobytes() == want.tobytes()
+    assert relaxed.tolist() == want_relaxed.tolist()
+
+
+class _Rippled(measures.Named):
+    """gamma(2, 1) with a density ripple no panel resolves, as in
+    test_unimodality: its psi' quadratures can meet 1e-6 but stall short of
+    1e-8."""
+
+    def density(self, x):
+        x = np.asarray(x, float)
+        return super().density(x) * (1.0 + 3e-7 * np.sin(1e9 * x))
+
+
+def test_integrate_batch_redoes_the_row_it_leaves_on_its_seeded_edges(
+        monkeypatch):
+    nu = _Rippled("gamma", p=2.0, theta=1.0)
+    zs = (np.array([-2.0, 2.0])[None, :]
+          + 1j * np.array([0.5, 2.0])[:, None]).ravel()
+    pts, scl = _pole_seeds(zs, *nu.effective_support())
+    rtol = _half_plane_rtol(zs, 1e-8)
+
+    def kernel(u, k):
+        return u / (1.0 - u * zs[k]) ** 2
+
+    seeded, batches, quads = [], [], []
+    seed, edges, one = (measures.Measure._seed_edges, measures.batch_edges,
+                        measures.Named.integrate)
+    monkeypatch.setattr(measures.Measure, "_seed_edges",
+                        lambda self, p, s: seeded.append(len(p))
+                        or seed(self, p, s))
+    monkeypatch.setattr(measures, "batch_edges",
+                        lambda *a: batches.append(1) or edges(*a))
+    monkeypatch.setattr(measures.Named, "integrate",
+                        lambda *a: quads.append(1) or one(*a))
+    values, relaxed = nu.integrate_batch(kernel, pts, scl, rtol)
+    # the ripple asks every row for more panels in a pass than the chunk
+    # allows: the batch leaves all four, which are redone alone on the
+    # chunk's edges, three met at rtol and one only at 100 rtol
+    assert relaxed.sum() == 1
+    assert (seeded, len(batches), len(quads)) == ([zs.size], 1, zs.size + 1)
+    want, want_relaxed = nu.integrate_rows(kernel, pts, scl, rtol)
+    assert values.tobytes() == want.tobytes()
+    assert relaxed.tolist() == want_relaxed.tolist()
+    assert len(quads) == 2 * (zs.size + 1)
+    # psi' seeds each of its points once as well
+    seeded.clear(), batches.clear()
+    got, got_relaxed = fm.psi_prime(nu, zs, rtol=1e-8, full_output=True)
+    assert (seeded, len(batches)) == ([zs.size], 1)
+    assert got.tobytes() == values.tobytes()
+    assert got_relaxed.tolist() == relaxed.tolist()
+
+
+@pytest.mark.parametrize("nu", [fm.gamma_measure(2.0, 1.0),
+                                fm.to_grid(fm.gamma_measure(2.0, 1.0), n=128),
+                                fm.dirac(1.0)], ids=["named", "grid", "atomic"])
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_kernel_sums_of_no_rows_are_empty(nu, shape):
+    empty = np.zeros(0)
+    for integrate in (nu.integrate_rows, nu.integrate_batch):
+        values, relaxed = integrate(lambda u, k: u, empty, empty, 1e-9)
+        assert (values.shape, relaxed.shape) == ((0,), (0,))
+        assert relaxed.dtype == bool
+    z = np.zeros(shape, complex)
+    assert fm.psi(nu, z).shape == shape
+    values, relaxed = fm.psi_prime(nu, z, full_output=True)
+    assert (values.shape, relaxed.shape) == (shape, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +432,13 @@ def test_seed_edges_rows_are_the_merged_ladders(nu):
                           [math.nan, math.nan]])
     scl = np.concatenate([pts[:24] * np.geomspace(1e-14, 2.0, 24)[::-1],
                           [math.nan, 1.0]])
-    edges, offsets = nu.seed_edges(pts, scl)
+    edges, offsets = nu._seed_edges(pts, scl)
     assert offsets.size == pts.size + 1
     for k, (p, s) in enumerate(zip(pts.tolist(), scl.tolist())):
         want = merge_edges([base, ladder_edges(p, s, lo, hi)])
         assert edges[offsets[k]:offsets[k + 1]].tobytes() == want.tobytes()
         # and seeded alone
-        one, ends = nu.seed_edges(pts[k:k + 1], scl[k:k + 1])
+        one, ends = nu._seed_edges(pts[k:k + 1], scl[k:k + 1])
         assert ends.tolist() == [0, want.size]
         assert one.tobytes() == want.tobytes()
 
