@@ -59,14 +59,12 @@ _ALL_CHECKS = ("mass", "mean", "symmetry", "logunimodal", "pick",
                "theta_sweep")
 
 
-def _times_of(value, nu: Measure, command: str) -> list[float]:
-    """The run's `times`: a non-empty list of times the flow of nu takes."""
+def _contexts_of(value, nu: Measure, command: str) -> list[FlowContext]:
+    """The run's `times`, a non-empty list, as the marginals of nu at them."""
     times = config_io.parse_numbers(value or [], "times")
     if not times:
         raise ParseError(f"{command} needs a non-empty 'times' list")
-    for t in times:
-        FlowContext(nu, t)
-    return times
+    return [FlowContext(nu, t) for t in times]
 
 
 def _object(cfg: dict, name: str, command: str) -> dict:
@@ -148,8 +146,7 @@ def _check_expectations(expect: dict | None, summaries: list[dict]) -> list[str]
 # ---------------------------------------------------------------------------
 
 def density_inputs(cfg: dict) -> dict:
-    nu = _measure_of(cfg)
-    times = _times_of(cfg.get("times"), nu, "density")
+    contexts = _contexts_of(cfg.get("times"), _measure_of(cfg), "density")
     grid = _object(cfg, "grid", "density")
     points = config_io.parse_number(grid.get("points", 512), "grid.points", int)
     flow.check_points(points)
@@ -157,14 +154,16 @@ def density_inputs(cfg: dict) -> dict:
     for c in checks:
         if c not in _ALL_CHECKS:
             raise ParseError(f"unknown check {c!r}; known: {list(_ALL_CHECKS)}")
-    return {"nu": nu, "times": times, "points": points, "checks": checks}
+    return {"contexts": contexts, "points": points, "checks": checks}
 
 
-def run_density(tol: dict, out_dir: str, nu, times, points, checks):
+def run_density(tol: dict, out_dir: str, contexts, points, checks):
+    nu = contexts[0].nu
     warnings: list[str] = []
     per_t = []
-    for t in times:
-        curve = density_curve(FlowContext(nu, t), points=points)
+    for ctx in contexts:
+        t = ctx.t
+        curve = density_curve(ctx, points=points)
         csv_path = os.path.join(out_dir, f"density_t{t:.17g}.csv")
         config_io.write_curve_csv(curve, csv_path)
         warnings.extend(f"t={t:.17g}: {w}" for w in curve.warnings)
@@ -219,12 +218,12 @@ def run_density(tol: dict, out_dir: str, nu, times, points, checks):
             else:
                 summary["pick_holds"] = "skipped"
         if "theta_sweep" in checks:
-            sweep = sweep_level_counts(nu, t)
+            sweep = sweep_level_counts(ctx)
             summary["theta_sweep_log_unimodal"] = sweep.log_unimodal
             summary["theta_sweep_max_count"] = max(sweep.effective_counts)
         per_t.append(summary)
 
-    inputs = {"measure": nu.to_dict(), "times": times,
+    inputs = {"measure": nu.to_dict(), "times": [c.t for c in contexts],
               "grid": {"points": points},
               "checks": list(checks)}
     return EXIT_OK, inputs, {"per_t": per_t}, warnings, per_t
@@ -296,17 +295,17 @@ def run_check(tol: dict, out_dir: str, nu, requested):
 
 
 def sweep_inputs(cfg: dict) -> dict:
-    nu = _measure_of(cfg)
-    times = _times_of(cfg.get("times"), nu, "sweep")
+    contexts = _contexts_of(cfg.get("times"), _measure_of(cfg), "sweep")
     angles = _object(cfg, "angles", "sweep")
     n_angles = config_io.parse_number(angles.get("count", 64), "angles.count", int)
     grid = config_io.parse_number(cfg.get("grid", 4096), "grid", int)
     flow.check_points(grid)
-    return {"nu": nu, "times": times, "angles": default_angle_sweep(n_angles),
+    return {"contexts": contexts, "angles": default_angle_sweep(n_angles),
             "grid": grid}
 
 
-def run_sweep(tol: dict, out_dir: str, nu, times, angles, grid):
+def run_sweep(tol: dict, out_dir: str, contexts, angles, grid):
+    nu = contexts[0].nu
     warnings: list[str] = []
     results: dict = {}
     lo, hi = nu.math_support()
@@ -316,17 +315,17 @@ def run_sweep(tol: dict, out_dir: str, nu, times, angles, grid):
         except HypothesisViolated as exc:
             warnings.append(f"time threshold unavailable: {exc}")
     per_t = []
-    for t in times:
-        sweep = sweep_level_counts(nu, t, angles=angles, grid=grid)
-        csv_path = os.path.join(out_dir, f"sweep_t{t:.17g}.csv")
+    for ctx in contexts:
+        sweep = sweep_level_counts(ctx, angles=angles, grid=grid)
+        csv_path = os.path.join(out_dir, f"sweep_t{ctx.t:.17g}.csv")
         config_io.write_sweep_csv(sweep, csv_path)
-        per_t.append({"t": t, "csv": os.path.basename(csv_path),
+        per_t.append({"t": ctx.t, "csv": os.path.basename(csv_path),
                       "log_unimodal": sweep.log_unimodal,
                       "max_count": max(sweep.effective_counts)})
     results["per_t"] = per_t
 
     code = EXIT_OK if all(s["log_unimodal"] for s in per_t) else EXIT_NEGATIVE
-    inputs = {"measure": nu.to_dict(), "times": times,
+    inputs = {"measure": nu.to_dict(), "times": [c.t for c in contexts],
               "angles": {"count": len(angles)}, "grid": grid}
     return code, inputs, results, warnings, per_t
 
@@ -334,11 +333,11 @@ def run_sweep(tol: dict, out_dir: str, nu, times, angles, grid):
 def counterexample_inputs(cfg: dict) -> dict:
     n_atoms = config_io.parse_number(cfg.get("n_atoms", 30), "n_atoms", int)
     nu, spec = build_counterexample(n_atoms)
-    times = _times_of(cfg.get("times") or [1.0], nu, "counterexample")
-    return {"n_atoms": n_atoms, "times": times, "nu": nu, "spec": spec}
+    contexts = _contexts_of(cfg.get("times") or [1.0], nu, "counterexample")
+    return {"n_atoms": n_atoms, "contexts": contexts, "spec": spec}
 
 
-def run_counterexample(tol: dict, out_dir: str, n_atoms, times, nu, spec):
+def run_counterexample(tol: dict, out_dir: str, n_atoms, contexts, spec):
     results: dict = {
         "n_atoms": n_atoms,
         "partial_sum_w_over_a": spec.partial_sum_w_over_a,
@@ -347,15 +346,15 @@ def run_counterexample(tol: dict, out_dir: str, n_atoms, times, nu, spec):
     }
     per_t = []
     negative = False
-    for t in times:
+    for ctx in contexts:
         cert = None
         for k in range(1, n_atoms):
-            c = gap_certificate(nu, t, k)
+            c = gap_certificate(ctx, k)
             if c.below:
                 cert = c
                 break
-        components = len(blowup_region(FlowContext(nu, t)))
-        entry = {"t": t, "support_components": components,
+        components = len(blowup_region(ctx))
+        entry = {"t": ctx.t, "support_components": components,
                  "certificate_found": cert is not None}
         if cert is not None:
             entry.update({"k": cert.k, "midpoint": cert.midpoint,
@@ -365,7 +364,7 @@ def run_counterexample(tol: dict, out_dir: str, n_atoms, times, nu, spec):
         per_t.append(entry)
     results["per_t"] = per_t
 
-    inputs = {"n_atoms": n_atoms, "times": times}
+    inputs = {"n_atoms": n_atoms, "times": [c.t for c in contexts]}
     return (EXIT_NEGATIVE if negative else EXIT_OK), inputs, results, [], per_t
 
 

@@ -53,12 +53,16 @@ _LATTICE_MAX = 2 ** 20
 _CONVOLVE_POINTS = 4096
 
 
+def _check_angle(R: float) -> None:
+    if not (0.0 < R < math.pi):
+        raise DomainError(f"R must be in (0, pi), got {R}")
+
+
 def level_function(nu: Measure, R: float, r, rtol: float = 1e-12):
     """Theta_R(r): the angle-equation integral at fixed angle R as a function
     of the radial variable, at one radius r (a float) or at each of an array
     of radii."""
-    if not (0.0 < R < math.pi):
-        raise DomainError(f"R must be in (0, pi), got {R}")
+    _check_angle(R)
     s2 = math.sin(0.5 * R) ** 2
     return math.sin(R) / R * poisson_kernel_integral(nu, r, s2, rtol=rtol)
 
@@ -157,19 +161,18 @@ def _default_level_window(nu: Measure) -> tuple[float, float]:
     return 1e-2 / hi, 1e2 / lo
 
 
-def count_level_solutions(nu: Measure, R: float, t: float,
+def count_level_solutions(ctx: FlowContext, R: float,
                           grid: int = 4096) -> LevelSolutions:
-    """Count solutions of Theta_R(r) = 1/t.
+    """Count solutions of Theta_R(r) = 1/t for the marginal of `ctx`.
 
     Sign changes on a log grid are polished by bracketed root finding; local
     extrema that touch the level within tolerance are reported as boundary
     (tangency) cases.  While the level function is still above 1/t at an
     end of the window, starting from the default one, that end is widened;
     WindowTooNarrow is raised when it cannot be."""
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
+    _check_angle(R)
     check_points(grid)
-    target = 1.0 / t
+    nu, target = ctx.nu, 1.0 / ctx.t
     wlo, whi = _default_level_window(nu)
 
     for _ in range(80):
@@ -259,14 +262,16 @@ class CriterionReport:
     log_unimodal: bool
 
 
-def sweep_level_counts(nu: Measure, t: float, angles=None,
+def sweep_level_counts(ctx: FlowContext, angles=None,
                        grid: int = 4096) -> CriterionReport:
-    """Run the solution count across an angle sweep; the marginal at time t
+    """Run the solution count across an angle sweep; the marginal of `ctx`
     is log-unimodal exactly when every count is at most two."""
     angles = default_angle_sweep() if angles is None else np.asarray(angles, float)
     if angles.size == 0:
         raise DomainError("need at least one angle")
-    sols = [count_level_solutions(nu, float(R), t, grid=grid) for R in angles]
+    for R in angles:
+        _check_angle(R)
+    sols = [count_level_solutions(ctx, float(R), grid=grid) for R in angles]
     eff = tuple(s.effective_count for s in sols)
     return CriterionReport(tuple(float(R) for R in angles),
                            tuple(s.count for s in sols), eff,
@@ -278,36 +283,47 @@ def sweep_level_counts(nu: Measure, t: float, angles=None,
 def time_threshold(lo: float, hi: float) -> float:
     """Closed-form time bound: beyond it, the marginal of any measure
     supported on [lo, hi] is log-unimodal.  Requires hi^4 - 3 lo^4 <
-    2 lo^3 hi."""
+    2 lo^3 hi.  Both depend on rho = hi/lo alone, and are evaluated at
+    (1, rho)."""
     if not (0.0 < lo < hi):
         raise DomainError(f"need 0 < lo < hi, got [{lo}, {hi}]")
-    if hi ** 4 - 3.0 * lo ** 4 >= 2.0 * lo ** 3 * hi:
-        raise HypothesisViolated(
-            f"hi^4 - 3 lo^4 = {hi ** 4 - 3 * lo ** 4:.6g} is not below "
-            f"2 lo^3 hi = {2 * lo ** 3 * hi:.6g}")
-    disc = 4.0 * lo ** 6 * hi ** 2 - (3.0 * lo ** 4 - hi ** 4) ** 2
-    return 2.0 * hi ** 2 * (lo + hi) ** 2 * math.pi / math.sqrt(disc)
+    rho = hi / lo
+    # rho^4 - 3 >= 2 rho from rho = 2 on
+    if rho >= 2.0 or rho ** 4 - 3.0 >= 2.0 * rho:
+        # stated at the support's own scale where its terms are floats
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = np.float64(hi) ** 4 - 3 * np.float64(lo) ** 4
+            rhs = 2 * np.float64(lo) ** 3 * hi
+        if not (np.isfinite(lhs) and 0.0 < rhs < math.inf):
+            raise HypothesisViolated(f"(hi/lo)^4 - 3 is not below 2 hi/lo "
+                                     f"for hi/lo = {rho:.6g}")
+        raise HypothesisViolated(f"hi^4 - 3 lo^4 = {lhs:.6g} is not below "
+                                 f"2 lo^3 hi = {rhs:.6g}")
+    disc = 4.0 * rho ** 2 - (3.0 - rho ** 4) ** 2
+    return 2.0 * rho ** 2 * (1.0 + rho) ** 2 * math.pi / math.sqrt(disc)
 
 
-def reciprocal_interval_check(nu: Measure, t: float) -> bool:
+def reciprocal_interval_check(ctx: FlowContext) -> bool:
     """Verify the level function stays above 1/t on the reciprocal-support
-    block for all angles with cos R above the interval threshold.
+    block for all angles with cos R above the interval threshold
+    (3 - rho^4) / (2 rho), rho = hi/lo.
 
     For such angles the level equation then has no solutions between 1/hi
     and 1/lo, which closes the at-most-two count for times past the
     threshold.  Vacuously true when no angle qualifies.  The check runs 64
     angles, each over at least 64 radial samples of [1/hi, 1/lo]."""
+    nu = ctx.nu
     lo, hi = nu.math_support()
     if not (0.0 < lo) or math.isinf(hi):
         raise DomainError("measure must be supported on a bounded interval")
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
-    thr = (3.0 * lo ** 4 - hi ** 4) / (2.0 * lo ** 3 * hi)
+    rho = hi / lo
+    # the cut is below -1 from rho = 2 on, where rho^4 could overflow
+    thr = -math.inf if rho >= 2.0 else (3.0 - rho ** 4) / (2.0 * rho)
     angles = np.linspace(1e-3, math.pi - 1e-3, 64)
     angles = angles[np.cos(angles) > thr]
     if angles.size == 0:
         return True
-    target = 1.0 / t
+    target = 1.0 / ctx.t
     for R in angles:
         _r, vals = _level_profile(nu, float(R), 1.0 / hi, 1.0 / lo, 64)
         if np.min(vals) <= target:
@@ -367,10 +383,10 @@ def mult_convolve(mu: Measure, nu: Measure) -> Measure:
     return GridDensity(x, f, normalize=True)
 
 
-def scaled_convolution_density(nu: Measure, a: float, t: float,
-                               r: float) -> float:
+def scaled_convolution_density(ctx: FlowContext, a: float, r: float) -> float:
     """(r / c_B) times the density of (lambda-family at angle B = a*pi*t)
-    multiplicatively convolved with the inverted measure, evaluated at r.
+    multiplicatively convolved with the inverted start of `ctx`, evaluated
+    at r.
 
     Computed by the direct kernel integral obtained from substituting
     xi = 1/s in the convolution density; equals the level function at angle
@@ -378,9 +394,9 @@ def scaled_convolution_density(nu: Measure, a: float, t: float,
     out here rather than taken from `flow`: this algebraic form is the
     independent route that `level_function` is checked against.  Its one
     `integrate_rows` row is retried at 100 * rtol like every kernel sum."""
-    if t <= 0 or r <= 0:
-        raise DomainError("need t > 0 and r > 0")
-    B = a * math.pi * t
+    if r <= 0:
+        raise DomainError(f"need r > 0, got {r}")
+    B = a * math.pi * ctx.t
     if not (0.0 < B < math.pi):
         raise DomainError(f"a*pi*t = {B} must lie in (0, pi)")
     c_b = math.sin(B) / (math.pi - B)
@@ -390,7 +406,7 @@ def scaled_convolution_density(nu: Measure, a: float, t: float,
         return c_b * xi / ((1.0 - r * xi) ** 2 + 4.0 * r * xi * s2)
 
     xs = 1.0 / r
-    total, _relaxed = nu.integrate_rows(
+    total, _relaxed = ctx.nu.integrate_rows(
         kernel, [xs], [max(2.0 * math.sqrt(s2) * xs, xs * 1e-14)], 1e-12)
     return r / c_b * float(total[0])
 
@@ -459,7 +475,7 @@ class GapCertificate:
     below: bool
 
 
-def gap_certificate(nu: Measure, t: float, k: int) -> GapCertificate:
+def gap_certificate(ctx: FlowContext, k: int) -> GapCertificate:
     """Evaluate the blow-up integral at the k-th reciprocal-gap midpoint,
     by the predicate `blowup_region` scans with (`flow.capped_blowup`, the
     angle kernel at the floor angle).
@@ -468,16 +484,14 @@ def gap_certificate(nu: Measure, t: float, k: int) -> GapCertificate:
     while containing the reciprocals of the two adjacent atoms (poles of
     the integral), hence is disconnected and the time-t marginal is not
     log-unimodal."""
-    at = nu.atoms()
+    at = ctx.nu.atoms()
     if at is None:
         raise DomainError("gap certificates need an atomic measure")
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
     locs = at[1][::-1]
     if not (1 <= k <= locs.size - 1):
         raise IndexOutOfRange(
             f"k={k} needs atoms k and k+1; measure has {locs.size} atoms")
     a_k, a_k1 = float(locs[k - 1]), float(locs[k])
     b_k = 0.5 * (1.0 / a_k1 + 1.0 / a_k)
-    f_val = capped_blowup(FlowContext(nu, t), b_k)
-    return GapCertificate(k, b_k, f_val, f_val < 1.0 / t)
+    f_val = capped_blowup(ctx, b_k)
+    return GapCertificate(k, b_k, f_val, f_val < 1.0 / ctx.t)

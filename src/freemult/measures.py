@@ -303,6 +303,24 @@ def _beta_ppf(p, q):
     return _ppf_on(q, 0.0, 1.0, lambda v: _ufuncs._beta_ppf(v, p["p"], p["q"]))
 
 
+def _lognorm_validate(p):
+    _require(p["s"] > 0, "log_normal.s", f"s={p['s']} <= 0")
+    # the pdf, cdf and ppf standardize by the scale e^m
+    try:
+        scale = math.exp(p["m"])
+    except OverflowError:
+        scale = math.inf
+    _require(_TINY <= scale < math.inf, "log_normal.m",
+             f"e^m must be a positive normal float, got m={p['m']}")
+
+
+def _lognorm_mean(p):
+    try:
+        return math.exp(p["m"] + 0.5 * p["s"] ** 2)
+    except OverflowError:  # of s^2 or of the exponential
+        return math.inf
+
+
 def _uniform_validate(p):
     _require(0.0 < p["lo"] < p["hi"], "uniform.bounds",
              f"need 0 < lo < hi, got [{p['lo']}, {p['hi']}]")
@@ -415,11 +433,11 @@ _register("uniform", _FamilyDef(
 
 _register("log_normal", _FamilyDef(
     params=("m", "s"),
-    validate=lambda p: _require(p["s"] > 0, "log_normal.s", f"s={p['s']} <= 0"),
+    validate=_lognorm_validate,
     pdf=_lognorm_pdf,
     cdf=_lognorm_cdf,
     ppf=_lognorm_ppf,
-    mean=lambda p: math.exp(p["m"] + 0.5 * p["s"] ** 2),
+    mean=_lognorm_mean,
     support=lambda p: (0.0, math.inf),
     singular=lambda p: (),
     invert=lambda p: ("log_normal", {"m": -p["m"], "s": p["s"]}),

@@ -107,13 +107,12 @@ def test_criterion_05_interval_threshold():
     threshold = fm.time_threshold(1.0, 1.1)
     thr_ok = abs(threshold - 21.29) < 0.01
 
-    t = 22.0
-    block_ok = fm.reciprocal_interval_check(nu, t)
-    sweep = fm.sweep_level_counts(nu, t)
+    ctx = fm.FlowContext(nu, 22.0)
+    block_ok = fm.reciprocal_interval_check(ctx)
+    sweep = fm.sweep_level_counts(ctx)
     counts_ok = all(c <= 2 for c in sweep.effective_counts)
     assert len(sweep.angles) == 64
 
-    ctx = fm.FlowContext(nu, t)
     rep = fm.is_log_unimodal(fm.density_curve(ctx, points=512))
     verdict_ok = rep.verdict == "unimodal"
 
@@ -132,13 +131,13 @@ def test_criterion_06_atomic_cascade(t):
     nu, spec = fm.build_counterexample(30)
     partial_ok = spec.partial_sum_w_over_a < 315.0 / (2.0 * math.pi ** 4)
 
+    ctx = fm.FlowContext(nu, t)
     cert = None
     for k in range(1, 30):
-        c = fm.gap_certificate(nu, t, k)
+        c = fm.gap_certificate(ctx, k)
         if c.below:
             cert = c
             break
-    ctx = fm.FlowContext(nu, t)
     curve = fm.density_curve(ctx, points=512)
     components_ok = len(curve.support) >= 2
     rep = fm.is_log_unimodal(curve)
@@ -166,16 +165,17 @@ def test_criterion_07_route_equivalence():
         a = float(rng.uniform(0.08, 0.92)) / t
         r = float(rng.uniform(0.2, 4.0))
         B = a * math.pi * t
+        ctx = fm.FlowContext(nu, t)
 
-        lhs = fm.scaled_convolution_density(nu, a, t, r)
+        lhs = fm.scaled_convolution_density(ctx, a, r)
         rhs = fm.level_function(nu, B, r) * B / math.sin(B)
         identity_worst = max(identity_worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
 
         if not isinstance(nu, fm.Named) or nu.family != "lambda":
-            sol = fm.count_level_solutions(nu, B, t, grid=2048)
+            sol = fm.count_level_solutions(ctx, B, grid=2048)
             grid = np.geomspace(sol.window[0], sol.window[1], 2048)
             level2 = a * math.pi / math.sin(B)
-            vals2 = np.array([fm.scaled_convolution_density(nu, a, t, float(rr))
+            vals2 = np.array([fm.scaled_convolution_density(ctx, a, float(rr))
                               for rr in grid]) - level2
             count2 = int(np.sum(np.sign(vals2[:-1]) * np.sign(vals2[1:]) < 0))
             counts_ok &= count2 == sol.count

@@ -104,6 +104,7 @@ def test_config_error_exits():
                  ' "params": {"b": 4}}', "--t", "1"]) == 2
     assert main(["density", "--measure", DIRAC1, "--t", ""]) == 2
     assert main(["scenario", "/nonexistent/sc.json"]) == 2
+    assert main(["counterexample", "--n-atoms", "2"]) == 2  # needs 3 atoms
     assert main(["density"]) == 2  # missing required flags
     assert main([]) == 2
 
@@ -687,6 +688,33 @@ def test_sweep_hypothesis_violation_is_warning(tmp_path):
     assert "time_threshold" not in report["results"]
     assert report["results"]["per_t"]
     assert code in (0, 1)
+
+
+@pytest.mark.parametrize("lo, hi", [(1e60, 1.1e60), (1e-60, 1.1e-60),
+                                    (1e-100, 1.1e-100)])
+def test_sweep_reports_the_time_threshold_at_any_scale(tmp_path, lo, hi):
+    # the threshold depends on hi/lo alone: lo^6 hi^2 overflowing or
+    # underflowing is no failure, and no hypothesis violation
+    measure = json.dumps(_named("uniform", lo=lo, hi=hi))
+    assert main(["sweep", "--measure", measure, "--t", "22",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "sweep_report.json").read_text())
+    assert report["results"]["time_threshold"] == pytest.approx(
+        fm.time_threshold(1.0, 1.1), rel=1e-14)
+    assert report["warnings"] == []
+
+
+def test_the_time_of_a_marginal_is_checked_in_one_place():
+    # FlowContext checks 0 < t < inf: the criteria compare no time of their
+    # own, and the command line builds every context in one input reader
+    tree = ast.parse(pathlib.Path(criteria.__file__).read_text())
+    time_checks = [
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+        and any(isinstance(v, ast.Name) and v.id == "t"
+                or isinstance(v, ast.Attribute) and v.attr == "t"
+                for v in (node.left, *node.comparators))]
+    assert time_checks == []
+    assert pathlib.Path(cli.__file__).read_text().count("FlowContext(") == 1
 
 
 def test_scenario_cascade(tmp_path):

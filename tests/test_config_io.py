@@ -49,7 +49,24 @@ def test_parse_lambda_domain_violation():
     assert "lambda.b" == e.value.invariant
 
 
-def test_parse_rejects_unknown_fields():
+_MALFORMED_MEASURES = [
+    ('[{"w": 1, "a": 1}]', "must be an object"),
+    ('{"family": "gamma", "params": {"p": 2, "theta": 1}}', "'kind'"),
+    ('{"kind": "atomic", "atoms": []}', "non-empty 'atoms'"),
+    ('{"kind": "atomic", "atoms": {"w": 1, "a": 1}}', "non-empty 'atoms'"),
+    ('{"kind": "atomic", "atoms": [[1, 1]]}', r"atoms\[0\] must be an object"),
+    ('{"kind": "atomic", "atoms": [{"w": 1}]}', "needs both 'w' and 'a'"),
+    ('{"kind": "atomic", "atoms": [{"a": 1}]}', "needs both 'w' and 'a'"),
+    ('{"kind": "grid", "grid": [[1, 2], [1, 1]]}', "a 'grid' object"),
+    ('{"kind": "grid", "grid": {"x": [1, 2]}}', "'x' and 'f' arrays"),
+    ('{"kind": "grid", "grid": {"f": [1, 1]}}', "'x' and 'f' arrays"),
+    ('{"kind": "named", "family": "gamma", "params": [2, 1]}',
+     "'params' must be an object"),
+    ('{"kind": "named", "params": {"p": 2, "theta": 1}}', "'family' string"),
+]
+
+
+def test_parse_rejects_unknown_fields(tmp_path, capsys):
     with pytest.raises(ParseError):
         config_io.parse_measure(
             '{"kind": "named", "family": "gamma", "params": {"p": 2, "theta": 1},'
@@ -57,6 +74,16 @@ def test_parse_rejects_unknown_fields():
     with pytest.raises(ParseError):
         config_io.parse_measure(
             '{"kind": "atomic", "atoms": [{"w": 1.0, "a": 1, "x": 2}]}')
+    # malformed measures: a ParseError, and from a measure file exit 2
+    path = tmp_path / "measure.json"
+    for text, match in _MALFORMED_MEASURES:
+        with pytest.raises(ParseError, match=match):
+            config_io.parse_measure(text)
+        path.write_text(text)
+        assert cli.main(["check", "--measure", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert "config error: ParseError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 GRID2 = '{"kind": "grid", "grid": {"x": [1, 2], "f": [2, 2]}'
@@ -173,6 +200,17 @@ def test_load_measure_missing_file():
         config_io.load_measure("/nonexistent/measure.json")
 
 
+def test_write_under_a_regular_file_is_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(IoError, match="cannot write"):
+        config_io.write_report({"command": "check"},
+                               str(blocker / "out" / "report.json"))
+    assert cli.main(["counterexample", "--n-atoms", "5",
+                     "--out", str(blocker / "out")]) == cli.EXIT_CONFIG
+    assert "config error: IoError" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
@@ -186,7 +224,7 @@ def _prepare(text):
     return sc
 
 
-def test_parse_scenario_validates():
+def test_parse_scenario_validates(tmp_path, capsys):
     good = json.dumps({"schema_version": 1, "runs": [
         {"command": "check", "measure": {"kind": "named", "family": "gamma",
                                          "params": {"p": 2, "theta": 1}}}]})
@@ -201,6 +239,24 @@ def test_parse_scenario_validates():
     with pytest.raises(ParseError):
         _prepare(json.dumps(
             {"schema_version": 1, "runs": [{"command": "check", "bogus": 1}]}))
+    # a malformed envelope: a ParseError, and from a scenario file exit 2
+    path = tmp_path / "scenario.json"
+    for scenario, match in (
+            ([{"command": "check"}], "must be a JSON object"),
+            ({"schema_version": 1, "runs": []}, "non-empty 'runs'"),
+            ({"schema_version": 1, "runs": {"command": "check"}},
+             "non-empty 'runs'"),
+            ({"schema_version": 1, "runs": [{"measure": {}}]},
+             r"runs\[0\] needs a 'command'"),
+            ({"schema_version": 1, "runs": ["check"]},
+             r"runs\[0\] needs a 'command'")):
+        with pytest.raises(ParseError, match=match):
+            _prepare(json.dumps(scenario))
+        path.write_text(json.dumps(scenario))
+        assert cli.main(["scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert "config error: ParseError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 _RUNS = {

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -18,6 +19,18 @@ from freemult.errors import (
 # level function and solution counting
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("module", [flow, criteria], ids=["flow", "criteria"])
+def test_no_public_function_takes_a_time(module):
+    # the time of a marginal enters through its FlowContext, which checks it
+    # once; a function taking (nu, t) would need a time check of its own
+    public = [f for name, f in inspect.getmembers(module, inspect.isfunction)
+              if not name.startswith("_") and f.__module__ == module.__name__]
+    assert public
+    takes_t = [f.__name__ for f in public
+               if "t" in inspect.signature(f).parameters]
+    assert takes_t == []
+
+
 def test_level_function_point_mass_peak():
     # sin(R)/R * r/(1 + r^2 - 2 r cos R); at R = pi/2, r = 1 this is 1/pi
     val = fm.level_function(fm.dirac(1.0), math.pi / 2, 1.0)
@@ -32,7 +45,8 @@ def test_level_function_vanishes_at_both_ends():
 
 def test_count_solutions_two_roots():
     # level 1/(2 pi) is below the peak 1/pi: roots at 2 +- sqrt(3)
-    sol = fm.count_level_solutions(fm.dirac(1.0), math.pi / 2, 2 * math.pi)
+    ctx = fm.FlowContext(fm.dirac(1.0), 2 * math.pi)
+    sol = fm.count_level_solutions(ctx, math.pi / 2)
     assert sol.count == 2
     assert not sol.boundary
     assert sol.roots[0] == pytest.approx(2 - math.sqrt(3), rel=1e-9)
@@ -40,7 +54,8 @@ def test_count_solutions_two_roots():
 
 
 def test_count_solutions_no_roots():
-    sol = fm.count_level_solutions(fm.dirac(1.0), math.pi / 2, 2.0)
+    sol = fm.count_level_solutions(fm.FlowContext(fm.dirac(1.0), 2.0),
+                                   math.pi / 2)
     assert sol.count == 0
     assert sol.effective_count == 0
 
@@ -48,7 +63,8 @@ def test_count_solutions_no_roots():
 def test_count_solutions_tangency():
     # peak value exactly equals the level: one location, flagged boundary,
     # conservatively worth two solutions
-    sol = fm.count_level_solutions(fm.dirac(1.0), math.pi / 2, math.pi)
+    sol = fm.count_level_solutions(fm.FlowContext(fm.dirac(1.0), math.pi),
+                                   math.pi / 2)
     assert sol.count == 1
     assert sol.boundary
     assert sol.effective_count == 2
@@ -60,7 +76,8 @@ def test_count_solutions_polishes_a_pair_between_grid_neighbours():
     # lie within one grid step of the peak, which the profile sees below
     # the level; the tangency pass brackets and polishes each of them
     t = math.pi * (1.0 + 1e-7)
-    sol = fm.count_level_solutions(fm.dirac(1.0), math.pi / 2, t)
+    sol = fm.count_level_solutions(fm.FlowContext(fm.dirac(1.0), t),
+                                   math.pi / 2)
     c = t / math.pi
     assert (sol.count, sol.effective_count, sol.boundary) == (2, 2, False)
     assert sol.roots == pytest.approx((c - math.sqrt(c * c - 1),
@@ -72,7 +89,8 @@ def test_count_solutions_polishes_a_pair_a_coarse_grid_samples_below():
     # lies 1.6e-3 relative below the level, beyond the 1e-5/t screen, but
     # within twice the rise of the parabola through it and its neighbours
     t = math.pi * (1.0 + 1e-3)
-    sol = fm.count_level_solutions(fm.dirac(1.0), math.pi / 2, t, grid=64)
+    sol = fm.count_level_solutions(fm.FlowContext(fm.dirac(1.0), t),
+                                   math.pi / 2, grid=64)
     c = t / math.pi
     assert (sol.count, sol.effective_count, sol.boundary) == (2, 2, False)
     assert sol.roots == pytest.approx((c - math.sqrt(c * c - 1),
@@ -87,8 +105,8 @@ def test_count_solutions_in_a_narrow_four_root_band(grid):
     # with its pair beyond its grid neighbours, found by the flips: none
     # adds a root or a tangency
     nu = fm.atomic([(0.5, 1.0), (0.5, 13.9)])
-    sol = fm.count_level_solutions(nu, 3.06830292268131, 251.045334153251,
-                                   grid=grid)
+    sol = fm.count_level_solutions(fm.FlowContext(nu, 251.045334153251),
+                                   3.06830292268131, grid=grid)
     assert (sol.count, sol.effective_count, sol.boundary) == (4, 4, False)
 
 
@@ -99,7 +117,8 @@ def test_count_solutions_widens_the_default_window(t, window):
     # dirac(1) at R = pi/2: the level (2/pi) r / (1 + r^2) = 1/t is met at
     # r = t/pi +- sqrt(t^2/pi^2 - 1), beyond the default window (0.01, 100),
     # which widens by 4 a step
-    sol = fm.count_level_solutions(fm.dirac(1.0), math.pi / 2, t)
+    sol = fm.count_level_solutions(fm.FlowContext(fm.dirac(1.0), t),
+                                   math.pi / 2)
     assert sol.window == window
     assert sol.count == 2
     c = t / math.pi
@@ -107,11 +126,26 @@ def test_count_solutions_widens_the_default_window(t, window):
                                        c + math.sqrt(c * c - 1)), rel=1e-9)
 
 
+@pytest.mark.parametrize("R", [0.0, -1.0, math.pi, 4.0, math.nan])
+@pytest.mark.parametrize("nu", [fm.dirac(1.0), fm.gamma_measure(2, 1)],
+                         ids=["dirac", "gamma"])
+def test_count_solutions_rejects_angles_outside_the_domain(nu, R, monkeypatch):
+    # the angle is checked where it enters, before any profile is built
+    monkeypatch.setattr(criteria, "_level_profile", _per_point)
+    ctx = fm.FlowContext(nu, 1.0)
+    with pytest.raises(DomainError, match=r"R must be in \(0, pi\)"):
+        fm.count_level_solutions(ctx, R)
+    with pytest.raises(DomainError, match=r"R must be in \(0, pi\)"):
+        fm.sweep_level_counts(ctx, angles=[1.0, R])
+    with pytest.raises(DomainError, match=r"R must be in \(0, pi\)"):
+        fm.level_function(nu, R, 1.0)
+
+
 def test_level_profiles_reject_coarse_grids():
     nu = fm.uniform_interval(1, 1.1)
     for grid in (63, 1, 0, -5):
         with pytest.raises(DomainError):
-            fm.count_level_solutions(nu, 1.0, 22.0, grid=grid)
+            fm.count_level_solutions(fm.FlowContext(nu, 22.0), 1.0, grid=grid)
 
 
 def _profile_matches_level_function(nu, R, picks):
@@ -186,7 +220,8 @@ def test_count_solutions_evaluates_each_radius_once(monkeypatch):
     level = criteria.level_function
     monkeypatch.setattr(criteria, "level_function",
                         lambda nu, R, r, **kw: radii.append(r) or level(nu, R, r, **kw))
-    sol = criteria.count_level_solutions(fm.uniform_interval(1, 1.1), 1.0, 22.0)
+    sol = criteria.count_level_solutions(
+        fm.FlowContext(fm.uniform_interval(1, 1.1), 22.0), 1.0)
     assert sol.count == 2
     assert radii and len(radii) == len(set(radii))
 
@@ -196,7 +231,7 @@ def test_profile_rejects_overflowing_kernel_arguments():
     # leaves the float range, where the profile would read nan
     nu = fm.boolean_stable(0.055)
     with pytest.raises(DomainError, match="overflows"):
-        criteria.count_level_solutions(nu, 1.0, 1.0)
+        criteria.count_level_solutions(fm.FlowContext(nu, 1.0), 1.0)
 
 
 def test_profile_of_a_support_wider_than_the_float_ratio():
@@ -228,11 +263,11 @@ def test_angle_sweep_needs_two_angles():
         with pytest.raises(DomainError):
             fm.criteria.default_angle_sweep(n)
     with pytest.raises(DomainError):
-        fm.sweep_level_counts(fm.dirac(1.0), 1.0, angles=[])
+        fm.sweep_level_counts(fm.FlowContext(fm.dirac(1.0), 1.0), angles=[])
 
 
 def test_sweep_counts_symmetric_measure():
-    report = fm.sweep_level_counts(fm.dirac(1.0), 1.0,
+    report = fm.sweep_level_counts(fm.FlowContext(fm.dirac(1.0), 1.0),
                                    angles=np.linspace(0.2, math.pi - 0.2, 12))
     assert report.log_unimodal
     assert all(c <= 2 for c in report.effective_counts)
@@ -253,8 +288,32 @@ def test_time_threshold_value():
 def test_time_threshold_hypothesis():
     with pytest.raises(HypothesisViolated):
         fm.time_threshold(1.0, 2.0)  # 16 - 3 = 13 >= 4
+    # (hi/lo)^4 would overflow, hi^4 and lo^4 do, and hi/lo itself does
+    for lo, hi in ((1.0, 1e100), (1e200, 1e201), (1e-300, 1e300)):
+        with pytest.raises(HypothesisViolated):
+            fm.time_threshold(lo, hi)
     with pytest.raises(DomainError):
         fm.time_threshold(1.1, 1.0)
+
+
+@given(lo=st.floats(0.5, 2.0), rho=st.floats(1.01, 1.5),
+       c=st.floats(-200.0, 200.0).map(lambda e: 10.0 ** e))
+def test_time_threshold_depends_on_the_support_ratio_alone(lo, rho, c):
+    # hi/lo fixes the threshold, at any scale of the support a float holds
+    want = fm.time_threshold(lo, lo * rho)
+    assert fm.time_threshold(c * lo, c * (lo * rho)) == pytest.approx(
+        want, rel=1e-12)
+
+
+@pytest.mark.parametrize("lo, hi", [(1e60, 1.1e60), (1e-60, 1.1e-60),
+                                    (1e-100, 1.1e-100), (3.0, 3.3)])
+def test_time_threshold_at_scales_beyond_the_fourth_power(lo, hi):
+    # lo^6 hi^2 overflows at 1e60, underflows to 0 at 1e-60, and every
+    # term underflows at 1e-100: the ratio 1.1 gives the threshold of (1, 1.1)
+    assert fm.time_threshold(lo, hi) == pytest.approx(
+        fm.time_threshold(1.0, 1.1), rel=1e-14)
+    with pytest.raises(HypothesisViolated):
+        fm.time_threshold(lo, 2 * hi)
 
 
 def test_time_threshold_diverges_at_hypothesis_boundary():
@@ -271,27 +330,45 @@ def test_time_threshold_diverges_at_hypothesis_boundary():
 
 def test_reciprocal_interval_check_at_threshold():
     nu = fm.uniform_interval(1.0, 1.1)
-    assert fm.reciprocal_interval_check(nu, fm.time_threshold(1.0, 1.1))
-    assert fm.reciprocal_interval_check(nu, 22.0)
+    assert fm.reciprocal_interval_check(
+        fm.FlowContext(nu, fm.time_threshold(1.0, 1.1)))
+    assert fm.reciprocal_interval_check(fm.FlowContext(nu, 22.0))
 
 
 def test_reciprocal_interval_check_degenerate_support():
     # equal endpoints: no angle passes the cosine cut, vacuously true
-    assert fm.reciprocal_interval_check(fm.dirac(1.0), 5.0)
+    assert fm.reciprocal_interval_check(fm.FlowContext(fm.dirac(1.0), 5.0))
+    # an unbounded support has no reciprocal block
+    for nu in (fm.gamma_measure(2, 1), fm.log_normal(0, 1)):
+        with pytest.raises(DomainError, match="bounded interval"):
+            fm.reciprocal_interval_check(fm.FlowContext(nu, 1.0))
 
 
 def test_reciprocal_interval_check_fails_at_a_small_time():
     # at t = 0.1 the level 1/t = 10 lies above Theta_R on the reciprocal
     # block, which the check reports; by t = 30 it lies below
     nu = fm.uniform_interval(1.0, 1.1)
-    assert fm.reciprocal_interval_check(nu, 0.1) is False
-    assert fm.reciprocal_interval_check(nu, 30.0) is True
+    assert fm.reciprocal_interval_check(fm.FlowContext(nu, 0.1)) is False
+    assert fm.reciprocal_interval_check(fm.FlowContext(nu, 30.0)) is True
+
+
+def test_reciprocal_interval_check_at_any_scale():
+    # the cosine cut depends on hi/lo alone
+    for c in (1e-100, 1e60):
+        nu = fm.uniform_interval(c, 1.1 * c)
+        assert fm.reciprocal_interval_check(fm.FlowContext(nu, 22.0))
+        assert not fm.reciprocal_interval_check(fm.FlowContext(nu, 0.1))
+    # (hi/lo)^4 overflows: every angle passes the cut
+    wide = fm.atomic([(0.5, 1.0), (0.5, 1e100)])
+    assert isinstance(fm.reciprocal_interval_check(fm.FlowContext(wide, 1.0)),
+                      bool)
 
 
 def test_reciprocal_interval_check_below_threshold_is_raw():
     # one-directional statement: below the threshold the raw boolean is
     # whatever the grid says; it must at least be a bool
-    out = fm.reciprocal_interval_check(fm.uniform_interval(1, 1.1), 2.0)
+    out = fm.reciprocal_interval_check(
+        fm.FlowContext(fm.uniform_interval(1, 1.1), 2.0))
     assert isinstance(out, bool)
 
 
@@ -353,7 +430,7 @@ def test_scaled_convolution_identity():
         a = float(rng.uniform(0.05, 0.95)) / t * 1.0
         r = float(rng.uniform(0.2, 3.0))
         B = a * math.pi * t
-        lhs = fm.scaled_convolution_density(nu, a, t, r)
+        lhs = fm.scaled_convolution_density(fm.FlowContext(nu, t), a, r)
         rhs = fm.level_function(nu, B, r) * B / math.sin(B)
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
@@ -366,9 +443,10 @@ def test_scaled_convolution_matches_log_grid_convolution():
     B = a * math.pi * t
     c_b = math.sin(B) / (math.pi - B)
     conv = fm.mult_convolve(fm.lambda_measure(B), nu.invert())
+    ctx = fm.FlowContext(nu, t)
     worst = 0.0
     for r in np.geomspace(0.2, 5.0, 40):
-        via_kernel = fm.scaled_convolution_density(nu, a, t, float(r))
+        via_kernel = fm.scaled_convolution_density(ctx, a, float(r))
         via_grid = float(r) / c_b * float(conv.density(float(r)))
         worst = max(worst, abs(via_kernel - via_grid))
     assert worst <= 2e-3
@@ -376,7 +454,8 @@ def test_scaled_convolution_matches_log_grid_convolution():
 
 def test_scaled_convolution_domain():
     with pytest.raises(DomainError):
-        fm.scaled_convolution_density(fm.dirac(1.0), 2.0, 2.0, 1.0)  # B >= pi
+        fm.scaled_convolution_density(fm.FlowContext(fm.dirac(1.0), 2.0),
+                                      2.0, 1.0)  # B >= pi
 
 
 def test_solution_count_equality_of_both_routes():
@@ -389,10 +468,11 @@ def test_solution_count_equality_of_both_routes():
         t = float(rng.uniform(0.5, 4.0))
         a = float(rng.uniform(0.1, 0.9)) / t
         B = a * math.pi * t
-        sol = fm.count_level_solutions(nu, B, t, grid=2048)
+        ctx = fm.FlowContext(nu, t)
+        sol = fm.count_level_solutions(ctx, B, grid=2048)
         level2 = a * math.pi / math.sin(B)
         r = np.geomspace(sol.window[0], sol.window[1], 2048)
-        vals2 = np.array([fm.scaled_convolution_density(nu, a, t, float(rr))
+        vals2 = np.array([fm.scaled_convolution_density(ctx, a, float(rr))
                           for rr in r]) - level2
         count2 = int(np.sum(np.sign(vals2[:-1]) * np.sign(vals2[1:]) < 0))
         assert count2 == sol.count
@@ -413,6 +493,9 @@ def test_build_counterexample_quantities():
     locs = spec.locations
     for k in range(1, 29):
         assert 1.0 / locs[k - 1] < spec.midpoints[k - 1] < 1.0 / locs[k]
+    for n in (2, 0):
+        with pytest.raises(DomainError, match="at least 3 atoms"):
+            fm.build_counterexample(n)
 
 
 def test_build_counterexample_ratio_example():
@@ -432,14 +515,14 @@ def test_build_counterexample_inverted_variant():
 def test_gap_certificates():
     nu, _spec = fm.build_counterexample(30)
     for t in (0.5, 1.0, 2.0, 100.0):
+        ctx = fm.FlowContext(nu, t)
         found = False
         for k in range(1, 30):
-            cert = fm.gap_certificate(nu, t, k)
+            cert = fm.gap_certificate(ctx, k)
             if cert.below:
                 found = True
                 assert cert.f_value < 1.0 / t
                 # the region still contains the adjacent reciprocal atoms
-                ctx = fm.FlowContext(nu, t)
                 for a in _spec.locations[k - 1:k + 1]:
                     assert flow.capped_blowup(ctx, 1.0 / a) > 1.0 / t
                 break
@@ -452,9 +535,10 @@ def test_gap_certificates_agree_with_blowup_region(n):
     # midpoint lies in no component, the adjacent reciprocal atoms in some
     nu, spec = fm.build_counterexample(n)
     for t in (0.25, 0.5, 1.0, 2.0, 4.0):
-        comps = fm.blowup_region(fm.FlowContext(nu, t))
+        ctx = fm.FlowContext(nu, t)
+        comps = fm.blowup_region(ctx)
         inside = lambda r: any(lo < r < hi for lo, hi in comps)
-        certified = [c for c in (fm.gap_certificate(nu, t, k)
+        certified = [c for c in (fm.gap_certificate(ctx, k)
                                  for k in range(1, n)) if c.below]
         assert certified
         for cert in certified:
@@ -467,7 +551,8 @@ def test_cascade_level_counts_exceed_two():
     # the disconnected-support fixture must fail the at-most-two criterion
     # at some angle, matching the not-unimodal curve verdict
     nu, _spec = fm.build_counterexample(10)
-    counts = [fm.count_level_solutions(nu, R, 1.0, grid=4096).effective_count
+    ctx = fm.FlowContext(nu, 1.0)
+    counts = [fm.count_level_solutions(ctx, R, grid=4096).effective_count
               for R in (0.05, 0.1, 0.2)]
     assert max(counts) > 2
 
@@ -475,9 +560,9 @@ def test_cascade_level_counts_exceed_two():
 def test_gap_certificate_index_bounds():
     single = fm.atomic([(1.0, 1.0)])
     with pytest.raises(IndexOutOfRange):
-        fm.gap_certificate(single, 1.0, 1)
+        fm.gap_certificate(fm.FlowContext(single, 1.0), 1)
     nu, _ = fm.build_counterexample(5)
     with pytest.raises(IndexOutOfRange):
-        fm.gap_certificate(nu, 1.0, 5)
+        fm.gap_certificate(fm.FlowContext(nu, 1.0), 5)
     with pytest.raises(DomainError):
-        fm.gap_certificate(fm.uniform_interval(1, 2), 1.0, 1)
+        fm.gap_certificate(fm.FlowContext(fm.uniform_interval(1, 2), 1.0), 1)

@@ -747,10 +747,11 @@ def test_atoms_308_decades_apart_keep_both_components():
     # r*xi overflows to inf near r = 1e200, where the Poisson kernel tends
     # to 0 and the atom at 1e-200 alone gives f = r*1e-200 / (1 - r*1e-200)^2
     nu = fm.atomic([(0.5, 1e-200), (0.5, 1e200)])
-    (lo1, hi1), (lo2, hi2) = fm.blowup_region(fm.FlowContext(nu, 1.0))
+    ctx = fm.FlowContext(nu, 1.0)
+    (lo1, hi1), (lo2, hi2) = fm.blowup_region(ctx)
     assert (lo1, hi1) == pytest.approx((5e-201, 2e-200), rel=1e-11)
     assert (lo2, hi2) == pytest.approx((5e199, 2e200), rel=1e-11)
-    cert = fm.gap_certificate(nu, 1.0, 1)
+    cert = fm.gap_certificate(ctx, 1)
     assert cert.midpoint == pytest.approx(5e199, rel=1e-15)
     assert cert.f_value == pytest.approx(1.0, rel=1e-15)
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from freemult.errors import (
     InvariantViolation,
     NonIntegrable,
 )
+from freemult.cli import main
 from freemult.flow import kernel_denominator
 from freemult.measures import TOL_MASS_GRID
 
@@ -585,11 +587,31 @@ def test_atomic_mass_invariant():
     assert "mass" in e.value.invariant
 
 
-def test_atomic_location_invariants():
+def _config_error(tmp_path, measure: dict) -> bool:
+    """Whether a `check` run on `measure`, read from a file, exits 2."""
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(measure))
+    return main(["check", "--measure", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+def test_atomic_location_invariants(tmp_path):
     with pytest.raises(InvariantViolation):
         fm.Atomic([0.5, 0.5], [2.0, 1.0])
     with pytest.raises(InvariantViolation):
         fm.Atomic([0.5, 0.5], [-1.0, 1.0])
+    for w, a, name in (([0.5, 0.5], [1.0], "atomic.shape"),
+                       ([], [], "atomic.shape"),
+                       ([[1.0]], [[1.0]], "atomic.shape"),
+                       ([0.0, 1.0], [1.0, 2.0], "atomic.weights"),
+                       ([-0.5, 1.5], [1.0, 2.0], "atomic.weights")):
+        with pytest.raises(InvariantViolation) as e:
+            fm.Atomic(w, a)
+        assert e.value.invariant == name
+    # zero and negative weights reach the invariant from a measure file
+    for w in (0.0, -0.5):
+        assert _config_error(tmp_path, {"kind": "atomic", "atoms": [
+            {"w": w, "a": 1.0}, {"w": 1.0 - w, "a": 2.0}]})
 
 
 def test_lambda_parameter_domain():
@@ -599,11 +621,30 @@ def test_lambda_parameter_domain():
         fm.boolean_stable(1.5)
 
 
-def test_grid_invariants():
+def test_grid_invariants(tmp_path):
     with pytest.raises(InvariantViolation):
         fm.GridDensity([1.0, 2.0], [-0.1, 0.2])
     with pytest.raises(InvariantViolation):
         fm.GridDensity([2.0, 1.0], [0.5, 0.5])
+    for x, f, normalize, name in (
+            ([1.0], [1.0], False, "grid.shape"),
+            ([1.0, 2.0], [1.0, 1.0, 1.0], False, "grid.shape"),
+            ([-1.0, 1.0], [0.5, 0.5], False, "grid.abscissae"),
+            ([0.0, 1.0], [1.0, 1.0], False, "grid.abscissae"),
+            ([1.0, 2.0], [0.0, 0.0], True, "grid.mass")):
+        with pytest.raises(InvariantViolation) as e:
+            fm.GridDensity(x, f, normalize=normalize)
+        assert e.value.invariant == name
+        # each reaches the invariant from a measure file
+        assert _config_error(tmp_path, {"kind": "grid", "normalize": normalize,
+                                        "grid": {"x": x, "f": f}})
+    with pytest.raises(AtomicHasNoDensity):
+        fm.to_grid(fm.dirac(1.0))
+    with pytest.raises(AtomicHasNoDensity):
+        fm.to_grid(fm.atomic([(0.5, 1.0), (0.5, 2.0)]))
+    for y_lo, y_hi, n in ((1.0, 0.0, 16), (1.0, 1.0, 16), (0.0, 1.0, 1)):
+        with pytest.raises(DomainError, match="y_lo < y_hi and n >= 2"):
+            fm.pushforward_log(fm.gamma_measure(2, 1), y_lo, y_hi, n)
     x = np.geomspace(0.1, 10, 64)
     f = 1.0 / (x * math.log(100.0))  # reciprocal density, unit mass
     m = fm.GridDensity(x, f, normalize=True)
@@ -626,6 +667,31 @@ def test_grid_mean_is_the_mean_of_the_interpolant():
     m = fm.GridDensity(x, np.exp(-np.log(x) ** 2), normalize=True)
     assert m.mean() == pytest.approx(
         m.integrate(lambda u: u, _seeded(m), 1e-12), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1000.0, math.nan, -1000.0])
+def test_log_normal_scale_must_be_a_normal_float(tmp_path, m):
+    # e^m overflows, is nan, or is subnormal: every later use of the
+    # measure would fail, so construction does
+    with pytest.raises(InvariantViolation) as e:
+        fm.log_normal(m, 1.0)
+    assert e.value.invariant == "log_normal.m"
+    measure = json.dumps({"kind": "named", "family": "log_normal",
+                          "params": {"m": m, "s": 1.0}})
+    for argv in (["density", "--t", "1"], ["check"], ["sweep", "--t", "1"]):
+        assert main(argv + ["--measure", measure,
+                            "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_log_normal_mean_overflows_to_inf():
+    assert fm.log_normal(0.0, 37.7).mean() == math.inf
+    assert fm.log_normal(0.0, 1e200).mean() == math.inf
+    assert fm.log_normal(700.0, 5.0).mean() == math.inf
+    assert fm.log_normal(0.3, 1.1).mean() == math.exp(0.3 + 0.5 * 1.1 ** 2)
+    # the extreme scales a float holds still construct
+    assert fm.log_normal(709.0, 2.0).mean() == math.inf
+    assert fm.log_normal(-708.0, 0.5).mean() > 0.0
 
 
 def test_named_unknown_family_and_params():

@@ -83,6 +83,10 @@ def test_degenerate_and_domain_errors():
         fm.count_modes(x[:10], x[:10])
     with pytest.raises(DomainError):
         fm.count_modes(x, x, hysteresis=0.5)
+    with pytest.raises(DomainError, match="strictly increasing"):
+        fm.count_modes(x[::-1], x)
+    with pytest.raises(DomainError, match="strictly increasing"):
+        fm.count_modes(np.concatenate([x[:50], x[49:100]]), x)
 
 
 def test_mode_report_invariant():
